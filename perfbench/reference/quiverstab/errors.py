@@ -1,0 +1,44 @@
+"""Error classes shared across the package."""
+
+
+class QuiverStabError(Exception):
+    """Base class for all package-specific errors."""
+
+
+class ZeroRepresentationError(QuiverStabError):
+    """A stability operation was asked about the zero representation."""
+
+
+class InvalidSubrepresentationError(QuiverStabError):
+    """Candidate subspaces are not closed under the arrow maps."""
+
+
+class EnumerationBudgetError(QuiverStabError):
+    """An exhaustive enumeration would exceed the configured budget."""
+
+    def __init__(self, candidate_count, budget):
+        self.candidate_count = candidate_count
+        self.budget = budget
+        super().__init__(
+            f"enumeration would visit {candidate_count} candidates, "
+            f"budget is {budget}"
+        )
+
+
+class TheoremContradictionError(QuiverStabError):
+    """An exhaustive computation violated a uniqueness claim.
+
+    Raised when a maximal destabilizing subrepresentation, or a strict
+    maximizer of the normalized destabilizing score, is not unique on a
+    concrete instance.  This never fires unless the underlying theorem
+    is false on that instance, so it is surfaced loudly instead of being
+    resolved by a tie-break.
+    """
+
+
+class SemistableInputError(QuiverStabError):
+    """An operation defined only for unstable input got semistable input."""
+
+
+class DegenerateInputError(QuiverStabError):
+    """Closed-form formula hit a degenerate parameter (zero denominator)."""
