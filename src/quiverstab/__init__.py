@@ -23,12 +23,7 @@ from .linalg import (
     contains,
     enumerate_subspaces,
     gaussian_binomial,
-    image,
-    kernel,
-    orthogonal_complement,
-    rank,
     rref,
-    subspace_intersect,
     subspace_sum,
 )
 from .quiver import (
@@ -38,12 +33,12 @@ from .quiver import (
     Quiver,
     Representation,
     StabilityParams,
+    SubrepLattice,
     Subrepresentation,
     check_hn_properties,
     enumerate_subreps,
     hn_filtration,
     is_semistable,
-    is_stable,
     is_subrep,
     max_destabilizing,
     preimage_spaces,

@@ -12,9 +12,13 @@ Problem files are UTF-8 JSON.  Example:
       "stability": {"theta": {"v0": 1, "v1": 0}, "sigma": {"v0": 1, "v1": 1}}
     }
 
-Exit codes: 0 success / verified, 2 usage or schema error,
-3 theorem contradiction (including a verify mismatch), 4 enumeration
-budget exceeded.
+Vertex ids are strings; integers (p, dims, theta, sigma, matrix
+entries) are JSON integers, not true/false; dims, theta and sigma name
+only declared vertices, and matrices only arrow indices.
+
+Exit codes: 0 success / verified, 2 usage or schema error (including a
+zero-dimensional representation), 3 theorem contradiction (including a
+verify mismatch), 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import (
     EnumerationBudgetError,
     SemistableInputError,
     TheoremContradictionError,
+    ZeroRepresentationError,
 )
 from .linalg import Matrix, PrimeField
 
@@ -49,6 +54,21 @@ def _expect(cond, msg):
         raise ProblemFormatError(msg)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _vertex_integers(obj, vertices, name):
+    """obj must map exactly the declared vertices to integers."""
+    _expect(isinstance(obj, dict), f"{name} must be an object")
+    for v in vertices:
+        _expect(v in obj, f"{name} missing vertex '{v}'")
+        _expect(_is_int(obj[v]), f"{name}['{v}'] must be an integer")
+    unknown = sorted(set(obj) - set(vertices))
+    _expect(not unknown, f"{name} has unknown vertex {unknown[:1]}")
+
+
 def parse_problem(data: dict):
     """Validate a problem dict and build the domain objects."""
     _expect(isinstance(data, dict), "problem must be a JSON object")
@@ -65,12 +85,18 @@ def parse_problem(data: dict):
     _expect(isinstance(q, dict), "quiver must be an object")
     _expect(isinstance(q.get("vertices"), list), "quiver.vertices must be a list")
     _expect(isinstance(q.get("arrows"), list), "quiver.arrows must be a list")
+    _expect(
+        all(isinstance(v, str) for v in q["vertices"]),
+        "quiver.vertices must be strings",
+    )
     vertices = tuple(q["vertices"])
     arrows = []
     for i, arr in enumerate(q["arrows"]):
         _expect(
-            isinstance(arr, list) and len(arr) == 2,
-            f"quiver.arrows[{i}] must be a [source, target] pair",
+            isinstance(arr, list)
+            and len(arr) == 2
+            and all(isinstance(v, str) for v in arr),
+            f"quiver.arrows[{i}] must be a [source, target] pair of vertex ids",
         )
         arrows.append((arr[0], arr[1]))
     try:
@@ -81,15 +107,13 @@ def parse_problem(data: dict):
     rep = data["representation"]
     _expect(isinstance(rep, dict), "representation must be an object")
     dims = rep.get("dims")
-    _expect(isinstance(dims, dict), "representation.dims must be an object")
+    _vertex_integers(dims, vertices, "representation.dims")
     for v in vertices:
-        _expect(v in dims, f"representation.dims missing vertex '{v}'")
-        _expect(
-            isinstance(dims[v], int) and dims[v] >= 0,
-            f"representation.dims['{v}'] must be a non-negative integer",
-        )
+        _expect(dims[v] >= 0, f"representation.dims['{v}'] must be non-negative")
     matrices = rep.get("matrices", {})
     _expect(isinstance(matrices, dict), "representation.matrices must be an object")
+    unknown = sorted(set(matrices) - {str(i) for i in range(len(arrows))})
+    _expect(not unknown, f"representation.matrices has no arrow {unknown[:1]}")
     arrow_maps = []
     for i, (src, tgt) in enumerate(arrows):
         raw = matrices.get(str(i))
@@ -108,7 +132,7 @@ def parse_problem(data: dict):
                 f"matrix {i} rows must have {ncols} entries",
             )
             _expect(
-                all(isinstance(x, int) for x in row),
+                all(_is_int(x) for x in row),
                 f"matrix {i} entries must be integers",
             )
         arrow_maps.append(
@@ -123,11 +147,8 @@ def parse_problem(data: dict):
     _expect(isinstance(stab, dict), "stability must be an object")
     theta = stab.get("theta")
     sigma = stab.get("sigma")
-    _expect(isinstance(theta, dict), "stability.theta must be an object")
-    _expect(isinstance(sigma, dict), "stability.sigma must be an object")
-    for v in vertices:
-        _expect(v in theta, f"stability.theta missing vertex '{v}'")
-        _expect(v in sigma, f"stability.sigma missing vertex '{v}'")
+    _vertex_integers(theta, vertices, "stability.theta")
+    _vertex_integers(sigma, vertices, "stability.sigma")
     try:
         params = qv.StabilityParams(
             {v: theta[v] for v in vertices}, {v: sigma[v] for v in vertices}
@@ -184,10 +205,17 @@ def _make_report(command: str, input_data, result: dict, started: float) -> dict
 # per-command result payloads (pure: problem dict in, payload out)
 
 
-def hn_result(data: dict, budget: int) -> dict:
+def _lattice_problem(data: dict, budget: int):
+    """Parse a problem and enumerate its subrepresentation lattice, once
+    for every route the command runs."""
     m, params = parse_problem(data)
-    f = qv.hn_filtration(m, params, budget)
-    report = qv.check_hn_properties(f, params, budget)
+    return qv.SubrepLattice(m, budget), params
+
+
+def hn_result(data: dict, budget: int) -> dict:
+    lat, params = _lattice_problem(data, budget)
+    f = qv.hn_filtration(lat, params)
+    report = qv.check_hn_properties(lat, f, params)
     payload = _filtration_payload(f, params)
     payload["strictly_descending"] = report.strictly_descending
     payload["quotients_semistable"] = report.quotients_semistable
@@ -196,10 +224,12 @@ def hn_result(data: dict, budget: int) -> dict:
 
 
 def kempf_result(data: dict, budget: int, heuristic_prune: bool = False) -> dict:
-    m, params = parse_problem(data)
-    if qv.is_semistable(m, params, budget):
+    lat, params = _lattice_problem(data, budget)
+    if qv.is_semistable(lat, params):
         return {"semistable": True}
-    f, gamma, score = kempf.kempf_filtration(m, params, budget, heuristic_prune)
+    f, gamma, score = kempf.kempf_filtration(
+        lat, params, heuristic_prune=heuristic_prune
+    )
     payload = _filtration_payload(f, params)
     payload["semistable"] = False
     payload["gamma"] = [frac_str(g) for g in gamma]
@@ -209,12 +239,12 @@ def kempf_result(data: dict, budget: int, heuristic_prune: bool = False) -> dict
 
 def verify_result(data: dict, budget: int) -> dict:
     """Both routes; 'match' is False exactly when the theorem fails."""
-    m, params = parse_problem(data)
-    if qv.is_semistable(m, params, budget):
-        agree = kempf.kempf_semistability(m, params, budget)
+    lat, params = _lattice_problem(data, budget)
+    if qv.is_semistable(lat, params):
+        agree = kempf.kempf_semistability(lat, params)
         return {"semistable": True, "match": agree}
-    hn = qv.hn_filtration(m, params, budget)
-    kf, gamma, score = kempf.kempf_filtration(m, params, budget)
+    hn = qv.hn_filtration(lat, params)
+    kf, gamma, score = kempf.kempf_filtration(lat, params)
     match = [a.dim_vector() for a in hn.steps] == [
         b.dim_vector() for b in kf.steps
     ] and all(a.spaces == b.spaces for a, b in zip(hn.steps, kf.steps))
@@ -229,9 +259,9 @@ def verify_result(data: dict, budget: int) -> dict:
 
 
 def semistable_result(data: dict, budget: int) -> dict:
-    m, params = parse_problem(data)
-    slope_route = qv.is_semistable(m, params, budget)
-    git_route = kempf.kempf_semistability(m, params, budget)
+    lat, params = _lattice_problem(data, budget)
+    slope_route = qv.is_semistable(lat, params)
+    git_route = kempf.kempf_semistability(lat, params)
     return {
         "slope_semistable": slope_route,
         "git_semistable": git_route,
@@ -240,14 +270,11 @@ def semistable_result(data: dict, budget: int) -> dict:
 
 
 def enumerate_result(data: dict, budget: int) -> dict:
-    m, params = parse_problem(data)
-    subs = qv.enumerate_subreps(m, budget)
-    order = m.quiver.vertices
+    lat, _params = _lattice_problem(data, budget)
+    order = lat.rep.quiver.vertices
     return {
-        "count": len(subs),
-        "dimension_vectors": [
-            {v: s.spaces[v].dim for v in order} for s in subs
-        ],
+        "count": len(lat.subs),
+        "dimension_vectors": [dict(zip(order, d)) for d in lat.dims],
     }
 
 
@@ -401,6 +428,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_command(args, result_fn, *flags):
+    data = _load_problem_file(args.problem)
+    return data, result_fn(data, args.budget, *flags)
+
+
+# Command name -> handler(args) returning (input echoed in the report,
+# result payload).  The lambdas look the *_result functions up at call
+# time, so wrappers installed on this module (perfbench/tracing.py) see
+# every call.
+COMMANDS = {
+    "hn": lambda a: _file_command(a, hn_result),
+    "kempf": lambda a: _file_command(a, kempf_result, a.heuristic_prune),
+    "verify": lambda a: _file_command(a, verify_result),
+    "semistable": lambda a: _file_command(a, semistable_result),
+    "enumerate": lambda a: _file_command(a, enumerate_result),
+    "p1": lambda a: ({"blocks": a.blocks}, p1_result(a.blocks)),
+    "rank2": lambda a: (
+        {"candidates": a.candidates, "deg_e": a.deg_e, "s": a.s, "tau": a.tau},
+        rank2_result(a.candidates, a.deg_e, a.s, a.tau),
+    ),
+    "rank3": lambda a: ({"v": a.v, "tau": a.tau}, rank3_result(a.v, a.tau)),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -408,48 +459,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.monotonic()
-    exit_code = EXIT_OK
     try:
-        if args.command in ("hn", "kempf", "verify", "semistable", "enumerate"):
-            data = _load_problem_file(args.problem)
-            if args.command == "hn":
-                result = hn_result(data, args.budget)
-            elif args.command == "kempf":
-                result = kempf_result(data, args.budget, args.heuristic_prune)
-            elif args.command == "verify":
-                result = verify_result(data, args.budget)
-                if not result["match"]:
-                    exit_code = EXIT_CONTRADICTION
-            elif args.command == "semistable":
-                result = semistable_result(data, args.budget)
-            else:
-                result = enumerate_result(data, args.budget)
-            report = _make_report(args.command, data, result, started)
-        elif args.command == "p1":
-            result = p1_result(args.blocks)
-            report = _make_report("p1", {"blocks": args.blocks}, result, started)
-        elif args.command == "rank2":
-            result = rank2_result(args.candidates, args.deg_e, args.s, args.tau)
-            report = _make_report(
-                "rank2",
-                {
-                    "candidates": args.candidates,
-                    "deg_e": args.deg_e,
-                    "s": args.s,
-                    "tau": args.tau,
-                },
-                result,
-                started,
-            )
-        else:
-            result = rank3_result(args.v, args.tau)
-            report = _make_report(
-                "rank3", {"v": args.v, "tau": args.tau}, result, started
-            )
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SemistableInputError as exc:
+        input_data, result = COMMANDS[args.command](args)
+    except (ProblemFormatError, SemistableInputError, ZeroRepresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EnumerationBudgetError as exc:
@@ -459,11 +471,14 @@ def main(argv=None) -> int:
         print(f"theorem contradiction: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
 
+    report = _make_report(args.command, input_data, result, started)
     if args.fmt == "json":
         print(json.dumps(report, sort_keys=True))
     else:
         print(_render_text(report))
-    return exit_code
+    if args.command == "verify" and not result["match"]:
+        return EXIT_CONTRADICTION
+    return EXIT_OK
 
 
 def entry():

@@ -21,15 +21,13 @@ from .errors import SemistableInputError, TheoremContradictionError
 from .quiver import (
     DEFAULT_BUDGET,
     Filtration,
-    Representation,
     StabilityParams,
-    Subrepresentation,
-    enumerate_subreps,
+    SubrepLattice,
+    enumerate_subreps,  # unused here; perfbench/tracing.py wraps this binding
     is_semistable,
     sigma_of,
-    sub_contains,
     theta_of,
-    _require_nonzero,
+    _nonzero_lattice,
 )
 
 
@@ -270,22 +268,26 @@ def _ascending_chains(lower, j):
             yield c + (j,)
 
 
-def _chain_index_sets(m: Representation, budget: int):
-    """Proper non-zero subreps in canonical order, plus the strict-
-    inclusion predecessor lists and per-subrep (sigma-free) dimension
-    data used by the chain search."""
-    subs = [s for s in enumerate_subreps(m, budget) if not s.is_zero()]
-    full_idx = next(i for i, s in enumerate(subs) if s.is_full())
-    lower = [[] for _ in subs]
-    for j, sj in enumerate(subs):
-        dj = sj.dim_vector()
-        for i, si in enumerate(subs):
-            if i == j:
-                continue
-            di = si.dim_vector()
-            if all(di[v] <= dj[v] for v in di) and di != dj and sub_contains(sj, si):
-                lower[j].append(i)
-    return subs, lower, full_idx
+def _chain_index_sets(lat: SubrepLattice):
+    """Non-zero subreps in canonical order, plus their strict-inclusion
+    predecessor lists (indices into that list) and the index of the
+    whole representation."""
+    subs = lat.subs[1:]
+    lower = [
+        [i - 1 for i in range(1, j) if lat.contains(j, i)]
+        for j in range(1, len(lat.subs))
+    ]
+    return subs, lower, len(subs) - 1
+
+
+def _chain_search_input(lat: SubrepLattice, params: StabilityParams):
+    """Shared set-up of both chain searches: the DAG of _chain_index_sets,
+    the (sigma, theta) label of each non-zero subrep, and theta(M),
+    sigma(M)."""
+    subs, lower, full_idx = _chain_index_sets(lat)
+    st = lat.labels(params)[1:]
+    sm, tm = st[full_idx]
+    return subs, lower, full_idx, st, tm, sm
 
 
 def _strictly_increasing(gamma) -> bool:
@@ -293,7 +295,7 @@ def _strictly_increasing(gamma) -> bool:
 
 
 def kempf_filtration(
-    m: Representation,
+    m,
     params: StabilityParams,
     budget: int = DEFAULT_BUDGET,
     heuristic_prune: bool = False,
@@ -302,22 +304,20 @@ def kempf_filtration(
     representation, by exhaustive scoring of every strictly increasing
     chain ending at the whole representation.
 
-    Returns (filtration, gamma, score).  The winner must have strictly
-    increasing weights; a tie between two distinct such chains at the
-    maximal score contradicts uniqueness and is raised.
+    m is a Representation or its SubrepLattice.  Returns (filtration,
+    gamma, score).  The winner must have strictly increasing weights; a
+    tie between two distinct such chains at the maximal score
+    contradicts uniqueness and is raised.
 
     With heuristic_prune, chains are restricted to steps whose slope
     exceeds the ambient slope (true of the expected winner); this
     assumes the very correspondence the exhaustive mode verifies, so it
     is off by default.
     """
-    _require_nonzero(m)
-    if is_semistable(m, params, budget):
+    lat = _nonzero_lattice(m, budget)
+    if is_semistable(lat, params):
         raise SemistableInputError("the representation is semistable")
-    tm = theta_of(m.dims, params)
-    sm = sigma_of(m.dims, params)
-    subs, lower, full_idx = _chain_index_sets(m, budget)
-    st = [(sigma_of(s.dim_vector(), params), theta_of(s.dim_vector(), params)) for s in subs]
+    subs, lower, full_idx, st, tm, sm = _chain_search_input(lat, params)
 
     allowed = None
     if heuristic_prune:
@@ -352,7 +352,7 @@ def kempf_filtration(
             f"tie at the maximal score"
         )
     chain, gamma = best_strict[0]
-    filtration = Filtration(m, tuple(subs[i] for i in chain))
+    filtration = Filtration(lat.rep, tuple(subs[i] for i in chain))
     g = graph_of(filtration, params)
     if not _strictly_increasing(g.v):
         raise TheoremContradictionError(
@@ -362,16 +362,14 @@ def kempf_filtration(
 
 
 def kempf_semistability(
-    m: Representation, params: StabilityParams, budget: int = DEFAULT_BUDGET
+    m, params: StabilityParams, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Semistability via the numerical criterion: no chain admits
     non-decreasing weights with positive pairing, decided by checking
-    the optimal score of every chain."""
-    _require_nonzero(m)
-    tm = theta_of(m.dims, params)
-    sm = sigma_of(m.dims, params)
-    subs, lower, full_idx = _chain_index_sets(m, budget)
-    st = [(sigma_of(s.dim_vector(), params), theta_of(s.dim_vector(), params)) for s in subs]
+    the optimal score of every chain.  m: a Representation or its
+    SubrepLattice."""
+    lat = _nonzero_lattice(m, budget)
+    _subs, lower, full_idx, st, tm, sm = _chain_search_input(lat, params)
     for chain in _ascending_chains(lower, full_idx):
         _gamma, score, _g = _chain_score([st[i] for i in chain], tm, sm)
         if score.is_positive():
@@ -380,35 +378,27 @@ def kempf_semistability(
 
 
 def refinement_domination_violations(
+    m,
     f: Filtration,
     params: StabilityParams,
     best_score: ExactScore,
     budget: int = DEFAULT_BUDGET,
 ):
-    """Insert one extra subrepresentation between consecutive steps of f
-    (or below the first) and check no refined chain scores higher.
+    """Insert one extra subrepresentation between consecutive steps of
+    the filtration f of m (or below the first) and check no refined
+    chain scores higher.  m: a Representation or its SubrepLattice.
 
     Returns the list of violating refinements (expected empty).
     """
-    m = f.parent
-    subs = [s for s in enumerate_subreps(m, budget) if not s.is_zero()]
+    lat = _nonzero_lattice(m, budget)
+    chain = lat.chain_of(f)
     out = []
     steps = list(f.steps)
-    for pos in range(len(steps)):
-        below = steps[pos - 1] if pos > 0 else None
-        above = steps[pos]
-        for cand in subs:
-            if cand.dim_vector() == above.dim_vector():
-                continue
-            if not sub_contains(above, cand):
-                continue
-            if below is not None:
-                if cand.dim_vector() == below.dim_vector():
-                    continue
-                if not sub_contains(cand, below):
-                    continue
+    for pos, (lo, hi) in enumerate(zip(chain, chain[1:])):
+        for k in lat.between(lo, hi)[:-1]:  # the last is hi itself
+            cand = lat.subs[k]
             refined = steps[:pos] + [cand] + steps[pos:]
-            rf = Filtration(m, tuple(refined))
+            rf = Filtration(lat.rep, tuple(refined))
             _gamma, score = optimal_weights(rf, params)
             if score > best_score:
                 out.append((pos, cand, score))

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EnumerationBudgetError
-from .linalg import Matrix, PrimeField, Subspace, contains, enumerate_subspaces
+from .linalg import PrimeField, Subspace, contains, enumerate_subspaces, subspace_count
 from .quiver import (
     DEFAULT_BUDGET,
     Quiver,
@@ -66,12 +66,14 @@ def is_submodule(m: KroneckerModule, v_part: Subspace, w_part: Subspace) -> bool
 
 
 def enumerate_submodules(m: KroneckerModule, budget: int = DEFAULT_BUDGET):
-    """All submodules, in canonical order (dims, then RREF bytes)."""
-    v_subs = enumerate_subspaces(m.dim_v, m.field)
-    w_subs = enumerate_subspaces(m.dim_w, m.field)
-    count = len(v_subs) * len(w_subs)
+    """All submodules, in canonical order (dims, then RREF bytes).  The
+    candidate count is charged against the budget before any subspace
+    is built."""
+    count = subspace_count(m.dim_v, m.field.p) * subspace_count(m.dim_w, m.field.p)
     if count > budget:
         raise EnumerationBudgetError(count, budget)
+    v_subs = enumerate_subspaces(m.dim_v, m.field)
+    w_subs = enumerate_subspaces(m.dim_w, m.field)
     out = []
     for v_part, w_part in itertools.product(v_subs, w_subs):
         if is_submodule(m, v_part, w_part):

@@ -126,11 +126,6 @@ def rref(m: Matrix) -> Matrix:
     return Matrix(m.field, m.nrows, m.ncols, tuple(tuple(r) for r in rows))
 
 
-def rank(m: Matrix) -> int:
-    r = rref(m)
-    return sum(1 for row in r.rows if any(row))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of F_p^n given by its canonical RREF basis (no zero rows)."""
@@ -190,32 +185,6 @@ class Subspace:
         return tuple(x for row in self.basis for x in row)
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space of m, a subspace of F_p^{ncols}."""
-    r = rref(m)
-    p = m.field.p
-    piv_of_row = []
-    for row in r.rows:
-        nz = next((j for j, x in enumerate(row) if x), None)
-        if nz is not None:
-            piv_of_row.append(nz)
-    pivots = set(piv_of_row)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    vectors = []
-    for f in free:
-        v = [0] * m.ncols
-        v[f] = 1
-        for i, piv in enumerate(piv_of_row):
-            v[piv] = (-r.rows[i][f]) % p
-        vectors.append(v)
-    return Subspace.from_spanning(m.field, m.ncols, vectors)
-
-
-def image(m: Matrix) -> Subspace:
-    """Column space of m, a subspace of F_p^{nrows}."""
-    return Subspace.from_spanning(m.field, m.nrows, m.transpose().rows)
-
-
 def _check_compatible(a: Subspace, b: Subspace):
     if a.field != b.field or a.ambient != b.ambient:
         raise ValueError("subspaces live in different ambient spaces")
@@ -224,21 +193,6 @@ def _check_compatible(a: Subspace, b: Subspace):
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
     return Subspace.from_spanning(a.field, a.ambient, list(a.basis) + list(b.basis))
-
-
-def orthogonal_complement(s: Subspace) -> Subspace:
-    """Complement with respect to the standard dot product; dim n - dim s."""
-    if s.dim == 0:
-        return Subspace.full(s.field, s.ambient)
-    return kernel(Matrix.from_rows(s.field, s.basis, ncols=s.ambient))
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    # (A + B)^perp = A^perp cap B^perp, so dualize the sum of the duals.
-    _check_compatible(a, b)
-    return orthogonal_complement(
-        subspace_sum(orthogonal_complement(a), orthogonal_complement(b))
-    )
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -264,6 +218,11 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         den *= p ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+def subspace_count(n: int, p: int) -> int:
+    """Number of subspaces of F_p^n of every dimension, exact."""
+    return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
 def _subspaces_of_dim(n: int, field: PrimeField, k: int):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     EnumerationBudgetError,
@@ -27,6 +28,7 @@ from .linalg import (
     apply,
     contains,
     enumerate_subspaces,
+    subspace_count,
     subspace_sum,
 )
 
@@ -193,31 +195,75 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     """All subrepresentations, exactly once, in canonical order.
 
     Canonical order: dimension-vector lexicographic in vertex order,
-    then concatenated RREF bytes per vertex.  Includes 0 and m.
+    then concatenated RREF bytes per vertex.  Includes 0 and m.  The
+    candidate count is charged against the budget before any subspace
+    is built.
     """
-    per_vertex = {}
-    candidate_count = 1
-    for v in m.quiver.vertices:
-        per_vertex[v] = enumerate_subspaces(m.dims[v], m.field)
-        candidate_count *= len(per_vertex[v])
+    order = m.quiver.vertices
+    candidate_count = prod(subspace_count(m.dims[v], m.field.p) for v in order)
     if candidate_count > budget:
         raise EnumerationBudgetError(candidate_count, budget)
-    order = m.quiver.vertices
+    per_vertex = [enumerate_subspaces(m.dims[v], m.field) for v in order]
     out = []
-    for combo in itertools.product(*(per_vertex[v] for v in order)):
+    for combo in itertools.product(*per_vertex):
         spaces = dict(zip(order, combo))
-        ok = True
-        for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps):
-            if not all(
-                spaces[tgt].contains_vector(mat.apply_to(row))
-                for row in spaces[src].basis
-            ):
-                ok = False
-                break
-        if ok:
+        if all(
+            spaces[tgt].contains_vector(mat.apply_to(row))
+            for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
+            for row in spaces[src].basis
+        ):
             out.append(Subrepresentation(m, spaces))
     out.sort(key=Subrepresentation.canonical_key)
     return out
+
+
+class SubrepLattice:
+    """Every subrepresentation of one representation, enumerated once.
+
+    ``subs`` is in canonical order: 0 first, the whole representation
+    last, and each one after all those it strictly contains.  ``dims[i]``
+    is the dimension vector of ``subs[i]`` as a tuple in vertex order.
+    """
+
+    def __init__(self, m: Representation, budget: int = DEFAULT_BUDGET):
+        self.rep = m
+        self.subs = enumerate_subreps(m, budget)
+        order = m.quiver.vertices
+        self.dims = [tuple(s.spaces[v].dim for v in order) for s in self.subs]
+
+    def contains(self, j: int, i: int) -> bool:
+        """True iff subs[i] is contained in subs[j]."""
+        di, dj = self.dims[i], self.dims[j]
+        if di == dj:
+            return i == j
+        if i == 0 or j == len(self.subs) - 1:
+            return True
+        return all(a <= b for a, b in zip(di, dj)) and sub_contains(
+            self.subs[j], self.subs[i]
+        )
+
+    def between(self, lo: int, hi: int) -> list:
+        """Indices k with subs[lo] strictly inside subs[k] inside subs[hi];
+        by the correspondence theorem, the non-zero subrepresentations of
+        subs[hi] / subs[lo]."""
+        return [
+            k
+            for k in range(lo + 1, hi + 1)
+            if self.contains(k, lo) and self.contains(hi, k)
+        ]
+
+    def labels(self, params: StabilityParams) -> list:
+        """(sigma, theta) of every subrepresentation, in lattice order."""
+        return [
+            (sigma_of(d, params), theta_of(d, params))
+            for d in (s.dim_vector() for s in self.subs)
+        ]
+
+    def chain_of(self, f: "Filtration") -> list:
+        """Lattice indices of 0 and of each step of the filtration f."""
+        if f.parent != self.rep:
+            raise ValueError("the filtration is not of this representation")
+        return [0] + [self.subs.index(s) for s in f.steps]
 
 
 def restrict(m: Representation, s: Subrepresentation):
@@ -309,62 +355,64 @@ def preimage_spaces(m: Representation, s: Subrepresentation, quot_spaces: dict) 
     return out
 
 
-def _require_nonzero(m: Representation):
-    if m.is_zero():
+def _nonzero_lattice(m, budget: int) -> SubrepLattice:
+    """The lattice of m, a Representation or already its SubrepLattice;
+    stability is undefined for the zero representation."""
+    rep = m.rep if isinstance(m, SubrepLattice) else m
+    if rep.is_zero():
         raise ZeroRepresentationError("operation undefined for the zero representation")
+    return m if rep is not m else SubrepLattice(m, budget)
 
 
-def is_semistable(
-    m: Representation, params: StabilityParams, budget: int = DEFAULT_BUDGET
-) -> bool:
-    _require_nonzero(m)
-    mu = slope(m.dims, params)
-    for s in enumerate_subreps(m, budget):
-        if s.is_zero():
-            continue
-        if slope(s.dim_vector(), params) > mu:
-            return False
-    return True
+def _quotient_key(labels: list, lo: int, k: int):
+    """(slope, sigma) of subs[k] / subs[lo], from the lattice labels."""
+    s = labels[k][0] - labels[lo][0]
+    return Fraction(labels[k][1] - labels[lo][1], s), s
 
 
-def is_stable(
-    m: Representation, params: StabilityParams, budget: int = DEFAULT_BUDGET
-) -> bool:
-    _require_nonzero(m)
-    mu = slope(m.dims, params)
-    for s in enumerate_subreps(m, budget):
-        if s.is_zero() or s.is_full():
-            continue
-        if slope(s.dim_vector(), params) >= mu:
-            return False
-    return True
+def _semistable_between(lat: SubrepLattice, labels: list, lo: int, hi: int) -> bool:
+    """True iff subs[hi] / subs[lo] is semistable."""
+    mu = _quotient_key(labels, lo, hi)[0]
+    return all(_quotient_key(labels, lo, k)[0] <= mu for k in lat.between(lo, hi))
 
 
-def max_destabilizing(
-    m: Representation, params: StabilityParams, budget: int = DEFAULT_BUDGET
-) -> Subrepresentation:
-    """The unique non-zero subrepresentation of maximal slope and, among
-    those, maximal total dimension.  A tie contradicts uniqueness and is
-    raised, never broken silently."""
-    _require_nonzero(m)
+def _max_destabilizing_above(lat: SubrepLattice, labels: list, lo: int) -> int:
+    """Index of the maximal destabilizing subobject of M / subs[lo],
+    lifted to M: the unique N strictly containing subs[lo] that
+    maximizes (slope, sigma) of N / subs[lo].  A tie contradicts
+    uniqueness and is raised, never broken silently."""
     best = []
     best_key = None
-    for s in enumerate_subreps(m, budget):
-        if s.is_zero():
-            continue
-        d = s.dim_vector()
-        key = (slope(d, params), sigma_of(d, params))
+    for k in lat.between(lo, len(lat.subs) - 1):
+        key = _quotient_key(labels, lo, k)
         if best_key is None or key > best_key:
             best_key = key
-            best = [s]
+            best = [k]
         elif key == best_key:
-            best.append(s)
+            best.append(k)
     if len(best) != 1:
         raise TheoremContradictionError(
             f"{len(best)} distinct subrepresentations tie at "
             f"(slope, total dim) = {best_key}"
         )
     return best[0]
+
+
+def is_semistable(m, params: StabilityParams, budget: int = DEFAULT_BUDGET) -> bool:
+    """m: a Representation or its SubrepLattice."""
+    lat = _nonzero_lattice(m, budget)
+    return _semistable_between(lat, lat.labels(params), 0, len(lat.subs) - 1)
+
+
+def max_destabilizing(
+    m, params: StabilityParams, budget: int = DEFAULT_BUDGET
+) -> Subrepresentation:
+    """The unique non-zero subrepresentation of maximal slope and, among
+    those, maximal total dimension.  A tie contradicts uniqueness and is
+    raised, never broken silently.  m: a Representation or its
+    SubrepLattice."""
+    lat = _nonzero_lattice(m, budget)
+    return lat.subs[_max_destabilizing_above(lat, lat.labels(params), 0)]
 
 
 @dataclass
@@ -398,23 +446,18 @@ class Filtration:
         return out
 
 
-def hn_filtration(
-    m: Representation, params: StabilityParams, budget: int = DEFAULT_BUDGET
-) -> Filtration:
-    """Harder-Narasimhan filtration: maximal destabilizing subobject,
-    then recursion on the quotient, lifting through the canonical
-    projections."""
-    _require_nonzero(m)
-    first = max_destabilizing(m, params, budget)
-    if first.is_full():
-        return Filtration(m, (first,))
-    quot, _projs = quotient(m, first)
-    rest = hn_filtration(quot, params, budget)
-    steps = [first]
-    for qstep in rest.steps:
-        spaces = preimage_spaces(m, first, qstep.spaces)
-        steps.append(Subrepresentation(m, spaces))
-    return Filtration(m, tuple(steps))
+def hn_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET) -> Filtration:
+    """Harder-Narasimhan filtration as an iterated maximum over the
+    lattice: M_1 is the maximal destabilizing subobject, and each next
+    step is the maximal destabilizing subobject of M / M_{i-1}, read off
+    the interval [M_{i-1}, M].  m: a Representation or its SubrepLattice."""
+    lat = _nonzero_lattice(m, budget)
+    labels = lat.labels(params)
+    # the first step goes through the public name, which perfbench/tracing.py spans
+    chain = [lat.subs.index(max_destabilizing(lat, params))]
+    while chain[-1] != len(lat.subs) - 1:
+        chain.append(_max_destabilizing_above(lat, labels, chain[-1]))
+    return Filtration(lat.rep, tuple(lat.subs[i] for i in chain))
 
 
 @dataclass
@@ -428,31 +471,22 @@ class HNReport:
         return self.strictly_descending and all(self.quotients_semistable)
 
 
-def _quotient_representation(f: Filtration, i: int) -> Representation:
-    """The i-th subquotient M_i / M_{i-1} as a representation (i from 0)."""
-    m = f.parent
-    step = f.steps[i]
-    if i == 0:
-        return restrict(m, step)
-    below = f.steps[i - 1]
-    quot, projs = quotient(m, below)
-    spaces = {
-        v: apply(projs[v], step.spaces[v]) for v in m.quiver.vertices
-    }
-    return restrict(quot, Subrepresentation(quot, spaces))
-
-
 def check_hn_properties(
-    f: Filtration, params: StabilityParams, budget: int = DEFAULT_BUDGET
+    m, f: Filtration, params: StabilityParams, budget: int = DEFAULT_BUDGET
 ) -> HNReport:
-    """Verify the two defining properties on a computed filtration:
-    strictly descending quotient slopes and semistable quotients."""
+    """Verify the two defining properties on a computed filtration f of
+    m: strictly descending quotient slopes and semistable quotients, each
+    quotient read off its interval in the lattice.  m: a Representation
+    or its SubrepLattice."""
+    lat = _nonzero_lattice(m, budget)
+    chain = lat.chain_of(f)
     slopes = [slope(d, params) for d in f.quotient_dims()]
     descending = all(a > b for a, b in zip(slopes, slopes[1:]))
-    semis = []
-    for i in range(len(f.steps)):
-        q = _quotient_representation(f, i)
-        semis.append(is_semistable(q, params, budget))
+    labels = lat.labels(params)
+    semis = [
+        _semistable_between(lat, labels, lo, hi)
+        for lo, hi in zip(chain, chain[1:])
+    ]
     return HNReport(slopes, descending, semis)
 
 

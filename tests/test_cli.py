@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quiverstab import quiver as qv
 from quiverstab.cli import (
     EXIT_BUDGET,
     EXIT_CONTRADICTION,
@@ -33,6 +34,40 @@ def semistable_problem():
     data = alpha_zero_problem()
     data["representation"]["matrices"]["0"] = [[1]]
     return data
+
+
+def problem_with(path, value):
+    """alpha_zero_problem with the entry at the key path set to value."""
+    data = alpha_zero_problem()
+    *keys, last = path
+    obj = data
+    for key in keys:
+        obj = obj[key]
+    obj[last] = value
+    return data
+
+
+ZERO_REPRESENTATION = {"dims": {"v0": 0, "v1": 0}, "matrices": {"0": []}}
+
+# id -> (command, key path, value): each problem must end in exit 2.
+EXIT_USAGE_CASES = {
+    "unhashable-vertex": ("verify", ("quiver", "vertices"), [["a"], "v1"]),
+    "integer-vertex": ("verify", ("quiver", "vertices"), [0, 1]),
+    "unhashable-endpoint": ("verify", ("quiver", "arrows"), [[["v0"], "v1"]]),
+    "bool-p": ("verify", ("field", "p"), True),
+    "bool-dim": ("verify", ("representation", "dims", "v0"), True),
+    "unknown-dim": ("verify", ("representation", "dims", "v2"), 0),
+    "bool-entry": ("verify", ("representation", "matrices", "0"), [[False]]),
+    "matrix-without-arrow": ("verify", ("representation", "matrices", "1"), [[0]]),
+    "bool-theta": ("verify", ("stability", "theta", "v0"), True),
+    "unknown-theta": ("verify", ("stability", "theta", "v2"), 1),
+    "bool-sigma": ("verify", ("stability", "sigma", "v1"), True),
+    "unknown-sigma": ("verify", ("stability", "sigma", "v2"), 1),
+    "zero-verify": ("verify", ("representation",), ZERO_REPRESENTATION),
+    "zero-kempf": ("kempf", ("representation",), ZERO_REPRESENTATION),
+    "zero-hn": ("hn", ("representation",), ZERO_REPRESENTATION),
+    "zero-semistable": ("semistable", ("representation",), ZERO_REPRESENTATION),
+}
 
 
 def write_problem(tmp_path, data, name="prob.json"):
@@ -107,6 +142,37 @@ class TestExitCodes:
     def test_kempf_on_semistable_reports_cleanly(self, tmp_path, capsys):
         path = write_problem(tmp_path, semistable_problem())
         assert main(["kempf", path]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        EXIT_USAGE_CASES.values(),
+        ids=EXIT_USAGE_CASES.keys(),
+    )
+    def test_bad_input_exits_usage(self, tmp_path, capsys, command, path, value):
+        problem = write_problem(tmp_path, problem_with(path, value))
+        assert main([command, problem]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestSharedLattice:
+    @pytest.mark.parametrize(
+        "command", ["verify", "kempf", "hn", "semistable", "enumerate"]
+    )
+    @pytest.mark.parametrize("make_problem", [alpha_zero_problem, semistable_problem])
+    def test_one_enumeration_per_command(
+        self, tmp_path, monkeypatch, capsys, command, make_problem
+    ):
+        calls = []
+        enumerate_subreps = qv.enumerate_subreps
+
+        def counted(m, budget):
+            calls.append(m)
+            return enumerate_subreps(m, budget)
+
+        monkeypatch.setattr(qv, "enumerate_subreps", counted)
+        assert main([command, write_problem(tmp_path, make_problem())]) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestJsonReports:

@@ -364,7 +364,7 @@ class TestKempfFiltration:
             if is_semistable(m, params):
                 continue
             f, _gamma, score = kempf_filtration(m, params)
-            assert refinement_domination_violations(f, params, score) == []
+            assert refinement_domination_violations(m, f, params, score) == []
             checked += 1
 
 

@@ -11,12 +11,7 @@ from quiverstab import (
     contains,
     enumerate_subspaces,
     gaussian_binomial,
-    image,
-    kernel,
-    orthogonal_complement,
-    rank,
     rref,
-    subspace_intersect,
     subspace_sum,
 )
 
@@ -58,6 +53,11 @@ def span_vectors(s):
             v = [(a + c * b) % p for a, b in zip(v, row)]
         vecs.add(tuple(v))
     return vecs
+
+
+def rank(m):
+    """Rank as the number of non-zero rows of the RREF."""
+    return sum(1 for row in rref(m).rows if any(row))
 
 
 class TestPrimeField:
@@ -170,21 +170,19 @@ class TestKernelImage:
         rng = random.Random(8)
         for _ in range(100):
             m = random_matrix(rng, F3, 3, 4)
-            assert rank(m) + kernel(m).dim == m.ncols
-            assert image(m).dim == rank(m)
-
-    def test_kernel_vectors_die(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            m = random_matrix(rng, F5, 2, 4)
-            for row in kernel(m).basis:
-                assert m.apply_to(row) == (0, 0)
+            killed = sum(
+                1
+                for v in itertools.product(range(3), repeat=4)
+                if not any(m.apply_to(v))
+            )
+            assert 3 ** (m.ncols - rank(m)) == killed
+            assert apply(m, Subspace.full(F3, 4)).dim == rank(m)
 
     def test_image_brute_force(self):
         rng = random.Random(10)
         for _ in range(50):
             m = random_matrix(rng, F2, 3, 3)
-            img = image(m)
+            img = apply(m, Subspace.full(F2, 3))
             hit = {
                 m.apply_to(v) for v in itertools.product(range(2), repeat=3)
             }
@@ -223,33 +221,9 @@ class TestSubspace:
                 F3, 4, [[rng.randrange(3) for _ in range(4)] for _ in range(2)]
             )
             s = subspace_sum(a, b)
-            i = subspace_intersect(a, b)
-            assert s.dim + i.dim == a.dim + b.dim
+            common = span_vectors(a) & span_vectors(b)
+            assert 3 ** (a.dim + b.dim - s.dim) == len(common)
             assert contains(s, a) and contains(s, b)
-            assert contains(a, i) and contains(b, i)
-
-    def test_intersection_brute_force(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            a = Subspace.from_spanning(
-                F2, 4, [[rng.randrange(2) for _ in range(4)] for _ in range(2)]
-            )
-            b = Subspace.from_spanning(
-                F2, 4, [[rng.randrange(2) for _ in range(4)] for _ in range(3)]
-            )
-            got = span_vectors(subspace_intersect(a, b))
-            want = span_vectors(a) & span_vectors(b)
-            assert got == want
-
-    def test_orthogonal_complement_dim_and_involution(self):
-        rng = random.Random(14)
-        for _ in range(50):
-            s = Subspace.from_spanning(
-                F3, 4, [[rng.randrange(3) for _ in range(4)] for _ in range(2)]
-            )
-            c = orthogonal_complement(s)
-            assert s.dim + c.dim == 4
-            assert orthogonal_complement(c) == s
 
     def test_apply_image(self):
         m = Matrix.from_rows(F2, [[1, 0], [1, 0]])
