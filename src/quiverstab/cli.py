@@ -18,7 +18,8 @@ only declared vertices, and matrices only arrow indices.
 
 Exit codes: 0 success / verified, 2 usage or schema error (including a
 zero-dimensional representation), 3 theorem contradiction (including a
-verify mismatch), 4 enumeration budget exceeded.
+verify mismatch), 4 enumeration budget exceeded (by the candidate
+subspace tuples or by the chains of the Kempf search).
 """
 
 from __future__ import annotations
@@ -223,13 +224,11 @@ def hn_result(data: dict, budget: int) -> dict:
     return payload
 
 
-def kempf_result(data: dict, budget: int, heuristic_prune: bool = False) -> dict:
+def kempf_result(data: dict, budget: int) -> dict:
     lat, params = _lattice_problem(data, budget)
     if qv.is_semistable(lat, params):
         return {"semistable": True}
-    f, gamma, score = kempf.kempf_filtration(
-        lat, params, heuristic_prune=heuristic_prune
-    )
+    f, gamma, score = kempf.kempf_filtration(lat, params)
     payload = _filtration_payload(f, params)
     payload["semistable"] = False
     payload["gamma"] = [frac_str(g) for g in gamma]
@@ -407,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         return c
 
     add_file_cmd("hn", "Harder-Narasimhan filtration with property report")
-    k = add_file_cmd("kempf", "maximally destabilizing weighted filtration")
-    k.add_argument("--heuristic-prune", action="store_true")
+    add_file_cmd("kempf", "maximally destabilizing weighted filtration")
     add_file_cmd("verify", "check the two filtrations coincide")
     add_file_cmd("semistable", "semistability via both routes")
     add_file_cmd("enumerate", "list subrepresentation dimension vectors")
@@ -428,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_command(args, result_fn, *flags):
+def _file_command(args, result_fn):
     data = _load_problem_file(args.problem)
-    return data, result_fn(data, args.budget, *flags)
+    return data, result_fn(data, args.budget)
 
 
 # Command name -> handler(args) returning (input echoed in the report,
@@ -439,7 +437,7 @@ def _file_command(args, result_fn, *flags):
 # every call.
 COMMANDS = {
     "hn": lambda a: _file_command(a, hn_result),
-    "kempf": lambda a: _file_command(a, kempf_result, a.heuristic_prune),
+    "kempf": lambda a: _file_command(a, kempf_result),
     "verify": lambda a: _file_command(a, verify_result),
     "semistable": lambda a: _file_command(a, semistable_result),
     "enumerate": lambda a: _file_command(a, enumerate_result),

@@ -14,14 +14,18 @@ class InvalidSubrepresentationError(QuiverStabError):
 
 
 class EnumerationBudgetError(QuiverStabError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An exhaustive stage would exceed the configured budget.
 
-    def __init__(self, candidate_count, budget):
-        self.candidate_count = candidate_count
+    ``stage`` names what was counted: "candidates" (subspace tuples
+    tried by an enumeration) or "chains" (chains of the Kempf search).
+    """
+
+    def __init__(self, count, budget, stage):
+        self.count = count
         self.budget = budget
+        self.stage = stage
         super().__init__(
-            f"enumeration would visit {candidate_count} candidates, "
-            f"budget is {budget}"
+            f"enumeration would visit {count} {stage}, budget is {budget}"
         )
 
 

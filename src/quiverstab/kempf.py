@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import SemistableInputError, TheoremContradictionError
+from .errors import (
+    EnumerationBudgetError,
+    SemistableInputError,
+    TheoremContradictionError,
+)
 from .quiver import (
     DEFAULT_BUDGET,
     Filtration,
@@ -243,29 +247,35 @@ def optimal_weights(f: Filtration, params: StabilityParams):
 
 def _chain_score(chain_dims, tm, sm):
     """Envelope weights and score for a chain given cumulative
-    (sigma, theta) pairs of its steps, ending at (sm, tm)."""
-    b = []
-    v = []
+    (sigma, theta) pairs of its steps, ending at (sm, tm).
+
+    Pools adjacent violators in integers: a block of steps carries its
+    weight W = sum sigma_i and its sum S = sum (tm sigma_i - sm theta_i),
+    which is b_i v_i of the filtration graph, and two blocks merge while
+    S/W decreases.  Gamma is the primitive integer vector of the block
+    means S/W and the score is sqrt(sum S^2 / W), the same weights and
+    score as convex_envelope and mu_v on the graph.
+    """
+    blocks = []  # (W, S, number of steps)
     prev_s, prev_t = 0, 0
     for s, t in chain_dims:
-        bi = s - prev_s
-        ti = t - prev_t
-        b.append(Fraction(bi))
-        v.append(Fraction(tm) - Fraction(sm, bi) * ti)
+        w = s - prev_s
+        x = tm * w - sm * (t - prev_t)
         prev_s, prev_t = s, t
-    g = FiltrationGraph(tuple(b), tuple(v))
-    gamma = convex_envelope(g)
-    if is_zero_weights(gamma):
-        return gamma, ZERO_SCORE, g
-    return gamma, mu_v(gamma, g), g
-
-
-def _ascending_chains(lower, j):
-    """All strictly increasing index chains ending at j, each once."""
-    yield (j,)
-    for i in lower[j]:
-        for c in _ascending_chains(lower, i):
-            yield c + (j,)
+        n = 1
+        while blocks and blocks[-1][1] * w > x * blocks[-1][0]:
+            w1, x1, n1 = blocks.pop()
+            w, x, n = w + w1, x + x1, n + n1
+        blocks.append((w, x, n))
+    if all(x == 0 for _w, x, _n in blocks):
+        return (0,) * len(chain_dims), ZERO_SCORE
+    denom = lcm(*(w // gcd(w, x) for w, x, _n in blocks))
+    nums = [x * denom // w for w, x, _n in blocks]
+    g = gcd(*nums)
+    gamma = tuple(y // g for y, (_w, _x, n) in zip(nums, blocks) for _ in range(n))
+    wl = lcm(*(w for w, _x, _n in blocks))
+    square = Fraction(sum(x * x * (wl // w) for w, x, _n in blocks), wl)
+    return gamma, ExactScore(1, square)
 
 
 def _chain_index_sets(lat: SubrepLattice):
@@ -281,77 +291,95 @@ def _chain_index_sets(lat: SubrepLattice):
 
 
 def _chain_search_input(lat: SubrepLattice, params: StabilityParams):
-    """Shared set-up of both chain searches: the DAG of _chain_index_sets,
-    the (sigma, theta) label of each non-zero subrep, and theta(M),
-    sigma(M)."""
+    """Shared set-up of both chain searches: the DAG of _chain_index_sets
+    and the (sigma, theta) label of each non-zero subrep.  The number of
+    chains ending at M is charged against the lattice's budget before
+    any chain is searched."""
     subs, lower, full_idx = _chain_index_sets(lat)
-    st = lat.labels(params)[1:]
-    sm, tm = st[full_idx]
-    return subs, lower, full_idx, st, tm, sm
+    chains = []  # chains[j]: strictly increasing chains ending at node j
+    for pre in lower:
+        chains.append(1 + sum(chains[i] for i in pre))
+    if chains[full_idx] > lat.budget:
+        raise EnumerationBudgetError(chains[full_idx], lat.budget, "chains")
+    return subs, lower, full_idx, lat.labels(params)[1:]
+
+
+def _label_sequences(lower, labels, top):
+    """The distinct label sequences of the chains ending at each node
+    0..top of a DAG (lower[j]: the predecessors of j, all below j), each
+    with the number of chains that carry it: counts[j] maps a tuple of
+    labels to its number of chains ending at j."""
+    counts = []
+    for j in range(top + 1):
+        lab = labels[j]
+        here = {(lab,): 1}
+        for i in lower[j]:
+            for seq, c in counts[i].items():
+                seq += (lab,)
+                here[seq] = here.get(seq, 0) + c
+        counts.append(here)
+    return counts
 
 
 def _strictly_increasing(gamma) -> bool:
     return all(a < b for a, b in zip(gamma, gamma[1:]))
 
 
-def kempf_filtration(
-    m,
-    params: StabilityParams,
-    budget: int = DEFAULT_BUDGET,
-    heuristic_prune: bool = False,
-):
-    """Maximally destabilizing weighted filtration of an unstable
-    representation, by exhaustive scoring of every strictly increasing
-    chain ending at the whole representation.
+def _kempf_search(lower, labels, top):
+    """Exhaustive Kempf search over the chains of a DAG ending at top,
+    labels[j] being the cumulative (sigma, theta) of node j.
 
-    m is a Representation or its SubrepLattice.  Returns (filtration,
-    gamma, score).  The winner must have strictly increasing weights; a
-    tie between two distinct such chains at the maximal score
-    contradicts uniqueness and is raised.
-
-    With heuristic_prune, chains are restricted to steps whose slope
-    exceeds the ambient slope (true of the expected winner); this
-    assumes the very correspondence the exhaustive mode verifies, so it
-    is off by default.
+    Each distinct label sequence is scored once.  Returns (chain, gamma,
+    score), chain being the node indices of the winner.  The winner must
+    be the only chain with strictly increasing weights at the maximal
+    score: the chain counts of every such sequence are summed, and any
+    sum but 1 is raised as a contradiction.
     """
-    lat = _nonzero_lattice(m, budget)
-    if is_semistable(lat, params):
-        raise SemistableInputError("the representation is semistable")
-    subs, lower, full_idx, st, tm, sm = _chain_search_input(lat, params)
-
-    allowed = None
-    if heuristic_prune:
-        mu_amb = Fraction(tm, sm)
-        allowed = {
-            i
-            for i in range(len(subs))
-            if i == full_idx or Fraction(st[i][1], st[i][0]) > mu_amb
-        }
-        lower = [
-            [i for i in pre if i in allowed] if j in allowed else []
-            for j, pre in enumerate(lower)
-        ]
-
+    sm, tm = labels[top]
+    counts = _label_sequences(lower, labels, top)
     best_score = None
-    best_strict = []  # (chain, gamma) with strictly increasing gamma
-    for chain in _ascending_chains(lower, full_idx):
-        gamma, score, _g = _chain_score([st[i] for i in chain], tm, sm)
+    best_strict = []  # (sequence, gamma) with strictly increasing gamma
+    for seq in counts[top]:
+        gamma, score = _chain_score(seq, tm, sm)
         if best_score is None or score > best_score:
             best_score = score
             best_strict = []
         if score == best_score and _strictly_increasing(gamma):
-            best_strict.append((chain, gamma))
+            best_strict.append((seq, gamma))
 
     if not best_score.is_positive():
         raise AssertionError(
             "unstable input must admit a positive score"
         )
-    if len(best_strict) != 1:
+    ties = sum(counts[top][seq] for seq, _gamma in best_strict)
+    if ties != 1:
         raise TheoremContradictionError(
-            f"{len(best_strict)} chains with strictly increasing weights "
+            f"{ties} chains with strictly increasing weights "
             f"tie at the maximal score"
         )
-    chain, gamma = best_strict[0]
+    seq, gamma = best_strict[0]
+    # the one chain carrying seq, followed down from top by its labels
+    chain = [top]
+    for n in range(len(seq) - 1, 0, -1):
+        chain.append(next(i for i in lower[chain[-1]] if seq[:n] in counts[i]))
+    return tuple(reversed(chain)), gamma, best_score
+
+
+def kempf_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET):
+    """Maximally destabilizing weighted filtration of an unstable
+    representation, by exhaustive scoring of every strictly increasing
+    chain ending at the whole representation.
+
+    m is a Representation or its SubrepLattice (whose budget then
+    applies).  Returns (filtration, gamma, score).  The winner must have
+    strictly increasing weights; a tie between two distinct such chains
+    at the maximal score contradicts uniqueness and is raised.
+    """
+    lat = _nonzero_lattice(m, budget)
+    if is_semistable(lat, params):
+        raise SemistableInputError("the representation is semistable")
+    subs, lower, full_idx, st = _chain_search_input(lat, params)
+    chain, gamma, best_score = _kempf_search(lower, st, full_idx)
     filtration = Filtration(lat.rep, tuple(subs[i] for i in chain))
     g = graph_of(filtration, params)
     if not _strictly_increasing(g.v):
@@ -366,15 +394,15 @@ def kempf_semistability(
 ) -> bool:
     """Semistability via the numerical criterion: no chain admits
     non-decreasing weights with positive pairing, decided by checking
-    the optimal score of every chain.  m: a Representation or its
-    SubrepLattice."""
+    the optimal score of every distinct chain label sequence.  m: a
+    Representation or its SubrepLattice (whose budget then applies)."""
     lat = _nonzero_lattice(m, budget)
-    _subs, lower, full_idx, st, tm, sm = _chain_search_input(lat, params)
-    for chain in _ascending_chains(lower, full_idx):
-        _gamma, score, _g = _chain_score([st[i] for i in chain], tm, sm)
-        if score.is_positive():
-            return False
-    return True
+    _subs, lower, full_idx, st = _chain_search_input(lat, params)
+    sm, tm = st[full_idx]
+    counts = _label_sequences(lower, st, full_idx)
+    return not any(
+        _chain_score(seq, tm, sm)[1].is_positive() for seq in counts[full_idx]
+    )
 
 
 def refinement_domination_violations(

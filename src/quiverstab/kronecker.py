@@ -71,7 +71,7 @@ def enumerate_submodules(m: KroneckerModule, budget: int = DEFAULT_BUDGET):
     is built."""
     count = subspace_count(m.dim_v, m.field.p) * subspace_count(m.dim_w, m.field.p)
     if count > budget:
-        raise EnumerationBudgetError(count, budget)
+        raise EnumerationBudgetError(count, budget, "candidates")
     v_subs = enumerate_subspaces(m.dim_v, m.field)
     w_subs = enumerate_subspaces(m.dim_w, m.field)
     out = []

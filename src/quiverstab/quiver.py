@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 
@@ -148,6 +149,14 @@ class Subrepresentation:
                 "spaces are not closed under the arrow maps"
             )
 
+    @classmethod
+    def _closed(cls, parent: Representation, spaces: dict) -> "Subrepresentation":
+        """A subrepresentation whose closure the caller has already checked."""
+        s = object.__new__(cls)
+        s.parent = parent
+        s.spaces = spaces
+        return s
+
     def dim_vector(self) -> dict:
         return {v: s.dim for v, s in self.spaces.items()}
 
@@ -202,7 +211,7 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     order = m.quiver.vertices
     candidate_count = prod(subspace_count(m.dims[v], m.field.p) for v in order)
     if candidate_count > budget:
-        raise EnumerationBudgetError(candidate_count, budget)
+        raise EnumerationBudgetError(candidate_count, budget, "candidates")
     per_vertex = [enumerate_subspaces(m.dims[v], m.field) for v in order]
     out = []
     for combo in itertools.product(*per_vertex):
@@ -212,7 +221,7 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
             for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
             for row in spaces[src].basis
         ):
-            out.append(Subrepresentation(m, spaces))
+            out.append(Subrepresentation._closed(m, spaces))
     out.sort(key=Subrepresentation.canonical_key)
     return out
 
@@ -223,24 +232,46 @@ class SubrepLattice:
     ``subs`` is in canonical order: 0 first, the whole representation
     last, and each one after all those it strictly contains.  ``dims[i]``
     is the dimension vector of ``subs[i]`` as a tuple in vertex order.
+    ``budget`` bounds the candidates enumerated here and the chains that
+    the Kempf search reads off the lattice.
     """
 
     def __init__(self, m: Representation, budget: int = DEFAULT_BUDGET):
         self.rep = m
+        self.budget = budget
         self.subs = enumerate_subreps(m, budget)
         order = m.quiver.vertices
         self.dims = [tuple(s.spaces[v].dim for v in order) for s in self.subs]
 
+    @cached_property
+    def _below(self) -> list:
+        """_below[j]: bit mask of the indices i with subs[i] inside subs[j].
+
+        Built from one containment table per vertex: the subreps share
+        their per-vertex subspaces, so each vertex has far fewer distinct
+        pairs of subspaces to compare than there are pairs of subreps.
+        """
+        masks = [-1] * len(self.subs)
+        for v in self.rep.quiver.vertices:
+            members = {}  # subspace at v -> mask of the subreps having it
+            for i, s in enumerate(self.subs):
+                members[s.spaces[v]] = members.get(s.spaces[v], 0) | 1 << i
+            inside = {  # the masks summed are disjoint, so + is |
+                a: sum(
+                    mask
+                    for b, mask in members.items()
+                    if b is a or (b.dim < a.dim and contains(a, b))
+                )
+                for a in members
+            }
+            masks = [m & inside[s.spaces[v]] for m, s in zip(masks, self.subs)]
+        return masks
+
     def contains(self, j: int, i: int) -> bool:
         """True iff subs[i] is contained in subs[j]."""
-        di, dj = self.dims[i], self.dims[j]
-        if di == dj:
-            return i == j
         if i == 0 or j == len(self.subs) - 1:
             return True
-        return all(a <= b for a, b in zip(di, dj)) and sub_contains(
-            self.subs[j], self.subs[i]
-        )
+        return self._below[j] >> i & 1 == 1
 
     def between(self, lo: int, hi: int) -> list:
         """Indices k with subs[lo] strictly inside subs[k] inside subs[hi];

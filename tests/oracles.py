@@ -1,22 +1,37 @@
 """Reference implementations that the tests compare the library against.
 
 The library reads the Harder-Narasimhan filtration and its properties
-off one subrepresentation lattice.  The oracles here take the textbook
-route instead: they build every quotient as a representation of its own
-and enumerate it afresh.
+off one subrepresentation lattice.  The HN oracles here take the
+textbook route instead: they build every quotient as a representation of
+its own and enumerate it afresh.
+
+The library's Kempf search scores each distinct step sequence once, in
+integers.  The Kempf oracles walk every chain one by one and score each
+on its filtration graph in Fractions.
 """
 
+from fractions import Fraction
+
 from quiverstab import (
+    ZERO_SCORE,
     Filtration,
+    FiltrationGraph,
     HNReport,
     Subrepresentation,
+    TheoremContradictionError,
     apply,
+    convex_envelope,
     is_semistable,
+    is_zero_weights,
     max_destabilizing,
+    mu_v,
     preimage_spaces,
     quotient,
     restrict,
+    sigma_of,
     slope,
+    sub_contains,
+    theta_of,
 )
 
 
@@ -51,3 +66,75 @@ def hn_report_by_quotients(f, params):
         semis.append(is_semistable(sub, params))
     descending = all(a > b for a, b in zip(slopes, slopes[1:]))
     return HNReport(slopes, descending, semis)
+
+
+def chain_dag(lat, params):
+    """The non-zero subreps of the lattice, their strict-inclusion
+    predecessor lists by pairwise sub_contains, their (sigma, theta)
+    labels and the index of the whole representation."""
+    subs = lat.subs[1:]
+    lower = [
+        [i for i in range(j) if sub_contains(subs[j], subs[i])]
+        for j in range(len(subs))
+    ]
+    labels = [
+        (sigma_of(s.dim_vector(), params), theta_of(s.dim_vector(), params))
+        for s in subs
+    ]
+    return subs, lower, labels, len(subs) - 1
+
+
+def ascending_chains(lower, j):
+    """All strictly increasing index chains ending at j, each once."""
+    yield (j,)
+    for i in lower[j]:
+        for c in ascending_chains(lower, i):
+            yield c + (j,)
+
+
+def chain_score_by_fractions(chain_dims, tm, sm):
+    """Envelope weights and score of a chain given cumulative (sigma,
+    theta) pairs of its steps, ending at (sm, tm): convex_envelope and
+    mu_v on its filtration graph."""
+    b = []
+    v = []
+    prev_s, prev_t = 0, 0
+    for s, t in chain_dims:
+        bi = s - prev_s
+        b.append(Fraction(bi))
+        v.append(Fraction(tm) - Fraction(sm, bi) * (t - prev_t))
+        prev_s, prev_t = s, t
+    g = FiltrationGraph(tuple(b), tuple(v))
+    gamma = convex_envelope(g)
+    if is_zero_weights(gamma):
+        return gamma, ZERO_SCORE
+    return gamma, mu_v(gamma, g)
+
+
+def scored_chains(lat, params):
+    """(steps, (sigma, theta) sequence, gamma, score) of every chain
+    ending at the whole representation, each chain scored on its own;
+    then theta(M) and sigma(M)."""
+    subs, lower, labels, full = chain_dag(lat, params)
+    sm, tm = labels[full]
+    out = []
+    for chain in ascending_chains(lower, full):
+        seq = tuple(labels[i] for i in chain)
+        gamma, score = chain_score_by_fractions(seq, tm, sm)
+        out.append((tuple(subs[i] for i in chain), seq, gamma, score))
+    return out, tm, sm
+
+
+def kempf_by_chains(lat, scored):
+    """(filtration, gamma, score) of the Kempf search read off the scored
+    chains of scored_chains, with the same tie check."""
+    best_score = max(score for *_rest, score in scored)
+    best_strict = [
+        (steps, gamma)
+        for steps, _seq, gamma, score in scored
+        if score == best_score and all(a < b for a, b in zip(gamma, gamma[1:]))
+    ]
+    if len(best_strict) != 1:
+        raise TheoremContradictionError(f"{len(best_strict)} chains tie")
+    steps, gamma = best_strict[0]
+    return Filtration(lat.rep, steps), gamma, best_score

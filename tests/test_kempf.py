@@ -337,22 +337,6 @@ class TestKempfFiltration:
             assert all(a < b for a, b in zip(gamma, gamma[1:]))
             checked += 1
 
-    def test_heuristic_prune_agrees(self):
-        rng = random.Random(46)
-        checked = 0
-        while checked < 10:
-            m = random_rep(rng, A3, F3, (2, 2, 1))
-            if m.is_zero():
-                continue
-            params = params_for(A3, tuple(rng.randint(-2, 2) for _ in range(3)))
-            if is_semistable(m, params):
-                continue
-            f1, g1, s1 = kempf_filtration(m, params)
-            f2, g2, s2 = kempf_filtration(m, params, heuristic_prune=True)
-            assert [s.spaces for s in f1.steps] == [s.spaces for s in f2.steps]
-            assert (g1, s1) == (g2, s2)
-            checked += 1
-
     def test_refinement_domination(self):
         rng = random.Random(47)
         checked = 0

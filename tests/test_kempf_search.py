@@ -1,0 +1,115 @@
+"""The Kempf search scores distinct step sequences once, in integers;
+it must give the one-chain-at-a-time Fraction walk's answers."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from quiverstab import (
+    ExactScore,
+    PrimeField,
+    Quiver,
+    StabilityParams,
+    SubrepLattice,
+    TheoremContradictionError,
+    is_semistable,
+    kempf_filtration,
+    kempf_semistability,
+    kempf,
+    quiver,
+)
+from quiverstab.cli import EXIT_BUDGET, EXIT_OK, main, parse_problem
+
+from conftest import F2, F3, random_rep
+from oracles import kempf_by_chains, scored_chains
+from test_acceptance import main_theorem_problems
+
+CHAIN_HEAVY = (
+    Path(__file__).resolve().parent.parent
+    / "perfbench" / "problems" / "chain-heavy" / "000-kron2-23-F7-open.json"
+)
+
+# quiver families the theorem sweep does not cover, with maximum dims
+FAMILIES = (
+    (Quiver(("a", "b", "c", "z"), (("a", "z"), ("b", "z"), ("c", "z"))), (1, 1, 1, 2)),
+    (Quiver(("v0", "v1"), (("v0", "v0"), ("v0", "v1"))), (2, 2)),
+    (Quiver(("v0", "v1"), (("v0", "v1"), ("v1", "v0"))), (2, 2)),
+)
+
+
+def sampled_problems():
+    """(representation, params) for 60 seeded reps of each of a D4 star,
+    a loop plus an arrow and an oriented 2-cycle, over F2 and F3."""
+    rng = random.Random(20261018)
+    for q, max_dims in FAMILIES:
+        sampled = 0
+        while sampled < 60:
+            m = random_rep(rng, q, rng.choice((F2, F3)), max_dims)
+            if m.is_zero():
+                continue
+            theta = {v: rng.randint(-2, 2) for v in q.vertices}
+            sigma = {v: rng.randint(1, 2) for v in q.vertices}
+            yield m, StabilityParams(theta, sigma)
+            sampled += 1
+
+
+def theorem_problems():
+    for _criterion, problem in main_theorem_problems():
+        yield parse_problem(problem)
+
+
+@pytest.mark.parametrize("problems", [theorem_problems, sampled_problems])
+def test_search_equals_chain_walk(problems):
+    unstable = 0
+    for m, params in problems():
+        lat = SubrepLattice(m)
+        scored, tm, sm = scored_chains(lat, params)
+        for _steps, seq, gamma, score in scored:
+            assert kempf._chain_score(seq, tm, sm) == (gamma, score)
+        assert kempf_semistability(lat, params) == (
+            not any(score.is_positive() for *_rest, score in scored)
+        )
+        if is_semistable(lat, params):
+            continue
+        f, gamma, score = kempf_filtration(lat, params)
+        of, ogamma, oscore = kempf_by_chains(lat, scored)
+        assert [s.spaces for s in f.steps] == [s.spaces for s in of.steps]
+        assert (gamma, score) == (ogamma, oscore)
+        unstable += 1
+    assert unstable > 0
+
+
+def test_search_returns_the_single_winning_chain():
+    # nodes 0 and 1 share the label (1, 1), but only node 0 lies below
+    # the top node 2, so one chain carries the winning sequence
+    lower = [[], [], [0]]
+    labels = [(1, 1), (1, 1), (2, 0)]
+    assert kempf._kempf_search(lower, labels, 2) == (
+        (0, 2), (-1, 1), ExactScore(1, 8)
+    )
+
+
+def test_tie_between_chains_with_one_sequence_is_raised():
+    # both nodes below the top carry the winning sequence ((1, 1), (2, 0))
+    lower = [[], [], [0, 1]]
+    labels = [(1, 1), (1, 1), (2, 0)]
+    with pytest.raises(TheoremContradictionError, match="^2 chains"):
+        kempf._kempf_search(lower, labels, 2)
+
+
+def test_chain_budget_exits_4(capsys):
+    # 1,160 candidates fit the budget; 10,566 chains do not
+    assert main(["verify", str(CHAIN_HEAVY), "--budget", "2000"]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err == "error: enumeration would visit 10566 chains, budget is 2000\n"
+    assert main(["verify", str(CHAIN_HEAVY), "--budget", "10566"]) == EXIT_OK
+
+
+def test_enumeration_checks_closure_once(monkeypatch):
+    def no_second_check(*_args):
+        raise AssertionError("closure checked again after the candidate filter")
+
+    monkeypatch.setattr(quiver, "is_subrep", no_second_check)
+    m = random_rep(random.Random(5), FAMILIES[0][0], PrimeField(3), (1, 1, 1, 2))
+    assert len(quiver.enumerate_subreps(m)) > 2

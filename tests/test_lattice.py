@@ -64,7 +64,8 @@ def test_subrep_budget_checked_before_building(monkeypatch):
     m = Representation(Quiver(("a",), ()), F97, {"a": 6}, ())
     with pytest.raises(EnumerationBudgetError) as exc:
         enumerate_subreps(m, budget=10)
-    assert exc.value.candidate_count == subspace_count(6, 97)
+    assert exc.value.count == subspace_count(6, 97)
+    assert exc.value.stage == "candidates"
 
 
 def test_submodule_budget_checked_before_building(monkeypatch):
@@ -72,4 +73,5 @@ def test_submodule_budget_checked_before_building(monkeypatch):
     m = KroneckerModule(F97, 3, 3, (Matrix.zero(F97, 3, 3),))
     with pytest.raises(EnumerationBudgetError) as exc:
         enumerate_submodules(m, budget=10)
-    assert exc.value.candidate_count == subspace_count(3, 97) ** 2
+    assert exc.value.count == subspace_count(3, 97) ** 2
+    assert exc.value.stage == "candidates"

@@ -39,4 +39,7 @@ def test_verify_records_every_boundary(capsys):
     finally:
         tracer.uninstall()
     tracer.require("small-sweep")
-    assert tracer.metrics()["quiver.enumerate_calls"] == len(PROBLEMS)
+    metrics = tracer.metrics()
+    assert metrics["quiver.enumerate_calls"] == len(PROBLEMS)
+    # each distinct step sequence is scored once
+    assert metrics["kempf.chains_scored"] == metrics["kempf.distinct_sequences"]

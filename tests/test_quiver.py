@@ -138,7 +138,7 @@ class TestEnumerateSubreps:
         m = kronecker_rep(F2, (2, 2), [[0, 0, 0, 0]])
         with pytest.raises(EnumerationBudgetError) as exc:
             enumerate_subreps(m, budget=3)
-        assert exc.value.candidate_count == 25
+        assert (exc.value.count, exc.value.stage) == (25, "candidates")
 
 
 class TestQuotient:
