@@ -226,9 +226,10 @@ def hn_result(data: dict, budget: int) -> dict:
 
 def kempf_result(data: dict, budget: int) -> dict:
     lat, params = _lattice_problem(data, budget)
-    if qv.is_semistable(lat, params):
+    try:
+        f, gamma, score = kempf.kempf_filtration(lat, params)
+    except SemistableInputError:
         return {"semistable": True}
-    f, gamma, score = kempf.kempf_filtration(lat, params)
     payload = _filtration_payload(f, params)
     payload["semistable"] = False
     payload["gamma"] = [frac_str(g) for g in gamma]
@@ -239,11 +240,12 @@ def kempf_result(data: dict, budget: int) -> dict:
 def verify_result(data: dict, budget: int) -> dict:
     """Both routes; 'match' is False exactly when the theorem fails."""
     lat, params = _lattice_problem(data, budget)
-    if qv.is_semistable(lat, params):
+    try:
+        kf, gamma, score = kempf.kempf_filtration(lat, params)
+    except SemistableInputError:
         agree = kempf.kempf_semistability(lat, params)
         return {"semistable": True, "match": agree}
     hn = qv.hn_filtration(lat, params)
-    kf, gamma, score = kempf.kempf_filtration(lat, params)
     match = [a.dim_vector() for a in hn.steps] == [
         b.dim_vector() for b in kf.steps
     ] and all(a.spaces == b.spaces for a, b in zip(hn.steps, kf.steps))

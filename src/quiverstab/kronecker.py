@@ -7,17 +7,16 @@ equivalence between them can be checked exhaustively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationBudgetError
-from .linalg import PrimeField, Subspace, contains, enumerate_subspaces, subspace_count
+from .linalg import PrimeField, Subspace, contains
 from .quiver import (
     DEFAULT_BUDGET,
     Quiver,
     Representation,
     StabilityParams,
     Subrepresentation,
+    enumerate_subreps,
 )
 
 
@@ -66,26 +65,12 @@ def is_submodule(m: KroneckerModule, v_part: Subspace, w_part: Subspace) -> bool
 
 
 def enumerate_submodules(m: KroneckerModule, budget: int = DEFAULT_BUDGET):
-    """All submodules, in canonical order (dims, then RREF bytes).  The
-    candidate count is charged against the budget before any subspace
-    is built."""
-    count = subspace_count(m.dim_v, m.field.p) * subspace_count(m.dim_w, m.field.p)
-    if count > budget:
-        raise EnumerationBudgetError(count, budget, "candidates")
-    v_subs = enumerate_subspaces(m.dim_v, m.field)
-    w_subs = enumerate_subspaces(m.dim_w, m.field)
-    out = []
-    for v_part, w_part in itertools.product(v_subs, w_subs):
-        if is_submodule(m, v_part, w_part):
-            out.append(KroneckerSubmodule(v_part, w_part))
-    out.sort(
-        key=lambda s: (
-            s.dims(),
-            s.v_part.canonical_bytes(),
-            s.w_part.canonical_bytes(),
-        )
-    )
-    return out
+    """All submodules, in canonical order (dims, then RREF bytes): the
+    subrepresentations of the quiver reading, whose enumeration charges
+    the candidate count against the budget before any subspace is
+    built."""
+    subs = enumerate_subreps(to_quiver_rep(m), budget)
+    return [submodule_from_subrep(s) for s in subs]
 
 
 def to_quiver_rep(m: KroneckerModule) -> Representation:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def _is_prime(n: int) -> bool:
@@ -160,12 +161,10 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def pivots(self) -> tuple:
-        out = []
-        for row in self.basis:
-            out.append(next(j for j, x in enumerate(row) if x))
-        return tuple(out)
+        # cached in the instance __dict__, which the frozen dataclass allows
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def reduce(self, vec) -> tuple:
         """Residual of vec after reduction against the RREF basis."""

@@ -10,7 +10,6 @@ stability question is decided by exhaustive enumeration.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -200,28 +199,110 @@ def is_subrep(m: Representation, spaces: dict) -> bool:
     return True
 
 
+def _point(vec, p: int):
+    """vec scaled so that its first non-zero entry is 1; None for 0."""
+    lead = next((x for x in vec if x), 0)
+    if not lead:
+        return None
+    inv = pow(lead, -1, p)
+    return tuple(x * inv % p for x in vec)
+
+
+def _bits(mask: int) -> list:
+    """Indices of the set bits of mask, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _arrow_masks(mat: Matrix, sources: list, targets: list, memo: dict) -> list:
+    """For each subspace a in sources, the bit mask over targets of the
+    subspaces that contain mat(a).  memo maps a point of the target space
+    to the mask of the targets containing it; it is shared by every arrow
+    into the same vertex."""
+    p = mat.field.p
+    everything = (1 << len(targets)) - 1
+    out = []
+    for a in sources:
+        mask = everything
+        for row in a.basis:
+            pt = _point(mat.apply_to(row), p)
+            if pt is None:
+                continue
+            if pt not in memo:
+                memo[pt] = sum(
+                    1 << i for i, t in enumerate(targets) if t.contains_vector(pt)
+                )
+            mask &= memo[pt]
+        out.append(mask)
+    return out
+
+
 def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     """All subrepresentations, exactly once, in canonical order.
 
     Canonical order: dimension-vector lexicographic in vertex order,
     then concatenated RREF bytes per vertex.  Includes 0 and m.  The
-    candidate count is charged against the budget before any subspace
-    is built.
+    full candidate product is charged against the budget before any
+    subspace is built.
+
+    Each loop filters its vertex's subspace list once.  Each other arrow
+    u -> w gives every subspace a at u the bit mask of the subspaces at
+    w that contain its image.  A join over the vertices in quiver order
+    then visits only consistent assignments: the choices at a vertex are
+    the AND of the masks of the arrows from vertices already placed,
+    less those failing an arrow into a placed vertex.
     """
     order = m.quiver.vertices
     candidate_count = prod(subspace_count(m.dims[v], m.field.p) for v in order)
     if candidate_count > budget:
         raise EnumerationBudgetError(candidate_count, budget, "candidates")
-    per_vertex = [enumerate_subspaces(m.dims[v], m.field) for v in order]
+    pos = {v: k for k, v in enumerate(order)}
+    lists = [enumerate_subspaces(m.dims[v], m.field) for v in order]
+    arrows = list(zip(m.quiver.arrows, m.arrow_maps))
+    for (src, tgt), mat in arrows:
+        if src == tgt:
+            lists[pos[src]] = [
+                s for s in lists[pos[src]]
+                if all(s.contains_vector(mat.apply_to(row)) for row in s.basis)
+            ]
+    # per vertex k: (masks, placed vertex) of the arrows from a vertex
+    # placed earlier into k, and of the arrows from k into one
+    incoming = [[] for _ in order]
+    outgoing = [[] for _ in order]
+    memos = [{} for _ in order]
+    for (src, tgt), mat in arrows:
+        u, w = pos[src], pos[tgt]
+        if u != w:
+            masks = _arrow_masks(mat, lists[u], lists[w], memos[w])
+            if u < w:
+                incoming[w].append((masks, u))
+            else:
+                outgoing[u].append((masks, w))
+
+    chosen = [0] * len(order)  # chosen[j]: index into lists[j]
+
+    def choices(k: int) -> list:
+        """Indices at vertex k consistent with chosen[:k]."""
+        allowed = (1 << len(lists[k])) - 1
+        for masks, u in incoming[k]:
+            allowed &= masks[chosen[u]]
+        return [
+            b for b in _bits(allowed)
+            if all(masks[b] >> chosen[w] & 1 for masks, w in outgoing[k])
+        ]
+
+    # depth-first with an explicit stack of (k, choice at vertex k - 1),
+    # so no quiver is too long for the recursion limit
     out = []
-    for combo in itertools.product(*per_vertex):
-        spaces = dict(zip(order, combo))
-        if all(
-            spaces[tgt].contains_vector(mat.apply_to(row))
-            for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
-            for row in spaces[src].basis
-        ):
+    stack = [(0, 0)]
+    while stack:
+        k, b = stack.pop()
+        if k:
+            chosen[k - 1] = b
+        if k == len(order):
+            spaces = {v: lists[j][chosen[j]] for j, v in enumerate(order)}
             out.append(Subrepresentation._closed(m, spaces))
+        else:
+            stack.extend((k + 1, c) for c in choices(k))
     out.sort(key=Subrepresentation.canonical_key)
     return out
 

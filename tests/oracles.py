@@ -8,8 +8,13 @@ its own and enumerate it afresh.
 The library's Kempf search scores each distinct step sequence once, in
 integers.  The Kempf oracles walk every chain one by one and score each
 on its filtration graph in Fractions.
+
+The library enumerates subrepresentations by a join over per-arrow
+closure masks.  The enumeration oracles filter the whole product of the
+per-vertex subspace lists instead.
 """
 
+import itertools
 from fractions import Fraction
 
 from quiverstab import (
@@ -17,11 +22,15 @@ from quiverstab import (
     Filtration,
     FiltrationGraph,
     HNReport,
+    KroneckerSubmodule,
     Subrepresentation,
     TheoremContradictionError,
     apply,
     convex_envelope,
+    enumerate_subspaces,
     is_semistable,
+    is_submodule,
+    is_subrep,
     is_zero_weights,
     max_destabilizing,
     mu_v,
@@ -33,6 +42,35 @@ from quiverstab import (
     sub_contains,
     theta_of,
 )
+
+
+def subreps_by_product(m):
+    """Every subrepresentation of m in canonical order: the product of
+    the per-vertex subspace lists, each candidate checked by is_subrep."""
+    order = m.quiver.vertices
+    lists = [enumerate_subspaces(m.dims[v], m.field) for v in order]
+    out = []
+    for combo in itertools.product(*lists):
+        spaces = dict(zip(order, combo))
+        if is_subrep(m, spaces):
+            out.append(Subrepresentation._closed(m, spaces))
+    out.sort(key=Subrepresentation.canonical_key)
+    return out
+
+
+def submodules_by_product(km):
+    """Every submodule of the Kronecker module km in canonical order: the
+    product of the subspace lists of V and W, each pair checked by
+    is_submodule."""
+    pairs = itertools.product(
+        enumerate_subspaces(km.dim_v, km.field),
+        enumerate_subspaces(km.dim_w, km.field),
+    )
+    out = [KroneckerSubmodule(a, b) for a, b in pairs if is_submodule(km, a, b)]
+    out.sort(
+        key=lambda s: (s.dims(), s.v_part.canonical_bytes(), s.w_part.canonical_bytes())
+    )
+    return out
 
 
 def hn_by_quotients(m, params):

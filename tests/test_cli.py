@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quiverstab import kempf
 from quiverstab import quiver as qv
 from quiverstab.cli import (
     EXIT_BUDGET,
@@ -171,6 +172,23 @@ class TestSharedLattice:
             return enumerate_subreps(m, budget)
 
         monkeypatch.setattr(qv, "enumerate_subreps", counted)
+        assert main([command, write_problem(tmp_path, make_problem())]) == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "kempf"])
+    @pytest.mark.parametrize("make_problem", [alpha_zero_problem, semistable_problem])
+    def test_one_semistability_scan_per_command(
+        self, tmp_path, monkeypatch, capsys, command, make_problem
+    ):
+        calls = []
+        is_semistable = qv.is_semistable
+
+        def counted(m, params, *args):
+            calls.append(m)
+            return is_semistable(m, params, *args)
+
+        monkeypatch.setattr(qv, "is_semistable", counted)
+        monkeypatch.setattr(kempf, "is_semistable", counted)
         assert main([command, write_problem(tmp_path, make_problem())]) == EXIT_OK
         assert len(calls) == 1
 

@@ -1,0 +1,118 @@
+"""Subrepresentations come from a join over per-arrow closure masks; they
+must be exactly those of the whole candidate product, in the same order."""
+
+import random
+
+import pytest
+
+from quiverstab import (
+    KroneckerModule,
+    Matrix,
+    PrimeField,
+    Quiver,
+    Representation,
+    enumerate_submodules,
+    enumerate_subreps,
+)
+
+from conftest import F2, F3
+from oracles import submodules_by_product, subreps_by_product
+
+F5 = PrimeField(5)
+F97 = PrimeField(97)
+
+D4_IN = Quiver(("a", "b", "c", "z"), (("a", "z"), ("b", "z"), ("c", "z")))
+D4_OUT = Quiver(("z", "a", "b", "c"), (("z", "a"), ("z", "b"), ("z", "c")))
+CYCLE3 = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c"), ("c", "a")))
+A3_AGAINST = Quiver(("a", "b", "c"), (("c", "b"), ("b", "a")))
+A3_INTO_MIDDLE = Quiver(("a", "b", "c"), (("a", "b"), ("c", "b")))
+TRIANGLE = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
+
+# id -> (quiver, field, dims in vertex order)
+SHAPES = {
+    "one-loop": (Quiver(("v",), (("v", "v"),)), F2, (4,)),
+    "two-loops": (Quiver(("v",), (("v", "v"), ("v", "v"))), F3, (3,)),
+    "loop-after-arrow": (Quiver(("a", "b"), (("a", "b"), ("b", "b"))), F3, (2, 2)),
+    "cycle2": (Quiver(("a", "b"), (("a", "b"), ("b", "a"))), F3, (2, 2)),
+    "cycle3": (CYCLE3, F2, (2, 2, 2)),
+    "kronecker3": (Quiver.kronecker(3), F3, (2, 2)),
+    "d4-inwards": (D4_IN, F2, (2, 1, 1, 3)),
+    "d4-outwards": (D4_OUT, F2, (3, 2, 1, 1)),
+    "a3-against-order": (A3_AGAINST, F3, (2, 2, 2)),
+    "a3-into-middle": (A3_INTO_MIDDLE, F3, (2, 2, 2)),
+    "zero-dim-vertex": (TRIANGLE, F3, (2, 0, 2)),
+    "isolated-vertex": (Quiver(("a", "b", "c"), (("a", "b"),)), F2, (2, 2, 2)),
+}
+
+
+def random_maps(rng, quiver, field, dims, density):
+    """One matrix per arrow, each entry non-zero with the given chance."""
+    d = dict(zip(quiver.vertices, dims))
+    maps = []
+    for src, tgt in quiver.arrows:
+        rows = tuple(
+            tuple(
+                rng.randrange(1, field.p) if rng.random() < density else 0
+                for _ in range(d[src])
+            )
+            for _ in range(d[tgt])
+        )
+        maps.append(Matrix(field, d[tgt], d[src], rows))
+    return Representation(quiver, field, d, tuple(maps))
+
+
+def keys(subs):
+    return [s.canonical_key() for s in subs]
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_join_equals_product(shape):
+    quiver, field, dims = shape
+    rng = random.Random(4)
+    # density 0 gives the zero maps; sparse maps have large lattices
+    for density in (0.0, 0.3, 0.3, 0.6, 0.6, 1.0, 1.0):
+        m = random_maps(rng, quiver, field, dims, density)
+        assert keys(enumerate_subreps(m)) == keys(subreps_by_product(m))
+
+
+def test_kronecker_1_3_over_f97():
+    q = Quiver.kronecker(1)
+    m = Representation(
+        q, F97, {"v0": 1, "v1": 3}, (Matrix.from_rows(F97, [[1], [2], [3]]),)
+    )
+    subs = enumerate_subreps(m)
+    assert len(subs) == 19116
+    assert keys(subs) == keys(subreps_by_product(m))
+
+
+@pytest.mark.parametrize("h, field, dims", [(1, F3, (2, 2)), (2, F3, (2, 2)),
+                                            (3, F2, (2, 3)), (1, F5, (1, 3))])
+def test_submodules_equal_product(h, field, dims):
+    rng = random.Random(h)
+    dv, dw = dims
+    for density in (0.0, 0.5, 1.0):
+        maps = tuple(
+            random_maps(rng, Quiver.kronecker(1), field, dims, density).arrow_maps[0]
+            for _ in range(h)
+        )
+        km = KroneckerModule(field, dv, dw, maps)
+        got = enumerate_submodules(km)
+        want = submodules_by_product(km)
+        assert [(s.v_part, s.w_part) for s in got] == [
+            (s.v_part, s.w_part) for s in want
+        ]
+
+
+def test_quiver_longer_than_the_recursion_limit():
+    n = 1200
+    vertices = tuple(f"v{i}" for i in range(n))
+    q = Quiver(vertices, tuple(zip(vertices, vertices[1:])))
+    dims = {v: int(i < 2) for i, v in enumerate(vertices)}
+    maps = tuple(
+        Matrix.from_rows(F2, [[1]]) if i == 0 else Matrix.zero(F2, dims[t], dims[s])
+        for i, (s, t) in enumerate(q.arrows)
+    )
+    m = Representation(q, F2, dims, maps)
+    subs = enumerate_subreps(m)
+    assert len(subs) == 3  # 0, the second vertex alone, and m
+    assert keys(subs) == keys(subreps_by_product(m))

@@ -15,7 +15,6 @@ from quiverstab import (
     enumerate_subreps,
     hn_filtration,
     is_semistable,
-    kronecker,
     quiver,
 )
 from quiverstab.cli import parse_problem
@@ -69,7 +68,7 @@ def test_subrep_budget_checked_before_building(monkeypatch):
 
 
 def test_submodule_budget_checked_before_building(monkeypatch):
-    monkeypatch.setattr(kronecker, "enumerate_subspaces", no_subspace_lists)
+    monkeypatch.setattr(quiver, "enumerate_subspaces", no_subspace_lists)
     m = KroneckerModule(F97, 3, 3, (Matrix.zero(F97, 3, 3),))
     with pytest.raises(EnumerationBudgetError) as exc:
         enumerate_submodules(m, budget=10)
