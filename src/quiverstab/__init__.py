@@ -53,18 +53,9 @@ from .quiver import (
 )
 from .kempf import (
     ExactScore,
-    FiltrationGraph,
     ZERO_SCORE,
-    convex_envelope,
-    graph_of,
-    is_zero_weights,
     kempf_filtration,
-    kempf_function,
     kempf_semistability,
-    mu_chi,
-    mu_chi_per_vertex,
-    mu_v,
-    optimal_weights,
     refinement_domination_violations,
 )
 from .kronecker import (

@@ -1,5 +1,7 @@
 """Error classes shared across the package."""
 
+from decimal import Decimal
+
 
 class QuiverStabError(Exception):
     """Base class for all package-specific errors."""
@@ -24,8 +26,11 @@ class EnumerationBudgetError(QuiverStabError):
         self.count = count
         self.budget = budget
         self.stage = stage
+        # Decimal prints an int of any length; str() refuses one longer
+        # than sys.get_int_max_str_digits() digits
         super().__init__(
-            f"enumeration would visit {count} {stage}, budget is {budget}"
+            f"enumeration would visit {Decimal(count)} {stage}, "
+            f"budget is {Decimal(budget)}"
         )
 
 

@@ -1,14 +1,17 @@
-"""Filtration graphs, the normalized destabilizing score, and the search
-for the maximally destabilizing weighted filtration.
+"""The normalized destabilizing score of a chain, and the search for the
+maximally destabilizing weighted filtration.
 
-A filtration of an unstable representation is encoded as a graph: weights
-b^i > 0 (total dimensions of the quotients) and a vector v with
-sum_i b^i v_i = 0.  The score of a weight vector Gamma_1 <= ... <= Gamma_{t+1}
-is (Gamma, v) / ||Gamma|| in the b-weighted inner product.  Its maximizer
-over the ordered cone is read off the least concave majorant of the
-cumulative points (b_i, w_i), computed exactly by pooling adjacent
-violators.  Scores are kept as (sign, square) pairs so comparisons and
-tie detection are exact.
+A chain 0 < M_1 < ... < M_t = M of subrepresentations is read through
+the cumulative (sigma, theta) labels of its steps.  Step i carries the
+weight b_i = sigma(M_i / M_{i-1}) > 0 and the integer
+S_i = theta(M) b_i - sigma(M) theta(M_i / M_{i-1}), with sum S_i = 0.
+The score of weights Gamma_1 <= ... <= Gamma_t is
+sum Gamma_i S_i / sqrt(sum b_i Gamma_i^2).  Its maximizer over the
+ordered cone is the b-weighted non-decreasing fit of S_i / b_i, read off
+the least concave majorant of the cumulative graph; _chain_score
+computes it by pooling adjacent violators in integers, and is the one
+scoring function of the library.  Scores are kept as (sign, square)
+pairs so comparisons and tie detection are exact.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from .quiver import (
     SubrepLattice,
     enumerate_subreps,  # unused here; perfbench/tracing.py wraps this binding
     is_semistable,
-    sigma_of,
-    theta_of,
+    slope,
     _nonzero_lattice,
 )
 
@@ -68,177 +70,8 @@ class ExactScore:
     def is_positive(self) -> bool:
         return self.sign > 0
 
-    @staticmethod
-    def from_pairing(pairing: Fraction, norm_square: Fraction) -> "ExactScore":
-        """Score with value pairing / sqrt(norm_square), norm_square > 0."""
-        if norm_square <= 0:
-            raise ValueError("norm_square must be positive")
-        if pairing == 0:
-            return ZERO_SCORE
-        sign = 1 if pairing > 0 else -1
-        return ExactScore(sign, pairing * pairing / norm_square)
-
 
 ZERO_SCORE = ExactScore(0, Fraction(0))
-
-
-@dataclass(frozen=True)
-class FiltrationGraph:
-    """Weights b^i > 0 and vector v with sum b^i v_i = 0."""
-
-    b: tuple  # positive Fractions (integers in the quiver case)
-    v: tuple  # Fractions
-
-    def __post_init__(self):
-        if len(self.b) != len(self.v) or not self.b:
-            raise ValueError("b and v must be non-empty and of equal length")
-        if any(x <= 0 for x in self.b):
-            raise ValueError("all weights b^i must be positive")
-        if sum(bi * vi for bi, vi in zip(self.b, self.v)) != 0:
-            raise ValueError("sum of b^i v_i must vanish")
-
-    def cumulative(self):
-        """Points (b_i, w_i), i = 0..t+1, with w^i = -b^i v_i."""
-        pts = [(Fraction(0), Fraction(0))]
-        bacc = Fraction(0)
-        wacc = Fraction(0)
-        for bi, vi in zip(self.b, self.v):
-            bacc += bi
-            wacc += -bi * vi
-            pts.append((bacc, wacc))
-        return pts
-
-
-def graph_of(f: Filtration, params: StabilityParams) -> FiltrationGraph:
-    """b^i = sigma(M^i), v_i = theta(M) - sigma(M)/sigma(M^i) * theta(M^i)."""
-    tm = theta_of(f.parent.dims, params)
-    sm = sigma_of(f.parent.dims, params)
-    b = []
-    v = []
-    for d in f.quotient_dims():
-        si = sigma_of(d, params)
-        if si == 0:
-            raise AssertionError("zero-total-dimension quotient in a strict chain")
-        b.append(Fraction(si))
-        v.append(Fraction(tm) - Fraction(sm, si) * theta_of(d, params))
-    return FiltrationGraph(tuple(b), tuple(v))
-
-
-def _pav_nondecreasing(v, b):
-    """Weighted isotonic (non-decreasing) fit of v; exact block means.
-
-    Equivalent to reading the slopes off the least concave majorant of
-    the cumulative graph: adjacent blocks merge while their means are
-    out of order, and each merged block carries its weighted mean.
-    """
-    blocks = []  # (weight sum, weighted value sum, multiplicity)
-    for vi, bi in zip(v, b):
-        blocks.append([bi, bi * vi, 1])
-        while len(blocks) > 1:
-            w2, s2, c2 = blocks[-1]
-            w1, s1, c1 = blocks[-2]
-            if s1 * w2 > s2 * w1:  # mean of left block exceeds mean of right
-                blocks.pop()
-                blocks[-1] = [w1 + w2, s1 + s2, c1 + c2]
-            else:
-                break
-    out = []
-    for w, s, c in blocks:
-        mean = s / w
-        out.extend([mean] * c)
-    return tuple(out)
-
-
-def _primitive(gamma):
-    """Scale to the primitive integer vector with the same orientation."""
-    if all(x == 0 for x in gamma):
-        return tuple(Fraction(0) for _ in gamma)
-    denom = lcm(*(x.denominator for x in gamma))
-    ints = [int(x * denom) for x in gamma]
-    g = gcd(*ints)
-    return tuple(Fraction(x, g) for x in ints)
-
-
-def convex_envelope(g: FiltrationGraph) -> tuple:
-    """Optimal weights for the graph: the non-decreasing vector whose
-    blocks carry the b-weighted means of v.
-
-    Returns the all-zero sentinel when the majorant is flat, i.e. the
-    score is non-positive on the whole ordered cone.  Otherwise the
-    result is normalized to the primitive integer vector (no sign flip).
-    """
-    gamma = _pav_nondecreasing(g.v, g.b)
-    return _primitive(gamma)
-
-
-def is_zero_weights(gamma) -> bool:
-    return all(x == 0 for x in gamma)
-
-
-def mu_v(gamma, g: FiltrationGraph) -> ExactScore:
-    """(Gamma, v) / ||Gamma|| in the b-weighted metric, as an exact score."""
-    if len(gamma) != len(g.v):
-        raise ValueError("length mismatch")
-    if is_zero_weights(gamma):
-        raise ValueError("score undefined for the zero weight vector")
-    pairing = sum(bi * gi * vi for bi, gi, vi in zip(g.b, gamma, g.v))
-    norm_sq = sum(bi * gi * gi for bi, gi in zip(g.b, gamma))
-    return ExactScore.from_pairing(Fraction(pairing), Fraction(norm_sq))
-
-
-def kempf_function(f: Filtration, gamma, params: StabilityParams) -> ExactScore:
-    """Normalized destabilizing score of a weighted filtration,
-    computed from the collected numerator and the sigma-weighted norm."""
-    if is_zero_weights(gamma):
-        raise ValueError("score undefined for the zero weight vector")
-    tm = theta_of(f.parent.dims, params)
-    sm = sigma_of(f.parent.dims, params)
-    num = Fraction(0)
-    norm_sq = Fraction(0)
-    for gi, d in zip(gamma, f.quotient_dims()):
-        si = sigma_of(d, params)
-        num += gi * (tm * si - sm * theta_of(d, params))
-        norm_sq += si * gi * gi
-    return ExactScore.from_pairing(num, norm_sq)
-
-
-def mu_chi(f: Filtration, gamma, params: StabilityParams) -> Fraction:
-    """Numerical pairing of the weighted filtration with the stability
-    character: sum_i Gamma_i [theta(M) sigma(M^i) - sigma(M) theta(M^i)]."""
-    tm = theta_of(f.parent.dims, params)
-    sm = sigma_of(f.parent.dims, params)
-    total = Fraction(0)
-    for gi, d in zip(gamma, f.quotient_dims()):
-        total += gi * (tm * sigma_of(d, params) - sm * theta_of(d, params))
-    return total
-
-
-def mu_chi_per_vertex(f: Filtration, gamma, params: StabilityParams) -> Fraction:
-    """Same pairing via the per-vertex character exponents
-    theta(d) sigma_v - sigma(d) theta_v; must agree with mu_chi exactly."""
-    m = f.parent
-    tm = theta_of(m.dims, params)
-    sm = sigma_of(m.dims, params)
-    qdims = f.quotient_dims()
-    total = Fraction(0)
-    for v in m.quiver.vertices:
-        exponent = tm * params.sigma[v] - sm * params.theta[v]
-        inner = sum(gi * d[v] for gi, d in zip(gamma, qdims))
-        total += exponent * inner
-    return total
-
-
-def optimal_weights(f: Filtration, params: StabilityParams):
-    """Best weights for a fixed chain and their score.
-
-    Returns (gamma, score); gamma is the zero sentinel with a zero score
-    when no positive score exists on this chain.
-    """
-    g = graph_of(f, params)
-    gamma = convex_envelope(g)
-    if is_zero_weights(gamma):
-        return gamma, ZERO_SCORE
-    return gamma, mu_v(gamma, g)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +83,10 @@ def _chain_score(chain_dims, tm, sm):
     (sigma, theta) pairs of its steps, ending at (sm, tm).
 
     Pools adjacent violators in integers: a block of steps carries its
-    weight W = sum sigma_i and its sum S = sum (tm sigma_i - sm theta_i),
-    which is b_i v_i of the filtration graph, and two blocks merge while
-    S/W decreases.  Gamma is the primitive integer vector of the block
-    means S/W and the score is sqrt(sum S^2 / W), the same weights and
-    score as convex_envelope and mu_v on the graph.
+    weight W = sum b_i and its sum S = sum S_i (see the module
+    docstring), and two blocks merge while S/W decreases.  Gamma is the
+    primitive integer vector of the block means S/W, or all zeros with
+    ZERO_SCORE when every block sum is 0; the score is sqrt(sum S^2 / W).
     """
     blocks = []  # (W, S, number of steps)
     prev_s, prev_t = 0, 0
@@ -381,8 +213,9 @@ def kempf_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET):
     subs, lower, full_idx, st = _chain_search_input(lat, params)
     chain, gamma, best_score = _kempf_search(lower, st, full_idx)
     filtration = Filtration(lat.rep, tuple(subs[i] for i in chain))
-    g = graph_of(filtration, params)
-    if not _strictly_increasing(g.v):
+    # v_i = theta(M) - sigma(M) slope_i increases iff the slopes decrease
+    slopes = [slope(d, params) for d in filtration.quotient_dims()]
+    if not all(a > b for a, b in zip(slopes, slopes[1:])):
         raise TheoremContradictionError(
             "winning chain has a non-convex graph"
         )
@@ -420,14 +253,13 @@ def refinement_domination_violations(
     """
     lat = _nonzero_lattice(m, budget)
     chain = lat.chain_of(f)
+    labels = lat.labels(params)
+    sm, tm = labels[-1]
     out = []
-    steps = list(f.steps)
     for pos, (lo, hi) in enumerate(zip(chain, chain[1:])):
         for k in lat.between(lo, hi)[:-1]:  # the last is hi itself
-            cand = lat.subs[k]
-            refined = steps[:pos] + [cand] + steps[pos:]
-            rf = Filtration(lat.rep, tuple(refined))
-            _gamma, score = optimal_weights(rf, params)
+            refined = chain[1 : pos + 1] + [k] + chain[pos + 1 :]
+            _gamma, score = _chain_score([labels[i] for i in refined], tm, sm)
             if score > best_score:
-                out.append((pos, cand, score))
+                out.append((pos, lat.subs[k], score))
     return out

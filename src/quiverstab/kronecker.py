@@ -15,8 +15,10 @@ from .quiver import (
     Quiver,
     Representation,
     StabilityParams,
+    SubrepLattice,
     Subrepresentation,
     enumerate_subreps,
+    is_semistable,
 )
 
 
@@ -87,18 +89,25 @@ def module_stability_params() -> StabilityParams:
     return StabilityParams({"v0": 1, "v1": 0}, {"v0": 1, "v1": 1})
 
 
-def is_semistable_module(m: KroneckerModule, budget: int = DEFAULT_BUDGET) -> bool:
-    """Intrinsic semistability, cross-multiplied:
-    dim V' * dim W <= dim V * dim W' for every submodule."""
+def _require_target(m: KroneckerModule):
     if m.dim_w < 1:
         raise ValueError(
             "intrinsic test needs dim W >= 1; use the quiver route otherwise"
         )
-    for s in enumerate_submodules(m, budget):
-        dv, dw = s.dims()
-        if dv * m.dim_w > m.dim_v * dw:
-            return False
-    return True
+
+
+def _semistable_by_dims(m: KroneckerModule, submodules) -> bool:
+    """True iff dim V' * dim W <= dim V * dim W' for every given submodule."""
+    return all(
+        dv * m.dim_w <= m.dim_v * dw for dv, dw in (s.dims() for s in submodules)
+    )
+
+
+def is_semistable_module(m: KroneckerModule, budget: int = DEFAULT_BUDGET) -> bool:
+    """Intrinsic semistability, cross-multiplied:
+    dim V' * dim W <= dim V * dim W' for every submodule."""
+    _require_target(m)
+    return _semistable_by_dims(m, enumerate_submodules(m, budget))
 
 
 def is_subordinate(a: KroneckerSubmodule, b: KroneckerSubmodule) -> bool:
@@ -128,15 +137,18 @@ class EquivalenceReport:
 
 def equivalence_check(m: KroneckerModule, budget: int = DEFAULT_BUDGET) -> EquivalenceReport:
     """Intrinsic semistability vs quiver slope semistability with
-    theta = (1, 0), sigma = (1, 1); expected to always agree."""
-    from .quiver import is_semistable
-
+    theta = (1, 0), sigma = (1, 1); expected to always agree.  Both
+    verdicts read one lattice: the intrinsic one cross-multiplies the
+    submodule dimensions, the quiver one scans slopes."""
     if m.dim_v + m.dim_w == 0:
         raise ValueError("the zero module has no semistability verdict")
-    rep = to_quiver_rep(m)
+    _require_target(m)
+    lat = SubrepLattice(to_quiver_rep(m), budget)
     return EquivalenceReport(
-        module_semistable=is_semistable_module(m, budget),
-        quiver_semistable=is_semistable(rep, module_stability_params(), budget),
+        module_semistable=_semistable_by_dims(
+            m, (submodule_from_subrep(s) for s in lat.subs)
+        ),
+        quiver_semistable=is_semistable(lat, module_stability_params()),
     )
 
 

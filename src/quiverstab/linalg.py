@@ -220,8 +220,16 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 def subspace_count(n: int, p: int) -> int:
-    """Number of subspaces of F_p^n of every dimension, exact."""
-    return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+    """Number of subspaces of F_p^n of every dimension, exact: the
+    Galois number G_n, by G_0 = 1, G_1 = 2 and
+    G_{k+1} = 2 G_k + (p^k - 1) G_{k-1}."""
+    if n == 0:
+        return 1
+    prev, cur, pk = 1, 2, 1
+    for _k in range(1, n):
+        pk *= p
+        prev, cur = cur, 2 * cur + (pk - 1) * prev
+    return cur
 
 
 def _subspaces_of_dim(n: int, field: PrimeField, k: int):

@@ -7,7 +7,8 @@ its own and enumerate it afresh.
 
 The library's Kempf search scores each distinct step sequence once, in
 integers.  The Kempf oracles walk every chain one by one and score each
-on its filtration graph in Fractions.
+on its filtration graph in Fractions, with a pool-adjacent-violators
+fit and a b-weighted score of their own.
 
 The library enumerates subrepresentations by a join over per-arrow
 closure masks.  The enumeration oracles filter the whole product of the
@@ -16,24 +17,22 @@ per-vertex subspace lists instead.
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from quiverstab import (
     ZERO_SCORE,
+    ExactScore,
     Filtration,
-    FiltrationGraph,
     HNReport,
     KroneckerSubmodule,
     Subrepresentation,
     TheoremContradictionError,
     apply,
-    convex_envelope,
     enumerate_subspaces,
     is_semistable,
     is_submodule,
     is_subrep,
-    is_zero_weights,
     max_destabilizing,
-    mu_v,
     preimage_spaces,
     quotient,
     restrict,
@@ -106,6 +105,14 @@ def hn_report_by_quotients(f, params):
     return HNReport(slopes, descending, semis)
 
 
+def labels_of(subs, params):
+    """The (sigma, theta) of each subrep's dimension vector."""
+    return [
+        (sigma_of(s.dim_vector(), params), theta_of(s.dim_vector(), params))
+        for s in subs
+    ]
+
+
 def chain_dag(lat, params):
     """The non-zero subreps of the lattice, their strict-inclusion
     predecessor lists by pairwise sub_contains, their (sigma, theta)
@@ -115,11 +122,7 @@ def chain_dag(lat, params):
         [i for i in range(j) if sub_contains(subs[j], subs[i])]
         for j in range(len(subs))
     ]
-    labels = [
-        (sigma_of(s.dim_vector(), params), theta_of(s.dim_vector(), params))
-        for s in subs
-    ]
-    return subs, lower, labels, len(subs) - 1
+    return subs, lower, labels_of(subs, params), len(subs) - 1
 
 
 def ascending_chains(lower, j):
@@ -130,10 +133,47 @@ def ascending_chains(lower, j):
             yield c + (j,)
 
 
-def chain_score_by_fractions(chain_dims, tm, sm):
-    """Envelope weights and score of a chain given cumulative (sigma,
-    theta) pairs of its steps, ending at (sm, tm): convex_envelope and
-    mu_v on its filtration graph."""
+def pav_by_fractions(v, b):
+    """Weighted non-decreasing fit of v by pooling adjacent violators, in
+    Fractions: adjacent blocks merge while their b-weighted means are
+    out of order, and each entry takes the mean of its block."""
+    blocks = []  # [weight sum, weighted value sum, number of entries]
+    for vi, bi in zip(v, b):
+        blocks.append([bi, bi * vi, 1])
+        while len(blocks) > 1:
+            (w1, s1, c1), (w2, s2, c2) = blocks[-2:]
+            if s1 * w2 <= s2 * w1:
+                break
+            blocks[-2:] = [[w1 + w2, s1 + s2, c1 + c2]]
+    return tuple(Fraction(s) / w for w, s, c in blocks for _ in range(c))
+
+
+def primitive_oracle(gamma):
+    """The primitive integer vector with the orientation of gamma (all
+    zeros stay zeros), as Fractions."""
+    if all(x == 0 for x in gamma):
+        return tuple(Fraction(0) for _ in gamma)
+    denom = lcm(*(x.denominator for x in gamma))
+    ints = [int(x * denom) for x in gamma]
+    g = gcd(*ints)
+    return tuple(Fraction(x, g) for x in ints)
+
+
+def score_by_fractions(gamma, b, v):
+    """(Gamma, v) / ||Gamma|| in the b-weighted inner product, as an
+    exact score; Gamma non-zero."""
+    pairing = sum(bi * gi * vi for bi, gi, vi in zip(b, gamma, v))
+    norm_sq = sum(bi * gi * gi for bi, gi in zip(b, gamma))
+    if pairing == 0:
+        return ZERO_SCORE
+    return ExactScore(1 if pairing > 0 else -1, Fraction(pairing) ** 2 / norm_sq)
+
+
+def graph_by_fractions(chain_dims, tm, sm):
+    """The filtration graph of a chain given cumulative (sigma, theta)
+    pairs of its steps, ending at (sm, tm): weights b_i, the sigma of
+    the i-th quotient, and v_i = tm - sm theta_i / sigma_i, so that
+    sum b_i v_i = 0."""
     b = []
     v = []
     prev_s, prev_t = 0, 0
@@ -142,11 +182,45 @@ def chain_score_by_fractions(chain_dims, tm, sm):
         b.append(Fraction(bi))
         v.append(Fraction(tm) - Fraction(sm, bi) * (t - prev_t))
         prev_s, prev_t = s, t
-    g = FiltrationGraph(tuple(b), tuple(v))
-    gamma = convex_envelope(g)
-    if is_zero_weights(gamma):
+    return tuple(b), tuple(v)
+
+
+def filtration_graph(f, params):
+    """The filtration graph (b, v) of the filtration f."""
+    seq = labels_of(f.steps, params)
+    sm, tm = seq[-1]
+    return graph_by_fractions(seq, tm, sm)
+
+
+def chain_score_by_fractions(chain_dims, tm, sm):
+    """Envelope weights and score of a chain given cumulative (sigma,
+    theta) pairs of its steps, ending at (sm, tm): the primitive
+    non-decreasing fit of v on its filtration graph, and its score."""
+    b, v = graph_by_fractions(chain_dims, tm, sm)
+    gamma = primitive_oracle(pav_by_fractions(v, b))
+    if all(x == 0 for x in gamma):
         return gamma, ZERO_SCORE
-    return gamma, mu_v(gamma, g)
+    return gamma, score_by_fractions(gamma, b, v)
+
+
+def refinements_by_fractions(lat, f, params):
+    """(pos, subrep, score) of every refinement of the filtration f by
+    one subrep strictly between step pos - 1 (or 0) and step pos, found
+    by pairwise sub_contains and scored in Fractions, in lattice order."""
+    steps = list(f.steps)
+    sm, tm = sigma_of(f.parent.dims, params), theta_of(f.parent.dims, params)
+    out = []
+    for pos, hi in enumerate(steps):
+        lo = steps[pos - 1] if pos else None
+        for s in lat.subs:
+            d = s.dim_vector()
+            if s.is_zero() or d == hi.dim_vector() or not sub_contains(hi, s):
+                continue
+            if lo is not None and (d == lo.dim_vector() or not sub_contains(s, lo)):
+                continue
+            seq = labels_of(steps[:pos] + [s] + steps[pos:], params)
+            out.append((pos, s, chain_score_by_fractions(seq, tm, sm)[1]))
+    return out
 
 
 def scored_chains(lat, params):

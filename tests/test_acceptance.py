@@ -17,16 +17,12 @@ from quiverstab import (
     Rank3Slopes,
     SplitBundle,
     TheoremContradictionError,
-    convex_envelope,
     enumerate_subspaces,
     gaussian_binomial,
-    graph_of,
     hn_filtration,
     is_semistable,
     kempf_filtration,
     kempf_semistability,
-    mu_chi,
-    mu_chi_per_vertex,
     p1_hn,
     p1_slope,
     rank3_weights,
@@ -34,11 +30,14 @@ from quiverstab import (
     reparam_theta,
     seesaw_check,
     enumerate_subreps,
+    sigma_of,
+    theta_of,
 )
 from quiverstab.cli import verify_result
 
 from conftest import A3, F2, F3, params_for, random_rep
-from test_kempf import all_small_graphs, isotonic_oracle, primitive_oracle
+from oracles import filtration_graph, primitive_oracle
+from test_kempf import all_small_graphs, envelope, isotonic_oracle
 from test_kronecker import all_modules
 
 
@@ -177,9 +176,9 @@ def test_criterion_2_main_theorem_2_arrow_and_a3(main_theorem_stats):
 
 def test_criterion_3_envelope_vs_oracle():
     checked = 0
-    for g in all_small_graphs():
-        gamma = convex_envelope(g)
-        assert gamma == primitive_oracle(isotonic_oracle(g.v, g.b))
+    for b, v in all_small_graphs():
+        gamma, _score = envelope(b, v)
+        assert gamma == primitive_oracle(isotonic_oracle(v, b))
         checked += 1
     assert checked > 1000
     print(
@@ -205,6 +204,30 @@ def test_criterion_5_subspace_counts():
                 )
     assert len(enumerate_subspaces(3, PrimeField(2), 1)) == 7
     print("[PASS] criterion 5: subspace counts equal Gaussian binomials")
+
+
+def pairing_collected(f, gamma, params):
+    """Pairing of the weighted filtration with the stability character:
+    sum_i Gamma_i [theta(M) sigma(M^i) - sigma(M) theta(M^i)]."""
+    tm = theta_of(f.parent.dims, params)
+    sm = sigma_of(f.parent.dims, params)
+    return sum(
+        gi * (tm * sigma_of(d, params) - sm * theta_of(d, params))
+        for gi, d in zip(gamma, f.quotient_dims())
+    )
+
+
+def pairing_per_vertex(f, gamma, params):
+    """The same pairing via the per-vertex character exponents
+    theta(M) sigma_v - sigma(M) theta_v."""
+    m = f.parent
+    tm = theta_of(m.dims, params)
+    sm = sigma_of(m.dims, params)
+    return sum(
+        (tm * params.sigma[v] - sm * params.theta[v])
+        * sum(gi * d[v] for gi, d in zip(gamma, f.quotient_dims()))
+        for v in m.quiver.vertices
+    )
 
 
 def test_criterion_6_property_suites():
@@ -251,13 +274,15 @@ def test_criterion_6_property_suites():
         if is_semistable(m, params):
             continue
         f, gamma, score = kempf_filtration(m, params)
-        g = graph_of(f, params)
+        _b, v = filtration_graph(f, params)
         # strict convexity of the winner graph
-        assert all(x < y for x, y in zip(g.v, g.v[1:]))
+        assert all(x < y for x, y in zip(v, v[1:]))
         # refinement domination
         assert refinement_domination_violations(m, f, params, score) == []
         # per-vertex vs collected pairing identity
-        assert mu_chi(f, gamma, params) == mu_chi_per_vertex(f, gamma, params)
+        assert pairing_collected(f, gamma, params) == pairing_per_vertex(
+            f, gamma, params
+        )
         kempf_checked += 1
 
     for _ in range(200):

@@ -1,9 +1,13 @@
+import functools
 import json
+import time
+from decimal import Decimal
 
 import pytest
 
 from quiverstab import kempf
 from quiverstab import quiver as qv
+from quiverstab.linalg import subspace_count
 from quiverstab.cli import (
     EXIT_BUDGET,
     EXIT_CONTRADICTION,
@@ -133,6 +137,26 @@ class TestExitCodes:
     def test_budget_exceeded(self, tmp_path):
         path = write_problem(tmp_path, alpha_zero_problem())
         assert main(["enumerate", path, "--budget", "1"]) == EXIT_BUDGET
+
+    def test_huge_candidate_count_exits_budget(self, tmp_path, capsys):
+        # one arrow-free vertex of dim 400 over F97: a candidate count of
+        # 79,471 digits, counted exactly and printed in full
+        data = alpha_zero_problem()
+        data["field"]["p"] = 97
+        data["quiver"]["arrows"] = []
+        data["representation"] = {"dims": {"v0": 400, "v1": 0}, "matrices": {}}
+        path = write_problem(tmp_path, data)
+        start = time.perf_counter()
+        assert main(["verify", path, "--budget", "1"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        head, tail = "error: enumeration would visit ", " candidates, budget is 1\n"
+        assert err.startswith(head) and err.endswith(tail)
+        digits = err[len(head) : -len(tail)]
+        assert Decimal(digits) == Decimal(subspace_count(400, 97))
+        # each Gaussian binomial is 1 mod p, so the count is n + 1 mod p
+        residue = functools.reduce(lambda r, c: (10 * r + int(c)) % 97, digits, 0)
+        assert residue == 401 % 97
 
     def test_semistable_verify_ok(self, tmp_path, capsys):
         path = write_problem(tmp_path, semistable_problem())

@@ -1,33 +1,32 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
 from quiverstab import (
     ExactScore,
-    FiltrationGraph,
-    Filtration,
     SemistableInputError,
-    Subrepresentation,
+    SubrepLattice,
+    TheoremContradictionError,
     ZERO_SCORE,
-    convex_envelope,
-    graph_of,
     hn_filtration,
     is_semistable,
-    is_zero_weights,
+    kempf,
     kempf_filtration,
-    kempf_function,
     kempf_semistability,
-    mu_chi,
-    mu_chi_per_vertex,
-    mu_v,
-    optimal_weights,
     refinement_domination_violations,
 )
 
 from conftest import A3, F2, F3, all_kronecker_reps, kronecker_rep, params_for, random_rep
+from oracles import (
+    filtration_graph,
+    graph_by_fractions,
+    pav_by_fractions,
+    primitive_oracle,
+    score_by_fractions,
+)
 
 
 def consecutive_partitions(n):
@@ -70,25 +69,37 @@ def isotonic_oracle(v, b):
     return best_fit
 
 
-def primitive_oracle(gamma):
-    if all(x == 0 for x in gamma):
-        return tuple(Fraction(0) for _ in gamma)
-    denom = lcm(*(x.denominator for x in gamma))
-    ints = [int(x * denom) for x in gamma]
-    g = gcd(*ints)
-    return tuple(Fraction(x, g) for x in ints)
-
-
 def all_small_graphs(max_len=4, brange=(1, 2), vrange=range(-3, 4)):
+    """Filtration graphs (b, v) in Fractions with sum b_i v_i = 0."""
     for n in range(1, max_len + 1):
         for b in itertools.product(brange, repeat=n):
             for v in itertools.product(vrange, repeat=n):
                 if sum(bi * vi for bi, vi in zip(b, v)) != 0:
                     continue
-                yield FiltrationGraph(
+                yield (
                     tuple(Fraction(x) for x in b),
                     tuple(Fraction(x) for x in v),
                 )
+
+
+def envelope(b, v):
+    """The library's envelope weights and score of the integral graph
+    (b, v), read as the chain with cumulative labels sigma = partial
+    sums of b and theta = partial sums of -b v, ending at (sum b, 0)."""
+    labels = []
+    s = t = 0
+    for bi, vi in zip(b, v):
+        s += int(bi)
+        t -= int(bi * vi)
+        labels.append((s, t))
+    return kempf._chain_score(labels, 0, s)
+
+
+def hn_chain_labels(m, params):
+    """The (sigma, theta) lattice labels of the steps of m's HN filtration."""
+    lat = SubrepLattice(m)
+    labels = lat.labels(params)
+    return [labels[i] for i in lat.chain_of(hn_filtration(lat, params))[1:]]
 
 
 class TestExactScore:
@@ -110,13 +121,6 @@ class TestExactScore:
         with pytest.raises(ValueError):
             ExactScore(1, Fraction(-1))
 
-    def test_from_pairing(self):
-        s = ExactScore.from_pairing(Fraction(-3), Fraction(2))
-        assert s.sign == -1 and s.square == Fraction(9, 2)
-        assert ExactScore.from_pairing(Fraction(0), Fraction(5)) == ZERO_SCORE
-        with pytest.raises(ValueError):
-            ExactScore.from_pairing(Fraction(1), Fraction(0))
-
     def test_order_matches_real_numbers(self):
         # sign * sqrt(square) compared via squares, cross-checked in floats
         import math
@@ -136,122 +140,55 @@ class TestExactScore:
 
 
 class TestFiltrationGraph:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            FiltrationGraph((), ())
-        with pytest.raises(ValueError):
-            FiltrationGraph((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-        with pytest.raises(ValueError):
-            FiltrationGraph((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)))
-
-    def test_cumulative_endpoints(self):
-        g = FiltrationGraph(
-            (Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1))
-        )
-        pts = g.cumulative()
-        assert pts[0] == (0, 0)
-        assert pts[-1] == (2, 0)
-
     def test_graph_of_alpha_zero(self):
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        f = hn_filtration(m, params)
-        g = graph_of(f, params)
-        assert g.b == (Fraction(1), Fraction(1))
-        assert g.v == (Fraction(-1), Fraction(1))
+        seq = hn_chain_labels(m, params)
+        assert seq == [(1, 1), (2, 1)]
+        assert graph_by_fractions(seq, 1, 2) == ((1, 1), (-1, 1))
 
 
 class TestConvexEnvelope:
     def test_matches_isotonic_oracle_exhaustive(self):
-        for g in all_small_graphs():
-            gamma = convex_envelope(g)
-            fit = isotonic_oracle(g.v, g.b)
-            assert gamma == primitive_oracle(fit), (g, gamma, fit)
+        for b, v in all_small_graphs():
+            gamma, _score = envelope(b, v)
+            fit = primitive_oracle(isotonic_oracle(v, b))
+            assert gamma == fit, (b, v, gamma, fit)
+            # the test-side reference PAV meets the brute force too
+            assert primitive_oracle(pav_by_fractions(v, b)) == fit
 
     def test_zero_sentinel_when_already_flat(self):
-        g = FiltrationGraph(
-            (Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))
-        )
         # v is decreasing: fit pools to the global mean 0
-        assert convex_envelope(g) == (Fraction(0), Fraction(0))
-        assert is_zero_weights(convex_envelope(g))
+        assert envelope((1, 1), (1, -1)) == ((0, 0), ZERO_SCORE)
 
     def test_increasing_v_is_fixed_point(self):
-        g = FiltrationGraph(
-            (Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1))
-        )
-        assert convex_envelope(g) == (Fraction(-1), Fraction(1))
+        assert envelope((1, 1), (-1, 1))[0] == (-1, 1)
 
     def test_primitive_normalization(self):
-        g = FiltrationGraph(
-            (Fraction(2), Fraction(1)), (Fraction(-2), Fraction(4))
-        )
-        gamma = convex_envelope(g)
-        denoms = [x.denominator for x in gamma]
-        assert all(d == 1 for d in denoms)
-        assert gcd(*(int(x) for x in gamma)) == 1
+        gamma, _score = envelope((2, 1), (-2, 4))
+        assert gamma == (-1, 2)
+        assert all(type(x) is int for x in gamma)
+        assert gcd(*gamma) == 1
 
     def test_score_optimality_random_candidates(self):
         rng = random.Random(41)
-        for g in itertools.islice(all_small_graphs(), 0, 500, 7):
-            gamma = convex_envelope(g)
-            if is_zero_weights(gamma):
-                best = ZERO_SCORE
-            else:
-                best = mu_v(gamma, g)
+        for b, v in itertools.islice(all_small_graphs(), 0, 500, 7):
+            gamma, best = envelope(b, v)
+            # the chain of envelope(b, v) has the graph (b, sum(b) v)
+            v = tuple(sum(b) * x for x in v)
+            if best != ZERO_SCORE:
+                assert best == score_by_fractions(gamma, b, v)
             for _ in range(20):
                 cand = sorted(
                     Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                    for _ in range(len(g.v))
+                    for _ in range(len(v))
                 )
                 if all(x == 0 for x in cand):
                     continue
-                assert mu_v(tuple(cand), g) <= best
+                assert score_by_fractions(tuple(cand), b, v) <= best
 
 
 class TestScoreFunctions:
-    def test_kempf_function_equals_mu_v(self):
-        rng = random.Random(42)
-        checked = 0
-        while checked < 20:
-            m = random_rep(rng, A3, F3, (2, 2, 2))
-            if m.is_zero():
-                continue
-            params = params_for(
-                A3,
-                tuple(rng.randint(-2, 2) for _ in range(3)),
-                tuple(rng.randint(1, 2) for _ in range(3)),
-            )
-            f = hn_filtration(m, params)
-            g = graph_of(f, params)
-            for _ in range(5):
-                gamma = tuple(
-                    Fraction(rng.randint(-4, 4)) for _ in range(len(f.steps))
-                )
-                if all(x == 0 for x in gamma):
-                    continue
-                assert kempf_function(f, gamma, params) == mu_v(gamma, g)
-            checked += 1
-
-    def test_mu_chi_identities(self):
-        rng = random.Random(43)
-        checked = 0
-        while checked < 20:
-            m = random_rep(rng, A3, F3, (2, 2, 2))
-            if m.is_zero():
-                continue
-            params = params_for(
-                A3,
-                tuple(rng.randint(-2, 2) for _ in range(3)),
-                tuple(rng.randint(1, 2) for _ in range(3)),
-            )
-            f = hn_filtration(m, params)
-            gamma = tuple(
-                Fraction(rng.randint(-4, 4)) for _ in range(len(f.steps))
-            )
-            assert mu_chi(f, gamma, params) == mu_chi_per_vertex(f, gamma, params)
-            checked += 1
-
     def test_character_trivial_on_scalars(self):
         # the per-vertex exponents pair to zero against the ambient
         # dimension vector itself, for any theta, sigma, dims
@@ -273,27 +210,24 @@ class TestScoreFunctions:
         # on the quotient, so its pairing must vanish
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        f = hn_filtration(m, params)
-        assert kempf_function(f, (Fraction(3), Fraction(3)), params) == ZERO_SCORE
+        b, v = filtration_graph(hn_filtration(m, params), params)
+        assert score_by_fractions((3, 3), b, v) == ZERO_SCORE
 
 
 class TestOptimalWeights:
     def test_alpha_zero_example(self):
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        f = hn_filtration(m, params)
-        gamma, score = optimal_weights(f, params)
-        assert gamma == (Fraction(-1), Fraction(1))
+        gamma, score = kempf._chain_score(hn_chain_labels(m, params), 1, 2)
+        assert gamma == (-1, 1)
         assert score == ExactScore(1, Fraction(2))
 
     def test_zero_sentinel_on_semistable_chain(self):
         m = kronecker_rep(F2, (1, 1), [[1]])
         params = params_for(m.quiver, (1, 0))
-        full = Subrepresentation(m, m.full_spaces())
-        f = Filtration(m, (full,))
-        gamma, score = optimal_weights(f, params)
-        assert is_zero_weights(gamma)
-        assert score == ZERO_SCORE
+        full = SubrepLattice(m).labels(params)[-1]
+        assert full == (2, 1)
+        assert kempf._chain_score([full], 1, 2) == ((0,), ZERO_SCORE)
 
 
 class TestKempfFiltration:
@@ -332,10 +266,26 @@ class TestKempfFiltration:
             if is_semistable(m, params):
                 continue
             f, gamma, _score = kempf_filtration(m, params)
-            g = graph_of(f, params)
-            assert all(a < b for a, b in zip(g.v, g.v[1:]))
+            _b, v = filtration_graph(f, params)
+            assert all(a < b for a, b in zip(v, v[1:]))
             assert all(a < b for a, b in zip(gamma, gamma[1:]))
             checked += 1
+
+    def test_non_convex_winner_is_raised(self, monkeypatch):
+        # a search returning the chain 0 < (0, 1) < M, whose quotient
+        # slopes 0 then 1 increase
+        m = kronecker_rep(F2, (1, 1), [[0]])
+        params = params_for(m.quiver, (1, 0))
+        assert SubrepLattice(m).dims[1] == (0, 1)
+        monkeypatch.setattr(
+            kempf,
+            "_kempf_search",
+            lambda *_args: ((0, 2), (-1, 1), ExactScore(1, Fraction(2))),
+        )
+        with pytest.raises(
+            TheoremContradictionError, match="^winning chain has a non-convex graph$"
+        ):
+            kempf_filtration(m, params)
 
     def test_refinement_domination(self):
         rng = random.Random(47)

@@ -1,5 +1,6 @@
 """The Kempf search scores distinct step sequences once, in integers;
-it must give the one-chain-at-a-time Fraction walk's answers."""
+it must give the one-chain-at-a-time Fraction walk's answers, and the
+HN filtration."""
 
 import random
 from pathlib import Path
@@ -8,21 +9,24 @@ import pytest
 
 from quiverstab import (
     ExactScore,
+    Filtration,
     PrimeField,
     Quiver,
     StabilityParams,
     SubrepLattice,
     TheoremContradictionError,
+    hn_filtration,
     is_semistable,
     kempf_filtration,
     kempf_semistability,
+    refinement_domination_violations,
     kempf,
     quiver,
 )
 from quiverstab.cli import EXIT_BUDGET, EXIT_OK, main, parse_problem
 
 from conftest import F2, F3, random_rep
-from oracles import kempf_by_chains, scored_chains
+from oracles import kempf_by_chains, refinements_by_fractions, scored_chains
 from test_acceptance import main_theorem_problems
 
 CHAIN_HEAVY = (
@@ -30,17 +34,22 @@ CHAIN_HEAVY = (
     / "perfbench" / "problems" / "chain-heavy" / "000-kron2-23-F7-open.json"
 )
 
+# chain scores are never negative
+BELOW_EVERY_SCORE = ExactScore(-1, 1)
+
 # quiver families the theorem sweep does not cover, with maximum dims
 FAMILIES = (
     (Quiver(("a", "b", "c", "z"), (("a", "z"), ("b", "z"), ("c", "z"))), (1, 1, 1, 2)),
     (Quiver(("v0", "v1"), (("v0", "v0"), ("v0", "v1"))), (2, 2)),
     (Quiver(("v0", "v1"), (("v0", "v1"), ("v1", "v0"))), (2, 2)),
+    (Quiver.kronecker(3), (2, 2)),
 )
 
 
 def sampled_problems():
     """(representation, params) for 60 seeded reps of each of a D4 star,
-    a loop plus an arrow and an oriented 2-cycle, over F2 and F3."""
+    a loop plus an arrow, an oriented 2-cycle and the 3-Kronecker
+    quiver, over F2 and F3."""
     rng = random.Random(20261018)
     for q, max_dims in FAMILIES:
         sampled = 0
@@ -70,12 +79,24 @@ def test_search_equals_chain_walk(problems):
         assert kempf_semistability(lat, params) == (
             not any(score.is_positive() for *_rest, score in scored)
         )
+        # refining 0 < M gives every two-step chain 0 < N < M
+        whole = Filtration(m, (lat.subs[-1],))
+        assert refinement_domination_violations(
+            lat, whole, params, BELOW_EVERY_SCORE
+        ) == refinements_by_fractions(lat, whole, params)
         if is_semistable(lat, params):
             continue
         f, gamma, score = kempf_filtration(lat, params)
         of, ogamma, oscore = kempf_by_chains(lat, scored)
         assert [s.spaces for s in f.steps] == [s.spaces for s in of.steps]
         assert (gamma, score) == (ogamma, oscore)
+        # the theorem: the Kempf winner is the HN filtration
+        hn = hn_filtration(lat, params)
+        assert [s.spaces for s in hn.steps] == [s.spaces for s in f.steps]
+        # every refinement of the winner, which all score the winner's score
+        assert refinement_domination_violations(
+            lat, f, params, BELOW_EVERY_SCORE
+        ) == refinements_by_fractions(lat, f, params)
         unstable += 1
     assert unstable > 0
 

@@ -17,9 +17,11 @@ from quiverstab import (
     module_stability_params,
     submodule_from_subrep,
     to_quiver_rep,
+    kronecker,
+    quiver,
 )
 
-from conftest import F2
+from conftest import F2, F3
 
 
 def all_modules(field, dim_v, dim_w, h):
@@ -112,6 +114,21 @@ class TestSemistability:
                 for h in (1, 2):
                     for m in all_modules(F2, dv, dw, h):
                         assert equivalence_check(m).agree
+
+    def test_equivalence_enumerates_once(self, monkeypatch):
+        calls = []
+        original = quiver.enumerate_subreps
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quiver, "enumerate_subreps", counting)
+        monkeypatch.setattr(kronecker, "enumerate_subreps", counting)
+        m = KroneckerModule(F3, 2, 2, (Matrix.from_rows(F3, [[1, 0], [0, 0]]),))
+        report = equivalence_check(m)
+        assert len(calls) == 1
+        assert not report.module_semistable and not report.quiver_semistable
 
 
 class TestSubordinateAndTight:

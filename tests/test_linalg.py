@@ -14,6 +14,7 @@ from quiverstab import (
     rref,
     subspace_sum,
 )
+from quiverstab.linalg import subspace_count
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -250,6 +251,13 @@ class TestEnumeration:
 
     def test_known_value(self):
         assert gaussian_binomial(4, 2, 3) == 130
+
+    def test_subspace_count_is_the_binomial_sum(self):
+        for p in (2, 3, 5, 7, 97):
+            for n in range(13):
+                assert subspace_count(n, p) == sum(
+                    gaussian_binomial(n, k, p) for k in range(n + 1)
+                )
 
     def test_no_duplicates_and_sorted(self):
         subs = enumerate_subspaces(3, F3)
