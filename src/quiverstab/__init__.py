@@ -41,11 +41,6 @@ from .quiver import (
     is_semistable,
     is_subrep,
     max_destabilizing,
-    preimage_spaces,
-    quotient,
-    reparam_theta,
-    restrict,
-    seesaw_check,
     sigma_of,
     slope,
     sub_contains,

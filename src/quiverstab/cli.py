@@ -17,14 +17,17 @@ entries) are JSON integers, not true/false; dims, theta and sigma name
 only declared vertices, and matrices only arrow indices.
 
 Exit codes: 0 success / verified, 2 usage or schema error (including a
-zero-dimensional representation), 3 theorem contradiction (including a
-verify mismatch), 4 enumeration budget exceeded (by the candidate
-subspace tuples or by the chains of the Kempf search).
+zero-dimensional representation, a problem file that is not UTF-8 or is
+nested too deep to decode, a --budget below 1 and a degenerate rank3
+input), 3 theorem contradiction (including a verify mismatch), 4
+enumeration budget exceeded (by the candidate subspace tuples or by the
+chains of the Kempf search).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -33,6 +36,7 @@ from fractions import Fraction
 
 from . import curves, kempf, kronecker, quiver as qv
 from .errors import (
+    DegenerateInputError,
     EnumerationBudgetError,
     SemistableInputError,
     TheoremContradictionError,
@@ -344,7 +348,10 @@ def rank3_result(v_text: str, tau_text: str) -> dict:
         slopes = curves.Rank3Slopes(v, tau)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from exc
-    case, gamma = curves.rank3_weights(slopes)
+    try:
+        case, gamma = curves.rank3_weights(slopes)
+    except DegenerateInputError as exc:
+        raise ProblemFormatError(str(exc)) from exc
     return {
         "case": case,
         "gamma": None if gamma is None else [frac_str(g) for g in gamma],
@@ -386,11 +393,22 @@ def _load_problem_file(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON and bytes that are not UTF-8;
+    # RecursionError, arrays or objects nested too deep to decode
+    except (OSError, ValueError, RecursionError) as exc:
         raise ProblemFormatError(f"cannot read problem file {path}: {exc}") from exc
 
 
+def _budget(text: str) -> int:
+    budget = int(text)
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {budget}")
+    return budget
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every main call, built on the first one."""
     parser = argparse.ArgumentParser(
         prog="quiverstab",
         description="Slope stability and maximally destabilizing filtrations "
@@ -404,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_file_cmd(name, helptext):
         c = sub.add_parser(name, help=helptext)
         c.add_argument("problem", help="path to a JSON problem file, or - for stdin")
-        c.add_argument("--budget", type=int, default=qv.DEFAULT_BUDGET)
+        c.add_argument("--budget", type=_budget, default=qv.DEFAULT_BUDGET)
         return c
 
     add_file_cmd("hn", "Harder-Narasimhan filtration with property report")
@@ -453,9 +471,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.monotonic()

@@ -16,7 +16,7 @@ pairs so comparisons and tie detection are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -37,12 +37,13 @@ from .quiver import (
 )
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class ExactScore:
-    """The real number sign * sqrt(square), compared exactly."""
+    """The real number sign * sqrt(square), compared on (sign, sign * square)."""
 
-    sign: int
-    square: Fraction
+    sign: int = field(compare=False)
+    square: Fraction = field(compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
@@ -51,21 +52,7 @@ class ExactScore:
             raise ValueError("square must be non-negative")
         if (self.sign == 0) != (self.square == 0):
             raise ValueError("sign is zero exactly when the square is zero")
-
-    def _key(self):
-        return (self.sign, self.sign * self.square)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
+        object.__setattr__(self, "_key", (self.sign, self.sign * self.square))
 
     def is_positive(self) -> bool:
         return self.sign > 0
@@ -112,12 +99,11 @@ def _chain_score(chain_dims, tm, sm):
 
 def _chain_index_sets(lat: SubrepLattice):
     """Non-zero subreps in canonical order, plus their strict-inclusion
-    predecessor lists (indices into that list) and the index of the
-    whole representation."""
+    predecessor lists (indices into that list), read off the lattice's
+    containment masks, and the index of the whole representation."""
     subs = lat.subs[1:]
     lower = [
-        [i - 1 for i in range(1, j) if lat.contains(j, i)]
-        for j in range(1, len(lat.subs))
+        [i - 1 for i in lat.strictly_below(j)[1:]] for j in range(1, len(lat.subs))
     ]
     return subs, lower, len(subs) - 1
 

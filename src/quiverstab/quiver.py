@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .errors import (
     EnumerationBudgetError,
@@ -29,7 +30,6 @@ from .linalg import (
     contains,
     enumerate_subspaces,
     subspace_count,
-    subspace_sum,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -89,14 +89,6 @@ def slope(dims: dict, params: StabilityParams) -> Fraction:
     if all(d == 0 for d in dims.values()):
         raise ZeroRepresentationError("slope of the zero dimension vector")
     return Fraction(theta_of(dims, params), sigma_of(dims, params))
-
-
-def reparam_theta(params: StabilityParams, a: int, b: int) -> StabilityParams:
-    """theta -> a*theta + b*sigma with a >= 1; sigma unchanged."""
-    if a < 1:
-        raise ValueError("a must be a positive integer")
-    theta = {v: a * params.theta[v] + b * params.sigma[v] for v in params.theta}
-    return StabilityParams(theta, dict(params.sigma))
 
 
 @dataclass
@@ -348,6 +340,10 @@ class SubrepLattice:
             masks = [m & inside[s.spaces[v]] for m, s in zip(masks, self.subs)]
         return masks
 
+    def strictly_below(self, j: int) -> list:
+        """Indices of the subrepresentations strictly inside subs[j], ascending."""
+        return _bits(self._below[j] & ~(1 << j))
+
     def contains(self, j: int, i: int) -> bool:
         """True iff subs[i] is contained in subs[j]."""
         if i == 0 or j == len(self.subs) - 1:
@@ -366,105 +362,18 @@ class SubrepLattice:
 
     def labels(self, params: StabilityParams) -> list:
         """(sigma, theta) of every subrepresentation, in lattice order."""
-        return [
-            (sigma_of(d, params), theta_of(d, params))
-            for d in (s.dim_vector() for s in self.subs)
-        ]
+        order = self.rep.quiver.vertices
+        if set(order) != set(params.theta):
+            raise ValueError("dimension vector and parameters disagree on vertices")
+        sigma = [params.sigma[v] for v in order]
+        theta = [params.theta[v] for v in order]
+        return [(sum(map(mul, sigma, d)), sum(map(mul, theta, d))) for d in self.dims]
 
     def chain_of(self, f: "Filtration") -> list:
         """Lattice indices of 0 and of each step of the filtration f."""
         if f.parent != self.rep:
             raise ValueError("the filtration is not of this representation")
         return [0] + [self.subs.index(s) for s in f.steps]
-
-
-def restrict(m: Representation, s: Subrepresentation):
-    """The subrepresentation as a representation in its own right.
-
-    Coordinates at each vertex are the coefficients with respect to the
-    RREF basis of s (equivalently, the pivot-column entries).
-    """
-    dims = s.dim_vector()
-    maps = []
-    for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps):
-        bt = s.spaces[tgt]
-        cols = []
-        for row in s.spaces[src].basis:
-            y = mat.apply_to(row)
-            coords = tuple(y[p] for p in bt.pivots)
-            # with an RREF basis the pivot entries are the coefficients
-            recon = [0] * bt.ambient
-            for c, brow in zip(coords, bt.basis):
-                recon = [(a + c * b) % m.field.p for a, b in zip(recon, brow)]
-            if tuple(recon) != y:
-                raise InvalidSubrepresentationError(
-                    "arrow image leaves the candidate subrepresentation"
-                )
-            cols.append(coords)
-        if cols:
-            rows = tuple(zip(*cols))
-        else:
-            rows = tuple(() for _ in range(dims[tgt]))
-        maps.append(Matrix(m.field, dims[tgt], dims[src], rows))
-    return Representation(m.quiver, m.field, dims, tuple(maps))
-
-
-def quotient(m: Representation, s: Subrepresentation):
-    """Quotient representation and per-vertex projection matrices.
-
-    Coordinates on the quotient are the non-pivot coordinates of the
-    RREF basis of s at each vertex (the canonical complement), so
-    lifting a quotient subspace back is deterministic.
-    """
-    p = m.field.p
-    projs = {}
-    lifts = {}
-    new_dims = {}
-    for v in m.quiver.vertices:
-        sv = s.spaces[v]
-        dv = m.dims[v]
-        pivots = sv.pivots
-        nonpiv = [j for j in range(dv) if j not in set(pivots)]
-        new_dims[v] = len(nonpiv)
-        proj_rows = []
-        for q in nonpiv:
-            row = [0] * dv
-            row[q] = 1
-            for i, pc in enumerate(pivots):
-                row[pc] = (-sv.basis[i][q]) % p
-            proj_rows.append(tuple(row))
-        projs[v] = Matrix(m.field, len(nonpiv), dv, tuple(proj_rows))
-        lift_rows = []
-        for r in range(dv):
-            row = [0] * len(nonpiv)
-            if r in nonpiv:
-                row[nonpiv.index(r)] = 1
-            lift_rows.append(tuple(row))
-        lifts[v] = Matrix(m.field, dv, len(nonpiv), tuple(lift_rows))
-    maps = tuple(
-        projs[tgt].matmul(mat).matmul(lifts[src])
-        for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
-    )
-    return Representation(m.quiver, m.field, new_dims, maps), projs
-
-
-def preimage_spaces(m: Representation, s: Subrepresentation, quot_spaces: dict) -> dict:
-    """Pull subspaces of quotient(m, s) back to subspaces of m containing s."""
-    out = {}
-    for v in m.quiver.vertices:
-        sv = s.spaces[v]
-        dv = m.dims[v]
-        nonpiv = [j for j in range(dv) if j not in set(sv.pivots)]
-        lifted = []
-        for row in quot_spaces[v].basis:
-            x = [0] * dv
-            for val, j in zip(row, nonpiv):
-                x[j] = val
-            lifted.append(x)
-        out[v] = subspace_sum(
-            Subspace.from_spanning(m.field, dv, lifted), sv
-        )
-    return out
 
 
 def _nonzero_lattice(m, budget: int) -> SubrepLattice:
@@ -600,26 +509,3 @@ def check_hn_properties(
         for lo, hi in zip(chain, chain[1:])
     ]
     return HNReport(slopes, descending, semis)
-
-
-def seesaw_check(
-    m: Representation, s: Subrepresentation, params: StabilityParams
-) -> list:
-    """Check the seesaw biconditionals for X = s, Y = m, Z = m/s.
-
-    For each comparison in {<, =, >}: X?Y iff X?Z iff Y?Z.  Returns the
-    list of violated triples (expected empty).
-    """
-    if s.is_zero() or s.is_full():
-        raise ValueError("need a proper non-zero subrepresentation")
-    dx = s.dim_vector()
-    dy = dict(m.dims)
-    dz = {v: dy[v] - dx[v] for v in dy}
-    x, y, z = slope(dx, params), slope(dy, params), slope(dz, params)
-    violations = []
-    for name, op in (("<", lambda a, b: a < b), ("==", lambda a, b: a == b),
-                     (">", lambda a, b: a > b)):
-        verdicts = (op(x, y), op(x, z), op(y, z))
-        if len(set(verdicts)) != 1:
-            violations.append((name, verdicts))
-    return violations

@@ -13,6 +13,10 @@ fit and a b-weighted score of their own.
 The library enumerates subrepresentations by a join over per-arrow
 closure masks.  The enumeration oracles filter the whole product of the
 per-vertex subspace lists instead.
+
+The representation-level helpers (restriction, quotient, preimage, the
+seesaw check and the reparameterization of theta) serve only these
+oracles and the tests, so they live here and not in the library.
 """
 
 import itertools
@@ -24,8 +28,13 @@ from quiverstab import (
     ExactScore,
     Filtration,
     HNReport,
+    InvalidSubrepresentationError,
     KroneckerSubmodule,
+    Matrix,
+    Representation,
+    StabilityParams,
     Subrepresentation,
+    Subspace,
     TheoremContradictionError,
     apply,
     enumerate_subspaces,
@@ -33,12 +42,10 @@ from quiverstab import (
     is_submodule,
     is_subrep,
     max_destabilizing,
-    preimage_spaces,
-    quotient,
-    restrict,
     sigma_of,
     slope,
     sub_contains,
+    subspace_sum,
     theta_of,
 )
 
@@ -70,6 +77,126 @@ def submodules_by_product(km):
         key=lambda s: (s.dims(), s.v_part.canonical_bytes(), s.w_part.canonical_bytes())
     )
     return out
+
+
+def reparam_theta(params: StabilityParams, a: int, b: int) -> StabilityParams:
+    """theta -> a*theta + b*sigma with a >= 1; sigma unchanged."""
+    if a < 1:
+        raise ValueError("a must be a positive integer")
+    theta = {v: a * params.theta[v] + b * params.sigma[v] for v in params.theta}
+    return StabilityParams(theta, dict(params.sigma))
+
+
+def restrict(m: Representation, s: Subrepresentation):
+    """The subrepresentation as a representation in its own right.
+
+    Coordinates at each vertex are the coefficients with respect to the
+    RREF basis of s (equivalently, the pivot-column entries).
+    """
+    dims = s.dim_vector()
+    maps = []
+    for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps):
+        bt = s.spaces[tgt]
+        cols = []
+        for row in s.spaces[src].basis:
+            y = mat.apply_to(row)
+            coords = tuple(y[p] for p in bt.pivots)
+            # with an RREF basis the pivot entries are the coefficients
+            recon = [0] * bt.ambient
+            for c, brow in zip(coords, bt.basis):
+                recon = [(a + c * b) % m.field.p for a, b in zip(recon, brow)]
+            if tuple(recon) != y:
+                raise InvalidSubrepresentationError(
+                    "arrow image leaves the candidate subrepresentation"
+                )
+            cols.append(coords)
+        if cols:
+            rows = tuple(zip(*cols))
+        else:
+            rows = tuple(() for _ in range(dims[tgt]))
+        maps.append(Matrix(m.field, dims[tgt], dims[src], rows))
+    return Representation(m.quiver, m.field, dims, tuple(maps))
+
+
+def quotient(m: Representation, s: Subrepresentation):
+    """Quotient representation and per-vertex projection matrices.
+
+    Coordinates on the quotient are the non-pivot coordinates of the
+    RREF basis of s at each vertex (the canonical complement), so
+    lifting a quotient subspace back is deterministic.
+    """
+    p = m.field.p
+    projs = {}
+    lifts = {}
+    new_dims = {}
+    for v in m.quiver.vertices:
+        sv = s.spaces[v]
+        dv = m.dims[v]
+        pivots = sv.pivots
+        nonpiv = [j for j in range(dv) if j not in set(pivots)]
+        new_dims[v] = len(nonpiv)
+        proj_rows = []
+        for q in nonpiv:
+            row = [0] * dv
+            row[q] = 1
+            for i, pc in enumerate(pivots):
+                row[pc] = (-sv.basis[i][q]) % p
+            proj_rows.append(tuple(row))
+        projs[v] = Matrix(m.field, len(nonpiv), dv, tuple(proj_rows))
+        lift_rows = []
+        for r in range(dv):
+            row = [0] * len(nonpiv)
+            if r in nonpiv:
+                row[nonpiv.index(r)] = 1
+            lift_rows.append(tuple(row))
+        lifts[v] = Matrix(m.field, dv, len(nonpiv), tuple(lift_rows))
+    maps = tuple(
+        projs[tgt].matmul(mat).matmul(lifts[src])
+        for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
+    )
+    return Representation(m.quiver, m.field, new_dims, maps), projs
+
+
+def preimage_spaces(m: Representation, s: Subrepresentation, quot_spaces: dict) -> dict:
+    """Pull subspaces of quotient(m, s) back to subspaces of m containing s."""
+    out = {}
+    for v in m.quiver.vertices:
+        sv = s.spaces[v]
+        dv = m.dims[v]
+        nonpiv = [j for j in range(dv) if j not in set(sv.pivots)]
+        lifted = []
+        for row in quot_spaces[v].basis:
+            x = [0] * dv
+            for val, j in zip(row, nonpiv):
+                x[j] = val
+            lifted.append(x)
+        out[v] = subspace_sum(
+            Subspace.from_spanning(m.field, dv, lifted), sv
+        )
+    return out
+
+
+def seesaw_check(
+    m: Representation, s: Subrepresentation, params: StabilityParams
+) -> list:
+    """Check the seesaw biconditionals for X = s, Y = m, Z = m/s.
+
+    For each comparison in {<, =, >}: X?Y iff X?Z iff Y?Z.  Returns the
+    list of violated triples (expected empty).
+    """
+    if s.is_zero() or s.is_full():
+        raise ValueError("need a proper non-zero subrepresentation")
+    dx = s.dim_vector()
+    dy = dict(m.dims)
+    dz = {v: dy[v] - dx[v] for v in dy}
+    x, y, z = slope(dx, params), slope(dy, params), slope(dz, params)
+    violations = []
+    for name, op in (("<", lambda a, b: a < b), ("==", lambda a, b: a == b),
+                     (">", lambda a, b: a > b)):
+        verdicts = (op(x, y), op(x, z), op(y, z))
+        if len(set(verdicts)) != 1:
+            violations.append((name, verdicts))
+    return violations
 
 
 def hn_by_quotients(m, params):

@@ -27,8 +27,6 @@ from quiverstab import (
     p1_slope,
     rank3_weights,
     refinement_domination_violations,
-    reparam_theta,
-    seesaw_check,
     enumerate_subreps,
     sigma_of,
     theta_of,
@@ -36,7 +34,7 @@ from quiverstab import (
 from quiverstab.cli import verify_result
 
 from conftest import A3, F2, F3, params_for, random_rep
-from oracles import filtration_graph, primitive_oracle
+from oracles import filtration_graph, primitive_oracle, reparam_theta, seesaw_check
 from test_kempf import all_small_graphs, envelope, isotonic_oracle
 from test_kronecker import all_modules
 
@@ -304,6 +302,7 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_kronecker_equivalence_and_tightness():
     from quiverstab import (
+        SubrepLattice,
         equivalence_check,
         is_tight,
         module_stability_params,
@@ -320,13 +319,13 @@ def test_criterion_7_kronecker_equivalence_and_tightness():
                 for m in all_modules(F2, dv, dw, h):
                     assert equivalence_check(m).agree
                     modules += 1
-                    rep = to_quiver_rep(m)
-                    if is_semistable(rep, params):
+                    lat = SubrepLattice(to_quiver_rep(m))
+                    if is_semistable(lat, params):
                         continue
                     unstable += 1
-                    f = hn_filtration(rep, params)
+                    f = hn_filtration(lat, params)
                     for step in f.steps[:-1]:
-                        assert is_tight(submodule_from_subrep(step), m)
+                        assert is_tight(submodule_from_subrep(step), lat)
     assert unstable > 0
     print(
         f"[PASS] criterion 7: semistability equivalence on {modules} modules, "

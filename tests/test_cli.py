@@ -1,7 +1,11 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from quiverstab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ProblemFormatError,
+    build_parser,
     main,
     parse_problem,
     verify_result,
@@ -73,6 +78,33 @@ EXIT_USAGE_CASES = {
     "zero-hn": ("hn", ("representation",), ZERO_REPRESENTATION),
     "zero-semistable": ("semistable", ("representation",), ZERO_REPRESENTATION),
 }
+
+
+# id -> bytes of a problem file that cannot be decoded: each must end in exit 2.
+UNREADABLE_FILES = {
+    "not-utf8": b"\xff\xfe{}",
+    "nested-too-deep": b"[" * 100000,
+}
+
+# Run in a fresh interpreter: importing the CLI builds no parser, and
+# two main calls build it once between them.
+PARSER_BUILT_ONCE = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from quiverstab import cli
+assert not built, "importing the CLI built a parser"
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["p1", "--blocks", "1:1"])
+    once = len(built)
+    cli.main(["p1", "--blocks", "1:1"])
+assert once and len(built) == once, (once, len(built))
+"""
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_problem(tmp_path, data, name="prob.json"):
@@ -137,6 +169,24 @@ class TestExitCodes:
     def test_budget_exceeded(self, tmp_path):
         path = write_problem(tmp_path, alpha_zero_problem())
         assert main(["enumerate", path, "--budget", "1"]) == EXIT_BUDGET
+
+    def test_budget_below_one_exits_usage(self, tmp_path, capsys):
+        path = write_problem(tmp_path, alpha_zero_problem())
+        for budget in ("0", "-1"):
+            assert main(["verify", path, "--budget", budget]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "--budget" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "raw", UNREADABLE_FILES.values(), ids=UNREADABLE_FILES.keys()
+    )
+    def test_unreadable_file_exits_usage(self, tmp_path, capsys, raw):
+        path = tmp_path / "prob.json"
+        path.write_bytes(raw)
+        assert main(["verify", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read problem file")
+        assert "Traceback" not in err
 
     def test_huge_candidate_count_exits_budget(self, tmp_path, capsys):
         # one arrow-free vertex of dim 400 over F97: a candidate count of
@@ -307,6 +357,23 @@ class TestInlineCommands:
         assert main(["rank3", "--v", "1,2", "--tau", "1/3"]) == EXIT_USAGE
         assert main(["rank3", "--v=-5,1,4", "--tau", "x"]) == EXIT_USAGE
         assert main(["p1", "--blocks", "nope"]) == EXIT_USAGE
+        # v3 + tau = 0 and v3 - 2 tau = 0: the weights cannot be normalized
+        assert main(["rank3", "--v=-1,2,-1", "--tau", "1"]) == EXIT_USAGE
+        assert main(["rank3", "--v=2,-4,2", "--tau", "1"]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-c", PARSER_BUILT_ONCE],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
 
 
 class TestVerifyResult:

@@ -1,5 +1,6 @@
-"""Mutated problem files must end in a documented exit code, never in an
-uncaught exception or a traceback."""
+"""Mutated problem files, edited as JSON values or as raw bytes, must end
+in a documented exit code, never in an uncaught exception or a
+traceback."""
 
 import contextlib
 import copy
@@ -77,10 +78,24 @@ def mutate(data, draw):
     return data
 
 
-def run_cli(argv, stdin_text):
+def mutate_bytes(raw, draw):
+    """One random byte edit at a random offset: replace, delete or insert."""
+    i = draw(st.integers(0, len(raw)))
+    byte = draw(st.integers(0, 255))
+    action = draw(st.sampled_from(["replace", "delete", "insert"]))
+    if action == "insert" or i == len(raw):
+        raw.insert(i, byte)
+    elif action == "replace":
+        raw[i] = byte
+    else:
+        del raw[i]
+
+
+def run_cli(argv, stdin_bytes):
+    """main(argv) reading stdin_bytes as UTF-8 from stdin."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin_text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -103,6 +118,25 @@ def test_mutated_problems_exit_documented(data):
         problem = mutate(problem, data.draw)
     command = data.draw(st.sampled_from(COMMANDS))
     argv = ["--format", "json", command, "-", "--budget", BUDGET]
-    code, err = run_cli(argv, json.dumps(problem))
+    code, err = run_cli(argv, json.dumps(problem).encode())
+    assert code in DOCUMENTED_EXITS
+    assert "Traceback" not in err
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_byte_mutated_problems_exit_documented(data):
+    raw = bytearray(json.dumps(data.draw(st.sampled_from(SEEDS))).encode())
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate_bytes(raw, data.draw)
+    command = data.draw(st.sampled_from(COMMANDS))
+    argv = ["--format", "json", command, "-", "--budget", BUDGET]
+    code, err = run_cli(argv, bytes(raw))
     assert code in DOCUMENTED_EXITS
     assert "Traceback" not in err

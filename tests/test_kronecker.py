@@ -7,6 +7,7 @@ from quiverstab import (
     KroneckerSubmodule,
     Matrix,
     Subspace,
+    SubrepLattice,
     enumerate_submodules,
     equivalence_check,
     hn_filtration,
@@ -148,6 +149,12 @@ class TestSubordinateAndTight:
         full = KroneckerSubmodule(Subspace.full(F2, 1), Subspace.full(F2, 1))
         # (V, 0) is a submodule and dominates (V, W) in the subordination order
         assert not is_tight(full, m)
+
+    def test_tight_on_lattice_as_on_module(self):
+        for m in all_modules(F2, 2, 1, 1):
+            lat = SubrepLattice(to_quiver_rep(m))
+            for sub in enumerate_submodules(m):
+                assert is_tight(sub, lat) == is_tight(sub, m)
 
     def test_proper_hn_steps_tight(self):
         params = module_stability_params()

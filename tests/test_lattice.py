@@ -4,6 +4,7 @@ import pytest
 
 from quiverstab import (
     EnumerationBudgetError,
+    StabilityParams,
     KroneckerModule,
     Matrix,
     PrimeField,
@@ -15,13 +16,14 @@ from quiverstab import (
     enumerate_subreps,
     hn_filtration,
     is_semistable,
+    kempf,
     quiver,
 )
 from quiverstab.cli import parse_problem
 from quiverstab.linalg import subspace_count
 
 from conftest import A3, F3, random_rep
-from oracles import hn_by_quotients, hn_report_by_quotients
+from oracles import chain_dag, hn_by_quotients, hn_report_by_quotients, labels_of
 from test_acceptance import main_theorem_problems
 
 F97 = PrimeField(97)
@@ -52,6 +54,30 @@ def test_lattice_order_and_inclusions():
     for j in range(n):
         for i in range(n):
             assert lat.contains(j, i) == quiver.sub_contains(lat.subs[j], lat.subs[i])
+
+
+def test_labels_match_oracle_on_theorem_families():
+    for _criterion, problem in main_theorem_problems():
+        m, params = parse_problem(problem)
+        lat = SubrepLattice(m)
+        assert lat.labels(params) == labels_of(lat.subs, params)
+
+
+def test_labels_reject_other_vertices():
+    lat = SubrepLattice(random_rep(random.Random(4), A3, F3, (1, 1, 1)))
+    with pytest.raises(ValueError, match="disagree on vertices"):
+        lat.labels(StabilityParams({"a": 1}, {"a": 1}))
+
+
+def test_chain_dag_read_off_masks(monkeypatch):
+    def pairwise(*_args):
+        raise AssertionError("the DAG made a pairwise containment call")
+
+    lat = SubrepLattice(random_rep(random.Random(5), A3, F3, (2, 2, 2)))
+    params = StabilityParams({v: 0 for v in A3.vertices}, {v: 1 for v in A3.vertices})
+    subs, lower, _labels, full = chain_dag(lat, params)
+    monkeypatch.setattr(SubrepLattice, "contains", pairwise)
+    assert kempf._chain_index_sets(lat) == (subs, lower, full)
 
 
 def no_subspace_lists(*_args, **_kwargs):

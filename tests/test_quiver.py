@@ -24,11 +24,6 @@ from quiverstab import (
     hn_filtration,
     is_semistable,
     max_destabilizing,
-    preimage_spaces,
-    quotient,
-    reparam_theta,
-    restrict,
-    seesaw_check,
     sigma_of,
     slope,
     sub_contains,
@@ -44,6 +39,7 @@ from conftest import (
     params_for,
     random_rep,
 )
+from oracles import preimage_spaces, quotient, reparam_theta, restrict, seesaw_check
 
 
 class TestQuiverAndParams:
