@@ -30,6 +30,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -390,7 +391,11 @@ def _render_text(report: dict) -> str:
 def _load_problem_file(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            # decoded as UTF-8, like a file, whatever the locale; a stream
+            # with no byte layer under it (io.StringIO) is text already
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+            return json.loads(text)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     # ValueError covers malformed JSON and bytes that are not UTF-8;
@@ -489,10 +494,19 @@ def main(argv=None) -> int:
         return EXIT_CONTRADICTION
 
     report = _make_report(args.command, input_data, result, started)
-    if args.fmt == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(_render_text(report))
+    try:
+        if args.fmt == "json":
+            print(json.dumps(report, sort_keys=True))
+        else:
+            print(_render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`verify f.json | head -1`); the verdict
+        # stands, and with stdout on the null device the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.command == "verify" and not result["match"]:
         return EXIT_CONTRADICTION
     return EXIT_OK

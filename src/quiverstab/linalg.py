@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from operator import mul
 
 
 def _is_prime(n: int) -> bool:
@@ -78,7 +78,7 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         p = self.field.p
-        return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in self.rows)
+        return tuple(sum(map(mul, row, vec)) % p for row in self.rows)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows or self.field != other.field:
@@ -129,7 +129,10 @@ def rref(m: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of F_p^n given by its canonical RREF basis (no zero rows)."""
+    """Subspace of F_p^n given by its canonical RREF basis (no zero rows).
+
+    ``pivots`` holds the pivot column of each basis row.
+    """
 
     field: PrimeField
     ambient: int
@@ -139,6 +142,25 @@ class Subspace:
         for r in self.basis:
             if len(r) != self.ambient:
                 raise ValueError("basis row length != ambient dimension")
+        pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.basis)
+        columns = tuple(zip(*self.basis)) if self.basis else ((),) * self.ambient
+        # the frozen dataclass allows setting attributes through object
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_columns", tuple(
+            (j, c) for j, c in enumerate(columns) if j not in pivots
+        ))
+
+    @classmethod
+    def _from_pattern(
+        cls, field: PrimeField, ambient: int, basis: tuple, pivots: tuple, columns: tuple
+    ) -> "Subspace":
+        """A subspace built from its RREF pattern, which gives its basis,
+        its pivots and (j, column j) for every non-pivot column j."""
+        s = object.__new__(cls)
+        s.__dict__.update(
+            field=field, ambient=ambient, basis=basis, pivots=pivots, _columns=columns
+        )
+        return s
 
     @staticmethod
     def from_spanning(field: PrimeField, ambient: int, vectors) -> "Subspace":
@@ -161,27 +183,45 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def pivots(self) -> tuple:
-        # cached in the instance __dict__, which the frozen dataclass allows
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
-
-    def reduce(self, vec) -> tuple:
-        """Residual of vec after reduction against the RREF basis."""
-        p = self.field.p
-        v = [x % p for x in vec]
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        return tuple(v)
-
     def contains_vector(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        """True iff vec lies in the subspace.
+
+        The only member with the pivot coordinates of vec is the
+        combination of the basis rows whose coefficients are those
+        coordinates, so vec is a member iff each non-pivot coordinate
+        equals that combination's: one dot product per non-pivot column.
+        """
+        p = self.field.p
+        coefs = [vec[j] for j in self.pivots]
+        for j, column in self._columns:
+            if (vec[j] - sum(map(mul, column, coefs))) % p:
+                return False
+        return True
+
+    def points(self) -> list:
+        """Every non-zero member whose first non-zero entry is 1, once each.
+
+        In a combination of the RREF basis rows, the first non-zero entry
+        sits at the pivot of the first row with a non-zero coefficient
+        and equals that coefficient.  So the members listed are the
+        combinations of one row, with coefficient 1, and any of the rows
+        after it: (p^dim - 1) / (p - 1) of them.
+        """
+        p = self.field.p
+        out = []
+        for i, row in enumerate(self.basis):
+            after = self.basis[i + 1:]
+            columns = list(zip(*after)) if after else [()] * self.ambient
+            for coefs in itertools.product(range(p), repeat=len(after)):
+                out.append(tuple(
+                    (x + sum(map(mul, coefs, column))) % p
+                    for x, column in zip(row, columns)
+                ))
+        return out
 
     def canonical_bytes(self) -> tuple:
         """Flattened basis entries; the canonical sort/equality key."""
-        return tuple(x for row in self.basis for x in row)
+        return tuple(itertools.chain.from_iterable(self.basis))
 
 
 def _check_compatible(a: Subspace, b: Subspace):
@@ -233,25 +273,33 @@ def subspace_count(n: int, p: int) -> int:
 
 
 def _subspaces_of_dim(n: int, field: PrimeField, k: int):
-    """All dimension-k subspaces, generated via RREF pivot patterns."""
+    """All dimension-k subspaces, generated via RREF pivot patterns.
+
+    A pattern fixes the pivot columns, which are unit columns.  Column j
+    off the pattern is free in the rows whose pivot lies left of j and 0
+    below them, so each subspace of the pattern is one choice of its
+    non-pivot columns.
+    """
     p = field.p
     out = []
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        # free cells: (row i, col j) with j > pivots[i] and j not a pivot
-        free_cells = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        for values in itertools.product(range(p), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(k)]
-            for i, piv in enumerate(pivots):
-                rows[i][piv] = 1
-            for (i, j), val in zip(free_cells, values):
-                rows[i][j] = val
-            out.append(Subspace(field, n, tuple(tuple(r) for r in rows)))
+        columns = [None] * n
+        for i, q in enumerate(pivots):
+            columns[q] = tuple(int(r == i) for r in range(k))
+        choices = []
+        for j in range(n):
+            if j not in pivots:
+                free = sum(q < j for q in pivots)
+                zeros = (0,) * (k - free)
+                choices.append([
+                    (j, head + zeros)
+                    for head in itertools.product(range(p), repeat=free)
+                ])
+        for free_columns in itertools.product(*choices):
+            for j, c in free_columns:
+                columns[j] = c
+            basis = tuple(zip(*columns))
+            out.append(Subspace._from_pattern(field, n, basis, pivots, free_columns))
     out.sort(key=Subspace.canonical_bytes)
     return out
 

@@ -23,7 +23,6 @@ from .errors import (
     ZeroRepresentationError,
 )
 from .linalg import (
-    Matrix,
     PrimeField,
     Subspace,
     apply,
@@ -205,25 +204,33 @@ def _bits(mask: int) -> list:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def _arrow_masks(mat: Matrix, sources: list, targets: list, memo: dict) -> list:
-    """For each subspace a in sources, the bit mask over targets of the
-    subspaces that contain mat(a).  memo maps a point of the target space
-    to the mask of the targets containing it; it is shared by every arrow
-    into the same vertex."""
-    p = mat.field.p
-    everything = (1 << len(targets)) - 1
+def _point_masks(targets: list, points: set, p: int) -> dict:
+    """For each of the given points, the bit mask over targets of the
+    subspaces that contain it.  Each target lists its own points or tests
+    the given ones, whichever are fewer, so the work is close to the
+    point-subspace incidences that exist."""
+    masks = dict.fromkeys(points, 0)
+    for i, t in enumerate(targets):
+        if (p**t.dim - 1) // (p - 1) < len(points):
+            hits = [pt for pt in t.points() if pt in masks]
+        else:
+            hits = [pt for pt in points if t.contains_vector(pt)]
+        for pt in hits:
+            masks[pt] |= 1 << i
+    return masks
+
+
+def _arrow_masks(image: dict, sources: list, memo: dict, everything: int) -> list:
+    """For each subspace a in sources, the bit mask of the targets that
+    contain the image of a: the AND of the masks in memo of the images of
+    its basis rows.  image maps a row to its normalized image, None for 0."""
     out = []
     for a in sources:
         mask = everything
         for row in a.basis:
-            pt = _point(mat.apply_to(row), p)
-            if pt is None:
-                continue
-            if pt not in memo:
-                memo[pt] = sum(
-                    1 << i for i, t in enumerate(targets) if t.contains_vector(pt)
-                )
-            mask &= memo[pt]
+            pt = image[row]
+            if pt is not None:
+                mask &= memo[pt]
         out.append(mask)
     return out
 
@@ -249,22 +256,39 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
         raise EnumerationBudgetError(candidate_count, budget, "candidates")
     pos = {v: k for k, v in enumerate(order)}
     lists = [enumerate_subspaces(m.dims[v], m.field) for v in order]
+    p = m.field.p
     arrows = list(zip(m.quiver.arrows, m.arrow_maps))
     for (src, tgt), mat in arrows:
         if src == tgt:
-            lists[pos[src]] = [
-                s for s in lists[pos[src]]
-                if all(s.contains_vector(mat.apply_to(row)) for row in s.basis)
+            k = pos[src]
+            rows = {row for s in lists[k] for row in s.basis}
+            image = {row: mat.apply_to(row) for row in rows}
+            lists[k] = [
+                s for s in lists[k]
+                if all(s.contains_vector(image[row]) for row in s.basis)
             ]
+    # per vertex w: (u, normalized image of each distinct basis row at u)
+    # of each arrow u -> w with u != w
+    into = [[] for _ in order]
+    for (src, tgt), mat in arrows:
+        u, w = pos[src], pos[tgt]
+        if u != w:
+            rows = {row for s in lists[u] for row in s.basis}
+            image = {row: _point(mat.apply_to(row), p) for row in rows}
+            into[w].append((u, image))
     # per vertex k: (masks, placed vertex) of the arrows from a vertex
     # placed earlier into k, and of the arrows from k into one
     incoming = [[] for _ in order]
     outgoing = [[] for _ in order]
-    memos = [{} for _ in order]
-    for (src, tgt), mat in arrows:
-        u, w = pos[src], pos[tgt]
-        if u != w:
-            masks = _arrow_masks(mat, lists[u], lists[w], memos[w])
+    for w, images in enumerate(into):
+        if not images:
+            continue
+        points = {pt for _u, image in images for pt in image.values()}
+        points.discard(None)
+        memo = _point_masks(lists[w], points, p)
+        everything = (1 << len(lists[w])) - 1
+        for u, image in images:
+            masks = _arrow_masks(image, lists[u], memo, everything)
             if u < w:
                 incoming[w].append((masks, u))
             else:

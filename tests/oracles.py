@@ -14,6 +14,10 @@ The library enumerates subrepresentations by a join over per-arrow
 closure masks.  The enumeration oracles filter the whole product of the
 per-vertex subspace lists instead.
 
+The library tests membership in a subspace by one dot product per
+non-pivot column.  The membership oracle reduces the vector against the
+RREF basis row by row instead.
+
 The representation-level helpers (restriction, quotient, preimage, the
 seesaw check and the reparameterization of theta) serve only these
 oracles and the tests, so they live here and not in the library.
@@ -48,6 +52,18 @@ from quiverstab import (
     subspace_sum,
     theta_of,
 )
+
+
+def reduce(s, vec) -> tuple:
+    """Residual of vec after reduction against the RREF basis of the
+    subspace s; it is zero exactly when vec lies in s."""
+    p = s.field.p
+    v = [x % p for x in vec]
+    for row, piv in zip(s.basis, s.pivots):
+        c = v[piv]
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    return tuple(v)
 
 
 def subreps_by_product(m):

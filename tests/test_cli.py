@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import os
 import subprocess
@@ -188,6 +189,17 @@ class TestExitCodes:
         assert err.startswith("error: cannot read problem file")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "raw", UNREADABLE_FILES.values(), ids=UNREADABLE_FILES.keys()
+    )
+    def test_unreadable_stdin_exits_usage(self, monkeypatch, capsys, raw):
+        stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="latin-1")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["verify", "-"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read problem file -")
+        assert "Traceback" not in err
+
     def test_huge_candidate_count_exits_budget(self, tmp_path, capsys):
         # one arrow-free vertex of dim 400 over F97: a candidate count of
         # 79,471 digits, counted exactly and printed in full
@@ -374,6 +386,52 @@ class TestParser:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert run.returncode == 0, run.stderr
+
+
+def renamed_problem(v0, v1):
+    """alpha_zero_problem with its vertices named v0 and v1."""
+    text = json.dumps(alpha_zero_problem())
+    text = text.replace('"v0"', json.dumps(v0)).replace('"v1"', json.dumps(v1))
+    return json.loads(text)
+
+
+def run_module(args, **kwargs):
+    """python -m quiverstab.cli args, with a stdio encoding that is not UTF-8."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="latin-1")
+    return subprocess.run(
+        [sys.executable, "-m", "quiverstab.cli", *args],
+        env=env, capture_output=True, timeout=60, **kwargs,
+    )
+
+
+class TestStreams:
+    def test_stdin_is_read_as_utf8_like_a_file(self, tmp_path):
+        path = tmp_path / "prob.json"
+        path.write_bytes(
+            json.dumps(renamed_problem("é", "v1"), ensure_ascii=False).encode("utf-8")
+        )
+        argv = ["--format", "json", "verify"]
+        from_file = run_module(argv + [str(path)])
+        from_stdin = run_module(argv + ["-"], input=path.read_bytes())
+        assert from_file.returncode == from_stdin.returncode == EXIT_OK
+        digests = [json.loads(r.stdout)["digest"] for r in (from_file, from_stdin)]
+        assert digests[0] == digests[1]
+
+    def test_closed_stdout_keeps_the_verdict(self, tmp_path):
+        # names this long make the report outgrow a pipe's buffer, so the
+        # command is still writing when the reader leaves after one line
+        data = renamed_problem("a" * 20000, "b" * 20000)
+        path = write_problem(tmp_path, data)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quiverstab.cli", "verify", path],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"command: verify\n"
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_OK
+        assert err == b""
 
 
 class TestVerifyResult:

@@ -11,6 +11,7 @@ from quiverstab import (
     PrimeField,
     Quiver,
     Representation,
+    Subspace,
     enumerate_submodules,
     enumerate_subreps,
 )
@@ -19,6 +20,7 @@ from conftest import F2, F3
 from oracles import submodules_by_product, subreps_by_product
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 F97 = PrimeField(97)
 
 D4_IN = Quiver(("a", "b", "c", "z"), (("a", "z"), ("b", "z"), ("c", "z")))
@@ -27,13 +29,15 @@ CYCLE3 = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c"), ("c", "a")))
 A3_AGAINST = Quiver(("a", "b", "c"), (("c", "b"), ("b", "a")))
 A3_INTO_MIDDLE = Quiver(("a", "b", "c"), (("a", "b"), ("c", "b")))
 TRIANGLE = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
+CYCLE2 = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
+LOOP_AFTER_ARROW = Quiver(("a", "b"), (("a", "b"), ("b", "b")))
 
 # id -> (quiver, field, dims in vertex order)
 SHAPES = {
     "one-loop": (Quiver(("v",), (("v", "v"),)), F2, (4,)),
     "two-loops": (Quiver(("v",), (("v", "v"), ("v", "v"))), F3, (3,)),
-    "loop-after-arrow": (Quiver(("a", "b"), (("a", "b"), ("b", "b"))), F3, (2, 2)),
-    "cycle2": (Quiver(("a", "b"), (("a", "b"), ("b", "a"))), F3, (2, 2)),
+    "loop-after-arrow": (LOOP_AFTER_ARROW, F3, (2, 2)),
+    "cycle2": (CYCLE2, F3, (2, 2)),
     "cycle3": (CYCLE3, F2, (2, 2, 2)),
     "kronecker3": (Quiver.kronecker(3), F3, (2, 2)),
     "d4-inwards": (D4_IN, F2, (2, 1, 1, 3)),
@@ -42,6 +46,11 @@ SHAPES = {
     "a3-into-middle": (A3_INTO_MIDDLE, F3, (2, 2, 2)),
     "zero-dim-vertex": (TRIANGLE, F3, (2, 0, 2)),
     "isolated-vertex": (Quiver(("a", "b", "c"), (("a", "b"),)), F2, (2, 2, 2)),
+    # over p >= 5 a target lists its own points when it has fewer than the
+    # images into its vertex (lines, here), and tests the images otherwise
+    "cycle2-f7": (CYCLE2, F7, (2, 2)),
+    "loop-after-arrow-f5": (LOOP_AFTER_ARROW, F5, (3, 2)),
+    "line-into-space-f7": (Quiver.kronecker(1), F7, (1, 3)),
 }
 
 
@@ -83,6 +92,33 @@ def test_kronecker_1_3_over_f97():
     subs = enumerate_subreps(m)
     assert len(subs) == 19116
     assert keys(subs) == keys(subreps_by_product(m))
+
+
+def test_kronecker_1_3_over_f97_tests_each_target_once(monkeypatch):
+    """One image point (|Q| = 1): no target has fewer points than that
+    but the zero one, so the memo lists no points and makes at most one
+    membership test per target."""
+    calls = {"tests": 0, "listed": 0}
+    contains_vector, points = Subspace.contains_vector, Subspace.points
+
+    def counted_contains_vector(s, vec):
+        calls["tests"] += 1
+        return contains_vector(s, vec)
+
+    def counted_points(s):
+        listed = points(s)
+        calls["listed"] += len(listed)
+        return listed
+
+    monkeypatch.setattr(Subspace, "contains_vector", counted_contains_vector)
+    monkeypatch.setattr(Subspace, "points", counted_points)
+    m = Representation(
+        Quiver.kronecker(1), F97, {"v0": 1, "v1": 3},
+        (Matrix.from_rows(F97, [[1], [2], [3]]),),
+    )
+    assert len(enumerate_subreps(m)) == 19116
+    assert 0 < calls["tests"] <= 19116
+    assert calls["listed"] == 0
 
 
 @pytest.mark.parametrize("h, field, dims", [(1, F3, (2, 2)), (2, F3, (2, 2)),

@@ -16,9 +16,12 @@ from quiverstab import (
 )
 from quiverstab.linalg import subspace_count
 
+from oracles import reduce
+
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def random_matrix(rng, field, nrows, ncols):
@@ -225,6 +228,27 @@ class TestSubspace:
             common = span_vectors(a) & span_vectors(b)
             assert 3 ** (a.dim + b.dim - s.dim) == len(common)
             assert contains(s, a) and contains(s, b)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F7], ids=lambda f: f"F{f.p}")
+    def test_membership_and_points_against_brute_force(self, field):
+        """Every subspace of F_p^n, n <= 3, against every vector: the
+        column check agrees with reduction and with the brute-force span,
+        and points() lists each normalized member exactly once."""
+        p = field.p
+        for n in range(4):
+            vectors = list(itertools.product(range(p), repeat=n))
+            for s in enumerate_subspaces(n, field):
+                assert s.pivots == Subspace(field, n, s.basis).pivots
+                members = span_vectors(s)
+                for v in vectors:
+                    assert s.contains_vector(v) == (not any(reduce(s, v)))
+                    assert s.contains_vector(v) == (v in members)
+                normalized = {
+                    v for v in members if any(v) and next(x for x in v if x) == 1
+                }
+                listed = s.points()
+                assert len(listed) == len(set(listed)) == (p**s.dim - 1) // (p - 1)
+                assert set(listed) == normalized
 
     def test_apply_image(self):
         m = Matrix.from_rows(F2, [[1, 0], [1, 0]])
