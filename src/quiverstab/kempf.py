@@ -10,13 +10,13 @@ sum Gamma_i S_i / sqrt(sum b_i Gamma_i^2).  Its maximizer over the
 ordered cone is the b-weighted non-decreasing fit of S_i / b_i, read off
 the least concave majorant of the cumulative graph; _chain_score
 computes it by pooling adjacent violators in integers, and is the one
-scoring function of the library.  Scores are kept as (sign, square)
-pairs so comparisons and tie detection are exact.
+scoring function of the library.  Scores are held and compared as
+integers, so comparisons and tie detection are exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -37,25 +37,54 @@ from .quiver import (
 )
 
 
-@dataclass(frozen=True, order=True)
+def _cross(op):
+    """op on the cross-multiplied integers of two scores."""
+    return lambda a, b: (
+        op(a._num * b._den, b._num * a._den)
+        if isinstance(b, ExactScore) else NotImplemented
+    )
+
+
 class ExactScore:
-    """The real number sign * sqrt(square), compared on (sign, sign * square)."""
+    """The real number sign * sqrt(square), held as the integers sign *
+    (numerator of square) and its denominator, not always in lowest terms.
+    Scores compare by cross-multiplying them: no comparison builds a Fraction.
+    """
 
-    sign: int = field(compare=False)
-    square: Fraction = field(compare=False)
-    _key: tuple = field(init=False, repr=False)
+    __slots__ = ("_num", "_den")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+    def __init__(self, sign: int, square):
+        square = Fraction(square)
+        if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or 1")
-        if self.square < 0:
+        if square < 0:
             raise ValueError("square must be non-negative")
-        if (self.sign == 0) != (self.square == 0):
+        if (sign == 0) != (square == 0):
             raise ValueError("sign is zero exactly when the square is zero")
-        object.__setattr__(self, "_key", (self.sign, self.sign * self.square))
+        self._num, self._den = sign * square.numerator, square.denominator
+
+    @classmethod
+    def _positive(cls, num: int, den: int) -> "ExactScore":
+        """+sqrt(num / den) for integers num, den > 0, unchecked."""
+        score = object.__new__(cls)
+        score._num, score._den = num, den
+        return score
+
+    sign = property(lambda self: (self._num > 0) - (self._num < 0))
+    square = property(lambda self: Fraction(abs(self._num), self._den))
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _cross, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+    )
 
     def is_positive(self) -> bool:
-        return self.sign > 0
+        return self._num > 0
+
+    def __hash__(self):
+        g = gcd(self._num, self._den)
+        return hash((self._num // g, self._den // g))
+
+    def __repr__(self):
+        return f"ExactScore(sign={self.sign}, square={self.square!r})"
 
 
 ZERO_SCORE = ExactScore(0, Fraction(0))
@@ -93,8 +122,8 @@ def _chain_score(chain_dims, tm, sm):
     g = gcd(*nums)
     gamma = tuple(y // g for y, (_w, _x, n) in zip(nums, blocks) for _ in range(n))
     wl = lcm(*(w for w, _x, _n in blocks))
-    square = Fraction(sum(x * x * (wl // w) for w, x, _n in blocks), wl)
-    return gamma, ExactScore(1, square)
+    square_num = sum(x * x * (wl // w) for w, x, _n in blocks)
+    return gamma, ExactScore._positive(square_num, wl)
 
 
 def _chain_index_sets(lat: SubrepLattice):
@@ -166,8 +195,8 @@ def _kempf_search(lower, labels, top):
             best_strict.append((seq, gamma))
 
     if not best_score.is_positive():
-        raise AssertionError(
-            "unstable input must admit a positive score"
+        raise TheoremContradictionError(
+            "unstable input admits no chain of positive score"
         )
     ties = sum(counts[top][seq] for seq, _gamma in best_strict)
     if ties != 1:

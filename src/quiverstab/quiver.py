@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import (
     EnumerationBudgetError,
@@ -156,13 +156,6 @@ class Subrepresentation:
     def is_full(self) -> bool:
         return all(s.dim == self.parent.dims[v] for v, s in self.spaces.items())
 
-    def canonical_key(self):
-        order = self.parent.quiver.vertices
-        return (
-            tuple(self.spaces[v].dim for v in order),
-            tuple(self.spaces[v].canonical_bytes() for v in order),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Subrepresentation)
@@ -239,9 +232,9 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     """All subrepresentations, exactly once, in canonical order.
 
     Canonical order: dimension-vector lexicographic in vertex order,
-    then concatenated RREF bytes per vertex.  Includes 0 and m.  The
-    full candidate product is charged against the budget before any
-    subspace is built.
+    then concatenated RREF bytes per vertex, that is the list index at
+    each vertex.  Includes 0 and m.  The full candidate product is
+    charged against the budget before any subspace is built.
 
     Each loop filters its vertex's subspace list once.  Each other arrow
     u -> w gives every subspace a at u the bit mask of the subspaces at
@@ -316,11 +309,12 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
             chosen[k - 1] = b
         if k == len(order):
             spaces = {v: lists[j][chosen[j]] for j, v in enumerate(order)}
-            out.append(Subrepresentation._closed(m, spaces))
+            key = tuple(s.dim for s in spaces.values()), tuple(chosen)
+            out.append((key, Subrepresentation._closed(m, spaces)))
         else:
             stack.extend((k + 1, c) for c in choices(k))
-    out.sort(key=Subrepresentation.canonical_key)
-    return out
+    out.sort(key=itemgetter(0))
+    return [s for _key, s in out]
 
 
 class SubrepLattice:
@@ -344,24 +338,26 @@ class SubrepLattice:
     def _below(self) -> list:
         """_below[j]: bit mask of the indices i with subs[i] inside subs[j].
 
-        Built from one containment table per vertex: the subreps share
-        their per-vertex subspaces, so each vertex has far fewer distinct
-        pairs of subspaces to compare than there are pairs of subreps.
+        Built per vertex over its distinct subspaces, which the subreps
+        share.  RREF basis rows are normalized points, so b lies inside a
+        iff a contains every basis row of b: the arrow masks of the
+        identity give each b the mask of the spaces containing it.
         """
         masks = [-1] * len(self.subs)
         for v in self.rep.quiver.vertices:
-            members = {}  # subspace at v -> mask of the subreps having it
-            for i, s in enumerate(self.subs):
-                members[s.spaces[v]] = members.get(s.spaces[v], 0) | 1 << i
-            inside = {  # the masks summed are disjoint, so + is |
-                a: sum(
-                    mask
-                    for b, mask in members.items()
-                    if b is a or (b.dim < a.dim and contains(a, b))
-                )
-                for a in members
-            }
-            masks = [m & inside[s.spaces[v]] for m, s in zip(masks, self.subs)]
+            index = {}  # distinct subspace at v -> its position
+            at = [index.setdefault(s.spaces[v], len(index)) for s in self.subs]
+            members = [0] * len(index)  # mask of the subreps having each
+            for i, k in enumerate(at):
+                members[k] |= 1 << i
+            rows = {row: row for b in index for row in b.basis}  # the identity
+            memo = _point_masks(list(index), rows, self.rep.field.p)
+            above = _arrow_masks(rows, index, memo, (1 << len(index)) - 1)
+            inside = [0] * len(index)
+            for b, mask in enumerate(above):
+                for a in _bits(mask):
+                    inside[a] |= members[b]
+            masks = [m & inside[k] for m, k in zip(masks, at)]
         return masks
 
     def strictly_below(self, j: int) -> list:

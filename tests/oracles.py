@@ -14,6 +14,10 @@ The library enumerates subrepresentations by a join over per-arrow
 closure masks.  The enumeration oracles filter the whole product of the
 per-vertex subspace lists instead.
 
+The library sorts subrepresentations by their dimension vector and the
+index of each space in its vertex's canonical list.  The order oracle
+compares the dimension vector and the RREF bytes of every space instead.
+
 The library tests membership in a subspace by one dot product per
 non-pivot column.  The membership oracle reduces the vector against the
 RREF basis row by row instead.
@@ -66,6 +70,16 @@ def reduce(s, vec) -> tuple:
     return tuple(v)
 
 
+def canonical_key(sub: Subrepresentation):
+    """The canonical order of subrepresentations: the dimension vector in
+    vertex order, then the flattened RREF basis at every vertex."""
+    order = sub.parent.quiver.vertices
+    return (
+        tuple(sub.spaces[v].dim for v in order),
+        tuple(sub.spaces[v].canonical_bytes() for v in order),
+    )
+
+
 def subreps_by_product(m):
     """Every subrepresentation of m in canonical order: the product of
     the per-vertex subspace lists, each candidate checked by is_subrep."""
@@ -76,7 +90,7 @@ def subreps_by_product(m):
         spaces = dict(zip(order, combo))
         if is_subrep(m, spaces):
             out.append(Subrepresentation._closed(m, spaces))
-    out.sort(key=Subrepresentation.canonical_key)
+    out.sort(key=canonical_key)
     return out
 
 

@@ -226,6 +226,18 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "semistable: True" in out
 
+    def test_no_positive_score_exits_contradiction(self, tmp_path, monkeypatch, capsys):
+        # alpha_zero_problem is unstable, so a search whose every chain
+        # scores zero contradicts the theorem
+        def zero_score(seq, _tm, _sm):
+            return (0,) * len(seq), kempf.ZERO_SCORE
+
+        monkeypatch.setattr(kempf, "_chain_score", zero_score)
+        path = write_problem(tmp_path, alpha_zero_problem())
+        assert main(["verify", path]) == EXIT_CONTRADICTION
+        err = capsys.readouterr().err
+        assert err.startswith("theorem contradiction: ") and "Traceback" not in err
+
     def test_kempf_on_semistable_reports_cleanly(self, tmp_path, capsys):
         path = write_problem(tmp_path, semistable_problem())
         assert main(["kempf", path]) == EXIT_OK

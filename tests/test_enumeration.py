@@ -17,7 +17,7 @@ from quiverstab import (
 )
 
 from conftest import F2, F3
-from oracles import submodules_by_product, subreps_by_product
+from oracles import canonical_key, submodules_by_product, subreps_by_product
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -71,7 +71,7 @@ def random_maps(rng, quiver, field, dims, density):
 
 
 def keys(subs):
-    return [s.canonical_key() for s in subs]
+    return [canonical_key(s) for s in subs]
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())

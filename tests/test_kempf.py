@@ -138,6 +138,47 @@ class TestExactScore:
             if abs(fa - fb) > 1e-9:
                 assert (a < b) == (fa < fb)
 
+    def test_order_matches_fraction_oracle_exactly(self):
+        # sign * sqrt(square) is increasing in sign * square, so the
+        # oracle compares those Fractions; the squares repeat, so ties occur
+        rng = random.Random(42)
+        values = [
+            Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(60)
+        ]
+        scores = [ExactScore((v > 0) - (v < 0), abs(v)) for v in values]
+        ties = 0
+        for (a, va), (b, vb) in itertools.product(zip(scores, values), repeat=2):
+            assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
+                va < vb, va <= vb, va == vb, va != vb, va >= vb, va > vb
+            )
+            ties += a is not b and va == vb
+        assert ties > 0
+
+    def test_equal_values_compare_and_hash_equal(self):
+        # _positive keeps the unreduced integers _chain_score hands it
+        half = [
+            ExactScore(1, Fraction(1, 2)),
+            ExactScore._positive(2, 4),
+            ExactScore._positive(7, 14),
+        ]
+        two = [ExactScore(1, 2), ExactScore(1, Fraction(2)), ExactScore._positive(8, 4)]
+        for group in (half, two):
+            for a, b in itertools.product(group, repeat=2):
+                assert a == b and not a != b and hash(a) == hash(b)
+                assert a <= b and a >= b and not a < b and not a > b
+        assert ExactScore._positive(2, 4).square == Fraction(1, 2)
+        assert half[1] < two[2] and len({*half, *two}) == 2
+        assert ExactScore(-1, Fraction(1, 2)) != half[0]
+        assert hash(ZERO_SCORE) == hash(ExactScore(0, 0))
+
+    def test_not_equal_to_other_types(self):
+        score = ExactScore(1, Fraction(1, 2))
+        for other in (None, (1, 2), (1, Fraction(1, 2)), Fraction(1, 2), 1):
+            assert not score == other and score != other
+        assert not ZERO_SCORE == 0 and not ZERO_SCORE == (0, 0)
+        with pytest.raises(TypeError):
+            score < (1, 2)
+
 
 class TestFiltrationGraph:
     def test_graph_of_alpha_zero(self):
@@ -284,6 +325,18 @@ class TestKempfFiltration:
         )
         with pytest.raises(
             TheoremContradictionError, match="^winning chain has a non-convex graph$"
+        ):
+            kempf_filtration(m, params)
+
+    def test_no_positive_score_is_a_contradiction(self, monkeypatch):
+        m = kronecker_rep(F2, (1, 1), [[0]])
+        params = params_for(m.quiver, (1, 0))
+        assert not is_semistable(m, params)
+        monkeypatch.setattr(
+            kempf, "_chain_score", lambda seq, _tm, _sm: ((0,) * len(seq), ZERO_SCORE)
+        )
+        with pytest.raises(
+            TheoremContradictionError, match="admits no chain of positive score"
         ):
             kempf_filtration(m, params)
 

@@ -17,6 +17,7 @@ from quiverstab import (
     hn_filtration,
     is_semistable,
     kempf,
+    linalg,
     quiver,
 )
 from quiverstab.cli import parse_problem
@@ -25,6 +26,7 @@ from quiverstab.linalg import subspace_count
 from conftest import A3, F3, random_rep
 from oracles import chain_dag, hn_by_quotients, hn_report_by_quotients, labels_of
 from test_acceptance import main_theorem_problems
+from test_enumeration import SHAPES, random_maps
 
 F97 = PrimeField(97)
 
@@ -54,6 +56,34 @@ def test_lattice_order_and_inclusions():
     for j in range(n):
         for i in range(n):
             assert lat.contains(j, i) == quiver.sub_contains(lat.subs[j], lat.subs[i])
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_containment_equals_pairwise_oracle(shape):
+    q, field, dims = shape
+    rng = random.Random(6)
+    for density in (0.3, 0.6):
+        lat = SubrepLattice(random_maps(rng, q, field, dims, density))
+        subs = lat.subs
+        for j, a in enumerate(subs):
+            for i, b in enumerate(subs):
+                assert lat.contains(j, i) == quiver.sub_contains(a, b)
+
+
+def test_containment_table_makes_no_pairwise_call(monkeypatch):
+    def pairwise(*_args):
+        raise AssertionError("the containment table made a pairwise call")
+
+    lat = SubrepLattice(random_rep(random.Random(5), A3, F3, (2, 2, 2)))
+    monkeypatch.setattr(linalg, "contains", pairwise)
+    monkeypatch.setattr(quiver, "contains", pairwise)
+    below = lat._below
+    monkeypatch.undo()
+    n = len(lat.subs)
+    assert below == [
+        sum(1 << i for i in range(n) if quiver.sub_contains(lat.subs[j], lat.subs[i]))
+        for j in range(n)
+    ]
 
 
 def test_labels_match_oracle_on_theorem_families():

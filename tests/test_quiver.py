@@ -39,7 +39,14 @@ from conftest import (
     params_for,
     random_rep,
 )
-from oracles import preimage_spaces, quotient, reparam_theta, restrict, seesaw_check
+from oracles import (
+    canonical_key,
+    preimage_spaces,
+    quotient,
+    reparam_theta,
+    restrict,
+    seesaw_check,
+)
 
 
 class TestQuiverAndParams:
@@ -116,7 +123,7 @@ class TestEnumerateSubreps:
         for _ in range(10):
             m = random_rep(rng, A3, F3, (2, 1, 2))
             subs = enumerate_subreps(m)
-            keys = {s.canonical_key() for s in subs}
+            keys = {canonical_key(s) for s in subs}
             assert len(keys) == len(subs)
             for s in subs:
                 for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps):
@@ -127,7 +134,7 @@ class TestEnumerateSubreps:
 
     def test_sorted_canonically(self):
         m = kronecker_rep(F2, (2, 2), [[0, 0, 0, 0]])
-        keys = [s.canonical_key() for s in enumerate_subreps(m)]
+        keys = [canonical_key(s) for s in enumerate_subreps(m)]
         assert keys == sorted(keys)
 
     def test_budget_enforced(self):
