@@ -24,7 +24,6 @@ from .linalg import (
     enumerate_subspaces,
     gaussian_binomial,
     rref,
-    subspace_sum,
 )
 from .quiver import (
     DEFAULT_BUDGET,

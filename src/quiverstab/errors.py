@@ -20,16 +20,19 @@ class EnumerationBudgetError(QuiverStabError):
 
     ``stage`` names what was counted: "candidates" (subspace tuples
     tried by an enumeration) or "chains" (chains of the Kempf search).
+    Chains are counted exactly; candidates only until the count passes
+    the budget, so for them ``count`` is a lower bound.
     """
 
     def __init__(self, count, budget, stage):
         self.count = count
         self.budget = budget
         self.stage = stage
+        bound = "at least " if stage == "candidates" else ""
         # Decimal prints an int of any length; str() refuses one longer
         # than sys.get_int_max_str_digits() digits
         super().__init__(
-            f"enumeration would visit {Decimal(count)} {stage}, "
+            f"enumeration would visit {bound}{Decimal(count)} {stage}, "
             f"budget is {Decimal(budget)}"
         )
 

@@ -8,10 +8,13 @@ S_i = theta(M) b_i - sigma(M) theta(M_i / M_{i-1}), with sum S_i = 0.
 The score of weights Gamma_1 <= ... <= Gamma_t is
 sum Gamma_i S_i / sqrt(sum b_i Gamma_i^2).  Its maximizer over the
 ordered cone is the b-weighted non-decreasing fit of S_i / b_i, read off
-the least concave majorant of the cumulative graph; _chain_score
-computes it by pooling adjacent violators in integers, and is the one
-scoring function of the library.  Scores are held and compared as
-integers, so comparisons and tie detection are exact.
+the least concave majorant of the cumulative graph.  _chain_score, the
+one scoring function of the library, pools adjacent violators in
+integers, equal means too, so Gamma strictly increases exactly when each
+block is one step.  The search scores each distinct label sequence of
+the chains from the zero subrep to M once, in one pass that both
+searches read, and builds Gamma (_gamma) for the winner only.  Scores
+are held and compared as integers, so comparisons and ties are exact.
 """
 
 from __future__ import annotations
@@ -95,121 +98,94 @@ ZERO_SCORE = ExactScore(0, Fraction(0))
 
 
 def _chain_score(chain_dims, tm, sm):
-    """Envelope weights and score for a chain given cumulative
-    (sigma, theta) pairs of its steps, ending at (sm, tm).
-
-    Pools adjacent violators in integers: a block of steps carries its
-    weight W = sum b_i and its sum S = sum S_i (see the module
-    docstring), and two blocks merge while S/W decreases.  Gamma is the
-    primitive integer vector of the block means S/W, or all zeros with
-    ZERO_SCORE when every block sum is 0; the score is sqrt(sum S^2 / W).
+    """Pooled blocks (W, S, number of steps) and score sqrt(sum S^2 / W)
+    of a chain given cumulative (sigma, theta) pairs of its steps, ending
+    at (sm, tm).  A block carries W = sum b_i and S = sum S_i (see the
+    module docstring); two blocks merge while S/W does not increase, so
+    the block means strictly increase.
     """
-    blocks = []  # (W, S, number of steps)
+    blocks = []
     prev_s, prev_t = 0, 0
     for s, t in chain_dims:
         w = s - prev_s
         x = tm * w - sm * (t - prev_t)
         prev_s, prev_t = s, t
         n = 1
-        while blocks and blocks[-1][1] * w > x * blocks[-1][0]:
+        while blocks and blocks[-1][1] * w >= x * blocks[-1][0]:
             w1, x1, n1 = blocks.pop()
             w, x, n = w + w1, x + x1, n + n1
         blocks.append((w, x, n))
+    wl = lcm(*(w for w, _x, _n in blocks))
+    square_num = sum(x * x * (wl // w) for w, x, _n in blocks)
+    return blocks, ExactScore._positive(square_num, wl) if square_num else ZERO_SCORE
+
+
+def _gamma(blocks):
+    """The weights of pooled blocks, one per step: the primitive integer
+    vector of the block means S/W, or all zeros when every block sum is 0."""
     if all(x == 0 for _w, x, _n in blocks):
-        return (0,) * len(chain_dims), ZERO_SCORE
+        return (0,) * sum(n for _w, _x, n in blocks)
     denom = lcm(*(w // gcd(w, x) for w, x, _n in blocks))
     nums = [x * denom // w for w, x, _n in blocks]
     g = gcd(*nums)
-    gamma = tuple(y // g for y, (_w, _x, n) in zip(nums, blocks) for _ in range(n))
-    wl = lcm(*(w for w, _x, _n in blocks))
-    square_num = sum(x * x * (wl // w) for w, x, _n in blocks)
-    return gamma, ExactScore._positive(square_num, wl)
+    return tuple(y // g for y, (_w, _x, n) in zip(nums, blocks) for _ in range(n))
 
 
 def _chain_index_sets(lat: SubrepLattice):
-    """Non-zero subreps in canonical order, plus their strict-inclusion
-    predecessor lists (indices into that list), read off the lattice's
-    containment masks, and the index of the whole representation."""
-    subs = lat.subs[1:]
-    lower = [
-        [i - 1 for i in lat.strictly_below(j)[1:]] for j in range(1, len(lat.subs))
-    ]
-    return subs, lower, len(subs) - 1
+    """The lattice's inclusion DAG, rooted at the zero subrep: the subreps,
+    the strict-inclusion predecessors of each (read off the containment
+    masks) and the index of M.  The chains from 0 to M are charged
+    against the lattice's budget before any is searched."""
+    lower = [lat.strictly_below(j) for j in range(len(lat.subs))]
+    chains = [1]  # chains[j]: strictly increasing chains from 0 to j
+    for pre in lower[1:]:
+        chains.append(sum(chains[i] for i in pre))
+    if chains[-1] > lat.budget:
+        raise EnumerationBudgetError(chains[-1], lat.budget, "chains")
+    return lat.subs, lower, len(lower) - 1
 
 
-def _chain_search_input(lat: SubrepLattice, params: StabilityParams):
-    """Shared set-up of both chain searches: the DAG of _chain_index_sets
-    and the (sigma, theta) label of each non-zero subrep.  The number of
-    chains ending at M is charged against the lattice's budget before
-    any chain is searched."""
-    subs, lower, full_idx = _chain_index_sets(lat)
-    chains = []  # chains[j]: strictly increasing chains ending at node j
-    for pre in lower:
-        chains.append(1 + sum(chains[i] for i in pre))
-    if chains[full_idx] > lat.budget:
-        raise EnumerationBudgetError(chains[full_idx], lat.budget, "chains")
-    return subs, lower, full_idx, lat.labels(params)[1:]
+def _kempf_search(lower, labels):
+    """Exhaustive Kempf search over the chains from node 0 to the last
+    node of a DAG, lower[j] being the predecessors of j and labels[j] the
+    cumulative (sigma, theta) of j.  counts[j] maps each label sequence
+    of the chains ending at j (node 0's label left out) to their number.
 
-
-def _label_sequences(lower, labels, top):
-    """The distinct label sequences of the chains ending at each node
-    0..top of a DAG (lower[j]: the predecessors of j, all below j), each
-    with the number of chains that carry it: counts[j] maps a tuple of
-    labels to its number of chains ending at j."""
-    counts = []
-    for j in range(top + 1):
-        lab = labels[j]
-        here = {(lab,): 1}
+    Returns (best score, winner); if the best score is positive, winner
+    is (node indices from 0, gamma) of the one chain with strictly
+    increasing weights at that score, else None.  The chain counts of
+    every such sequence are summed, and any sum but 1 is raised.
+    """
+    counts = [{(): 1}]
+    for j in range(1, len(lower)):
+        lab, here = labels[j], {}
         for i in lower[j]:
             for seq, c in counts[i].items():
                 seq += (lab,)
                 here[seq] = here.get(seq, 0) + c
         counts.append(here)
-    return counts
-
-
-def _strictly_increasing(gamma) -> bool:
-    return all(a < b for a, b in zip(gamma, gamma[1:]))
-
-
-def _kempf_search(lower, labels, top):
-    """Exhaustive Kempf search over the chains of a DAG ending at top,
-    labels[j] being the cumulative (sigma, theta) of node j.
-
-    Each distinct label sequence is scored once.  Returns (chain, gamma,
-    score), chain being the node indices of the winner.  The winner must
-    be the only chain with strictly increasing weights at the maximal
-    score: the chain counts of every such sequence are summed, and any
-    sum but 1 is raised as a contradiction.
-    """
-    sm, tm = labels[top]
-    counts = _label_sequences(lower, labels, top)
-    best_score = None
-    best_strict = []  # (sequence, gamma) with strictly increasing gamma
-    for seq in counts[top]:
-        gamma, score = _chain_score(seq, tm, sm)
-        if best_score is None or score > best_score:
-            best_score = score
-            best_strict = []
-        if score == best_score and _strictly_increasing(gamma):
-            best_strict.append((seq, gamma))
-
-    if not best_score.is_positive():
-        raise TheoremContradictionError(
-            "unstable input admits no chain of positive score"
-        )
-    ties = sum(counts[top][seq] for seq, _gamma in best_strict)
+    sm, tm = labels[-1]
+    best, strict = None, []  # strict: (sequence, blocks), one step per block
+    for seq in counts[-1]:
+        blocks, score = _chain_score(seq, tm, sm)
+        if best is None or score > best:
+            best, strict = score, []
+        if score == best and len(blocks) == len(seq):
+            strict.append((seq, blocks))
+    if not best.is_positive():
+        return best, None
+    ties = sum(counts[-1][seq] for seq, _blocks in strict)
     if ties != 1:
         raise TheoremContradictionError(
             f"{ties} chains with strictly increasing weights "
             f"tie at the maximal score"
         )
-    seq, gamma = best_strict[0]
-    # the one chain carrying seq, followed down from top by its labels
-    chain = [top]
-    for n in range(len(seq) - 1, 0, -1):
+    seq, blocks = strict[0]
+    # the one chain carrying seq, followed down to the root by its labels
+    chain = [len(lower) - 1]
+    for n in reversed(range(len(seq))):
         chain.append(next(i for i in lower[chain[-1]] if seq[:n] in counts[i]))
-    return tuple(reversed(chain)), gamma, best_score
+    return best, (tuple(reversed(chain)), _gamma(blocks))
 
 
 def kempf_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET):
@@ -225,32 +201,31 @@ def kempf_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET):
     lat = _nonzero_lattice(m, budget)
     if is_semistable(lat, params):
         raise SemistableInputError("the representation is semistable")
-    subs, lower, full_idx, st = _chain_search_input(lat, params)
-    chain, gamma, best_score = _kempf_search(lower, st, full_idx)
-    filtration = Filtration(lat.rep, tuple(subs[i] for i in chain))
+    subs, lower, _top = _chain_index_sets(lat)
+    best, winner = _kempf_search(lower, lat.labels(params))
+    if winner is None:
+        raise TheoremContradictionError(
+            "unstable input admits no chain of positive score"
+        )
+    chain, gamma = winner
+    filtration = Filtration(lat.rep, tuple(subs[i] for i in chain[1:]))
     # v_i = theta(M) - sigma(M) slope_i increases iff the slopes decrease
     slopes = [slope(d, params) for d in filtration.quotient_dims()]
     if not all(a > b for a, b in zip(slopes, slopes[1:])):
-        raise TheoremContradictionError(
-            "winning chain has a non-convex graph"
-        )
-    return filtration, gamma, best_score
+        raise TheoremContradictionError("winning chain has a non-convex graph")
+    return filtration, gamma, best
 
 
 def kempf_semistability(
     m, params: StabilityParams, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Semistability via the numerical criterion: no chain admits
-    non-decreasing weights with positive pairing, decided by checking
-    the optimal score of every distinct chain label sequence.  m: a
+    non-decreasing weights with positive pairing, read off the best score
+    of _kempf_search, which also checks an unstable input for a tie.  m: a
     Representation or its SubrepLattice (whose budget then applies)."""
     lat = _nonzero_lattice(m, budget)
-    _subs, lower, full_idx, st = _chain_search_input(lat, params)
-    sm, tm = st[full_idx]
-    counts = _label_sequences(lower, st, full_idx)
-    return not any(
-        _chain_score(seq, tm, sm)[1].is_positive() for seq in counts[full_idx]
-    )
+    _subs, lower, _top = _chain_index_sets(lat)
+    return not _kempf_search(lower, lat.labels(params))[0].is_positive()
 
 
 def refinement_domination_violations(
@@ -274,7 +249,7 @@ def refinement_domination_violations(
     for pos, (lo, hi) in enumerate(zip(chain, chain[1:])):
         for k in lat.between(lo, hi)[:-1]:  # the last is hi itself
             refined = chain[1 : pos + 1] + [k] + chain[pos + 1 :]
-            _gamma, score = _chain_score([labels[i] for i in refined], tm, sm)
+            _blocks, score = _chain_score([labels[i] for i in refined], tm, sm)
             if score > best_score:
                 out.append((pos, lat.subs[k], score))
     return out

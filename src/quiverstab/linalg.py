@@ -34,9 +34,6 @@ class PrimeField:
         if not isinstance(self.p, int) or not (2 <= self.p <= 97) or not _is_prime(self.p):
             raise ValueError(f"p must be a prime in [2, 97], got {self.p!r}")
 
-    def inv(self, a: int) -> int:
-        return pow(a % self.p, -1, self.p)
-
 
 @dataclass(frozen=True)
 class Matrix:
@@ -79,24 +76,6 @@ class Matrix:
             raise ValueError("vector length mismatch")
         p = self.field.p
         return tuple(sum(map(mul, row, vec)) % p for row in self.rows)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows or self.field != other.field:
-            raise ValueError("shape or field mismatch in matmul")
-        p = self.field.p
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-            for row in self.rows
-        )
-        return Matrix(self.field, self.nrows, other.ncols, rows)
-
-    def transpose(self) -> "Matrix":
-        if not self.rows:
-            rows = tuple(() for _ in range(self.ncols))
-        else:
-            rows = tuple(zip(*self.rows))
-        return Matrix(self.field, self.ncols, self.nrows, rows)
 
 
 def rref(m: Matrix) -> Matrix:
@@ -229,11 +208,6 @@ def _check_compatible(a: Subspace, b: Subspace):
         raise ValueError("subspaces live in different ambient spaces")
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_compatible(a, b)
-    return Subspace.from_spanning(a.field, a.ambient, list(a.basis) + list(b.basis))
-
-
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is contained in a."""
     _check_compatible(a, b)
@@ -257,19 +231,6 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
         den *= p ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-def subspace_count(n: int, p: int) -> int:
-    """Number of subspaces of F_p^n of every dimension, exact: the
-    Galois number G_n, by G_0 = 1, G_1 = 2 and
-    G_{k+1} = 2 G_k + (p^k - 1) G_{k-1}."""
-    if n == 0:
-        return 1
-    prev, cur, pk = 1, 2, 1
-    for _k in range(1, n):
-        pk *= p
-        prev, cur = cur, 2 * cur + (pk - 1) * prev
-    return cur
 
 
 def _subspaces_of_dim(n: int, field: PrimeField, k: int):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import prod
 from operator import itemgetter, mul
 
 from .errors import (
@@ -24,11 +23,9 @@ from .errors import (
 )
 from .linalg import (
     PrimeField,
-    Subspace,
     apply,
     contains,
     enumerate_subspaces,
-    subspace_count,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -118,12 +115,6 @@ class Representation:
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
-
-    def full_spaces(self) -> dict:
-        return {v: Subspace.full(self.field, self.dims[v]) for v in self.quiver.vertices}
-
-    def zero_spaces(self) -> dict:
-        return {v: Subspace.zero(self.field, self.dims[v]) for v in self.quiver.vertices}
 
 
 @dataclass
@@ -234,7 +225,10 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     Canonical order: dimension-vector lexicographic in vertex order,
     then concatenated RREF bytes per vertex, that is the list index at
     each vertex.  Includes 0 and m.  The full candidate product is
-    charged against the budget before any subspace is built.
+    charged against the budget before any subspace is built: the product
+    over the vertices of the Galois numbers G_d (G_0 = 1, G_1 = 2,
+    G_{k+1} = 2 G_k + (p^k - 1) G_{k-1}), counted only until it passes
+    the budget, so the count raised is a lower bound.
 
     Each loop filters its vertex's subspace list once.  Each other arrow
     u -> w gives every subspace a at u the bit mask of the subspaces at
@@ -244,12 +238,17 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     less those failing an arrow into a placed vertex.
     """
     order = m.quiver.vertices
-    candidate_count = prod(subspace_count(m.dims[v], m.field.p) for v in order)
-    if candidate_count > budget:
-        raise EnumerationBudgetError(candidate_count, budget, "candidates")
+    p = m.field.p
+    count = 1
+    for v in order:
+        prev, cur, pk = 0, 1, 1  # G_{k-1}, G_k and p^k, from k = 0
+        for _k in range(m.dims[v]):
+            prev, cur, pk = cur, 2 * cur + (pk - 1) * prev, pk * p
+            if count * cur > budget:
+                raise EnumerationBudgetError(count * cur, budget, "candidates")
+        count *= cur
     pos = {v: k for k, v in enumerate(order)}
     lists = [enumerate_subspaces(m.dims[v], m.field) for v in order]
-    p = m.field.p
     arrows = list(zip(m.quiver.arrows, m.arrow_maps))
     for (src, tgt), mat in arrows:
         if src == tgt:
@@ -366,8 +365,6 @@ class SubrepLattice:
 
     def contains(self, j: int, i: int) -> bool:
         """True iff subs[i] is contained in subs[j]."""
-        if i == 0 or j == len(self.subs) - 1:
-            return True
         return self._below[j] >> i & 1 == 1
 
     def between(self, lo: int, hi: int) -> list:

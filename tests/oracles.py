@@ -24,7 +24,10 @@ RREF basis row by row instead.
 
 The representation-level helpers (restriction, quotient, preimage, the
 seesaw check and the reparameterization of theta) serve only these
-oracles and the tests, so they live here and not in the library.
+oracles and the tests, so they live here and not in the library.  So do
+the matrix product, the sum of two subspaces, the zero and full spaces
+of a representation, and the exact Galois number of subspaces of F_p^n,
+against which the enumeration's budget check is tested.
 """
 
 import itertools
@@ -53,7 +56,6 @@ from quiverstab import (
     sigma_of,
     slope,
     sub_contains,
-    subspace_sum,
     theta_of,
 )
 
@@ -68,6 +70,47 @@ def reduce(s, vec) -> tuple:
         if c:
             v = [(a - c * b) % p for a, b in zip(v, row)]
     return tuple(v)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b of two matrices over one F_p."""
+    if a.ncols != b.nrows or a.field != b.field:
+        raise ValueError("shape or field mismatch in matmul")
+    p = a.field.p
+    cols = list(zip(*b.rows)) if b.rows else [()] * b.ncols
+    rows = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+        for row in a.rows
+    )
+    return Matrix(a.field, a.nrows, b.ncols, rows)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """a + b, spanned by the two bases together."""
+    if a.field != b.field or a.ambient != b.ambient:
+        raise ValueError("subspaces live in different ambient spaces")
+    return Subspace.from_spanning(a.field, a.ambient, list(a.basis) + list(b.basis))
+
+
+def full_spaces(m: Representation) -> dict:
+    return {v: Subspace.full(m.field, m.dims[v]) for v in m.quiver.vertices}
+
+
+def zero_spaces(m: Representation) -> dict:
+    return {v: Subspace.zero(m.field, m.dims[v]) for v in m.quiver.vertices}
+
+
+def subspace_count(n: int, p: int) -> int:
+    """Number of subspaces of F_p^n of every dimension, exact: the
+    Galois number G_n, by G_0 = 1, G_1 = 2 and
+    G_{k+1} = 2 G_k + (p^k - 1) G_{k-1}."""
+    if n == 0:
+        return 1
+    prev, cur, pk = 1, 2, 1
+    for _k in range(1, n):
+        pk *= p
+        prev, cur = cur, 2 * cur + (pk - 1) * prev
+    return cur
 
 
 def canonical_key(sub: Subrepresentation):
@@ -181,7 +224,7 @@ def quotient(m: Representation, s: Subrepresentation):
             lift_rows.append(tuple(row))
         lifts[v] = Matrix(m.field, dv, len(nonpiv), tuple(lift_rows))
     maps = tuple(
-        projs[tgt].matmul(mat).matmul(lifts[src])
+        matmul(matmul(projs[tgt], mat), lifts[src])
         for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
     )
     return Representation(m.quiver, m.field, new_dims, maps), projs
@@ -271,10 +314,10 @@ def labels_of(subs, params):
 
 
 def chain_dag(lat, params):
-    """The non-zero subreps of the lattice, their strict-inclusion
+    """The subreps of the lattice, 0 first, their strict-inclusion
     predecessor lists by pairwise sub_contains, their (sigma, theta)
     labels and the index of the whole representation."""
-    subs = lat.subs[1:]
+    subs = lat.subs
     lower = [
         [i for i in range(j) if sub_contains(subs[j], subs[i])]
         for j in range(len(subs))
@@ -283,8 +326,9 @@ def chain_dag(lat, params):
 
 
 def ascending_chains(lower, j):
-    """All strictly increasing index chains ending at j, each once."""
-    yield (j,)
+    """All strictly increasing index chains from node 0 to j, each once."""
+    if j == 0:
+        yield (0,)
     for i in lower[j]:
         for c in ascending_chains(lower, i):
             yield c + (j,)
@@ -388,9 +432,9 @@ def scored_chains(lat, params):
     sm, tm = labels[full]
     out = []
     for chain in ascending_chains(lower, full):
-        seq = tuple(labels[i] for i in chain)
+        seq = tuple(labels[i] for i in chain[1:])
         gamma, score = chain_score_by_fractions(seq, tm, sm)
-        out.append((tuple(subs[i] for i in chain), seq, gamma, score))
+        out.append((tuple(subs[i] for i in chain[1:]), seq, gamma, score))
     return out, tm, sm
 
 

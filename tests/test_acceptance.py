@@ -16,11 +16,13 @@ from quiverstab import (
     PrimeField,
     Rank3Slopes,
     SplitBundle,
+    ZERO_SCORE,
     TheoremContradictionError,
     enumerate_subspaces,
     gaussian_binomial,
     hn_filtration,
     is_semistable,
+    kempf,
     kempf_filtration,
     kempf_semistability,
     p1_hn,
@@ -34,8 +36,14 @@ from quiverstab import (
 from quiverstab.cli import verify_result
 
 from conftest import A3, F2, F3, params_for, random_rep
-from oracles import filtration_graph, primitive_oracle, reparam_theta, seesaw_check
-from test_kempf import all_small_graphs, envelope, isotonic_oracle
+from oracles import (
+    filtration_graph,
+    primitive_oracle,
+    reparam_theta,
+    score_by_fractions,
+    seesaw_check,
+)
+from test_kempf import all_small_graphs, envelope_blocks, isotonic_oracle
 from test_kronecker import all_modules
 
 
@@ -175,8 +183,17 @@ def test_criterion_2_main_theorem_2_arrow_and_a3(main_theorem_stats):
 def test_criterion_3_envelope_vs_oracle():
     checked = 0
     for b, v in all_small_graphs():
-        gamma, _score = envelope(b, v)
-        assert gamma == primitive_oracle(isotonic_oracle(v, b))
+        blocks, score = envelope_blocks(b, v)
+        gamma = primitive_oracle(isotonic_oracle(v, b))
+        # the chain of envelope_blocks(b, v) has the graph (b, sum(b) v)
+        chain_v = tuple(sum(b) * x for x in v)
+        flat = all(x == 0 for x in gamma)
+        assert (kempf._gamma(blocks), score) == (
+            gamma, ZERO_SCORE if flat else score_by_fractions(gamma, b, chain_v)
+        )
+        # tied means are pooled: one step per block iff gamma increases
+        strict = all(x < y for x, y in zip(gamma, gamma[1:]))
+        assert (len(blocks) == len(b)) == strict
         checked += 1
     assert checked > 1000
     print(

@@ -82,8 +82,8 @@ def all_small_graphs(max_len=4, brange=(1, 2), vrange=range(-3, 4)):
                 )
 
 
-def envelope(b, v):
-    """The library's envelope weights and score of the integral graph
+def envelope_blocks(b, v):
+    """The library's pooled blocks and score of the integral graph
     (b, v), read as the chain with cumulative labels sigma = partial
     sums of b and theta = partial sums of -b v, ending at (sum b, 0)."""
     labels = []
@@ -93,6 +93,12 @@ def envelope(b, v):
         t -= int(bi * vi)
         labels.append((s, t))
     return kempf._chain_score(labels, 0, s)
+
+
+def envelope(b, v):
+    """The library's envelope weights and score of the graph (b, v)."""
+    blocks, score = envelope_blocks(b, v)
+    return kempf._gamma(blocks), score
 
 
 def hn_chain_labels(m, params):
@@ -259,8 +265,8 @@ class TestOptimalWeights:
     def test_alpha_zero_example(self):
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        gamma, score = kempf._chain_score(hn_chain_labels(m, params), 1, 2)
-        assert gamma == (-1, 1)
+        blocks, score = kempf._chain_score(hn_chain_labels(m, params), 1, 2)
+        assert kempf._gamma(blocks) == (-1, 1)
         assert score == ExactScore(1, Fraction(2))
 
     def test_zero_sentinel_on_semistable_chain(self):
@@ -268,7 +274,8 @@ class TestOptimalWeights:
         params = params_for(m.quiver, (1, 0))
         full = SubrepLattice(m).labels(params)[-1]
         assert full == (2, 1)
-        assert kempf._chain_score([full], 1, 2) == ((0,), ZERO_SCORE)
+        blocks, score = kempf._chain_score([full], 1, 2)
+        assert (kempf._gamma(blocks), score) == ((0,), ZERO_SCORE)
 
 
 class TestKempfFiltration:
@@ -313,15 +320,15 @@ class TestKempfFiltration:
             checked += 1
 
     def test_non_convex_winner_is_raised(self, monkeypatch):
-        # a search returning the chain 0 < (0, 1) < M, whose quotient
-        # slopes 0 then 1 increase
+        # a search returning the chain 0 < (0, 1) < M, lattice indices
+        # 0, 1 and 3, whose quotient slopes 0 then 1 increase
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
         assert SubrepLattice(m).dims[1] == (0, 1)
         monkeypatch.setattr(
             kempf,
             "_kempf_search",
-            lambda *_args: ((0, 2), (-1, 1), ExactScore(1, Fraction(2))),
+            lambda *_args: (ExactScore(1, Fraction(2)), ((0, 1, 3), (-1, 1))),
         )
         with pytest.raises(
             TheoremContradictionError, match="^winning chain has a non-convex graph$"

@@ -75,7 +75,11 @@ def test_search_equals_chain_walk(problems):
         lat = SubrepLattice(m)
         scored, tm, sm = scored_chains(lat, params)
         for _steps, seq, gamma, score in scored:
-            assert kempf._chain_score(seq, tm, sm) == (gamma, score)
+            blocks, own = kempf._chain_score(seq, tm, sm)
+            assert (kempf._gamma(blocks), own) == (gamma, score)
+            # tied means are pooled: one step per block iff gamma increases
+            strict = all(a < b for a, b in zip(gamma, gamma[1:]))
+            assert (len(blocks) == len(seq)) == strict
         assert kempf_semistability(lat, params) == (
             not any(score.is_positive() for *_rest, score in scored)
         )
@@ -102,21 +106,22 @@ def test_search_equals_chain_walk(problems):
 
 
 def test_search_returns_the_single_winning_chain():
-    # nodes 0 and 1 share the label (1, 1), but only node 0 lies below
-    # the top node 2, so one chain carries the winning sequence
-    lower = [[], [], [0]]
-    labels = [(1, 1), (1, 1), (2, 0)]
-    assert kempf._kempf_search(lower, labels, 2) == (
-        (0, 2), (-1, 1), ExactScore(1, 8)
+    # below the root 0, nodes 1 and 2 share the label (1, 1), but only
+    # node 1 lies below the top node 3, so one chain carries the winning
+    # sequence
+    lower = [[], [0], [0], [0, 1]]
+    labels = [(0, 0), (1, 1), (1, 1), (2, 0)]
+    assert kempf._kempf_search(lower, labels) == (
+        ExactScore(1, 8), ((0, 1, 3), (-1, 1))
     )
 
 
 def test_tie_between_chains_with_one_sequence_is_raised():
-    # both nodes below the top carry the winning sequence ((1, 1), (2, 0))
-    lower = [[], [], [0, 1]]
-    labels = [(1, 1), (1, 1), (2, 0)]
+    # both nodes 1 and 2 carry the winning sequence ((1, 1), (2, 0))
+    lower = [[], [0], [0], [0, 1, 2]]
+    labels = [(0, 0), (1, 1), (1, 1), (2, 0)]
     with pytest.raises(TheoremContradictionError, match="^2 chains"):
-        kempf._kempf_search(lower, labels, 2)
+        kempf._kempf_search(lower, labels)
 
 
 def test_chain_budget_exits_4(capsys):

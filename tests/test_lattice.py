@@ -21,10 +21,15 @@ from quiverstab import (
     quiver,
 )
 from quiverstab.cli import parse_problem
-from quiverstab.linalg import subspace_count
 
 from conftest import A3, F3, random_rep
-from oracles import chain_dag, hn_by_quotients, hn_report_by_quotients, labels_of
+from oracles import (
+    chain_dag,
+    hn_by_quotients,
+    hn_report_by_quotients,
+    labels_of,
+    subspace_count,
+)
 from test_acceptance import main_theorem_problems
 from test_enumeration import SHAPES, random_maps
 
@@ -119,7 +124,8 @@ def test_subrep_budget_checked_before_building(monkeypatch):
     m = Representation(Quiver(("a",), ()), F97, {"a": 6}, ())
     with pytest.raises(EnumerationBudgetError) as exc:
         enumerate_subreps(m, budget=10)
-    assert exc.value.count == subspace_count(6, 97)
+    # counting stops once the count passes the budget
+    assert 10 < exc.value.count <= subspace_count(6, 97)
     assert exc.value.stage == "candidates"
 
 
@@ -128,5 +134,20 @@ def test_submodule_budget_checked_before_building(monkeypatch):
     m = KroneckerModule(F97, 3, 3, (Matrix.zero(F97, 3, 3),))
     with pytest.raises(EnumerationBudgetError) as exc:
         enumerate_submodules(m, budget=10)
-    assert exc.value.count == subspace_count(3, 97) ** 2
+    assert 10 < exc.value.count <= subspace_count(3, 97) ** 2
     assert exc.value.stage == "candidates"
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_candidate_budget_is_exact_at_the_boundary(shape):
+    # the candidate product fits a budget equal to it, and a budget one
+    # below it is refused with a count above the budget and at most the product
+    q, field, dims = shape
+    m = random_maps(random.Random(7), q, field, dims, 0.5)
+    product = 1
+    for v in q.vertices:
+        product *= subspace_count(m.dims[v], field.p)
+    assert enumerate_subreps(m, budget=product)
+    with pytest.raises(EnumerationBudgetError) as exc:
+        enumerate_subreps(m, budget=product - 1)
+    assert product - 1 < exc.value.count <= product
