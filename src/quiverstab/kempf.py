@@ -11,10 +11,13 @@ ordered cone is the b-weighted non-decreasing fit of S_i / b_i, read off
 the least concave majorant of the cumulative graph.  _chain_score, the
 one scoring function of the library, pools adjacent violators in
 integers, equal means too, so Gamma strictly increases exactly when each
-block is one step.  The search scores each distinct label sequence of
-the chains from the zero subrep to M once, in one pass that both
-searches read, and builds Gamma (_gamma) for the winner only.  Scores
-are held and compared as integers, so comparisons and ties are exact.
+block is one step; _merges is its one merge rule.  Since sigma(M) and
+theta(M) are fixed, what a chain's prefix hands on to any continuation
+is its stack of pooled blocks, so the search runs over the chains from
+the zero subrep to M as a dynamic program on interned block stacks.  It
+scores each stack reached at M once, in one pass that both searches
+read, and builds Gamma (_gamma) for the winner only.  Scores are held
+and compared as integers, so comparisons and ties are exact.
 """
 
 from __future__ import annotations
@@ -97,6 +100,12 @@ ZERO_SCORE = ExactScore(0, Fraction(0))
 # chain search
 
 
+def _merges(top, w, x):
+    """Whether the step (w, x) pools into the block top = (W, S, steps)
+    below it: its mean x/w is not above S/W (cross-multiplied, w, W > 0)."""
+    return top[1] * w >= x * top[0]
+
+
 def _chain_score(chain_dims, tm, sm):
     """Pooled blocks (W, S, number of steps) and score sqrt(sum S^2 / W)
     of a chain given cumulative (sigma, theta) pairs of its steps, ending
@@ -111,7 +120,7 @@ def _chain_score(chain_dims, tm, sm):
         x = tm * w - sm * (t - prev_t)
         prev_s, prev_t = s, t
         n = 1
-        while blocks and blocks[-1][1] * w >= x * blocks[-1][0]:
+        while blocks and _merges(blocks[-1], w, x):
             w1, x1, n1 = blocks.pop()
             w, x, n = w + w1, x + x1, n + n1
         blocks.append((w, x, n))
@@ -148,44 +157,85 @@ def _chain_index_sets(lat: SubrepLattice):
 def _kempf_search(lower, labels):
     """Exhaustive Kempf search over the chains from node 0 to the last
     node of a DAG, lower[j] being the predecessors of j and labels[j] the
-    cumulative (sigma, theta) of j.  counts[j] maps each label sequence
-    of the chains ending at j (node 0's label left out) to their number.
+    cumulative (sigma, theta) of j.
+
+    A chain is searched as the PAV block stack of its prefix: the step
+    from node i to node j depends only on labels[i] and labels[j], and
+    what a prefix hands on to any continuation is its stack of blocks
+    (W, S, steps).  Each stack is interned as (below, W, S, steps), below
+    being the id of the stack under its top block, and states[j] holds
+    the ids of the stacks of the chains from 0 to j.  Each state at M is
+    scored once, by _chain_score on the label sequence it was first
+    reached by.
 
     Returns (best score, winner); if the best score is positive, winner
     is (node indices from 0, gamma) of the one chain with strictly
-    increasing weights at that score, else None.  The chain counts of
-    every such sequence are summed, and any sum but 1 is raised.
+    increasing weights at that score, else None.  A state at that score
+    with one step per block fixes its label sequence; the chains carrying
+    each such sequence are counted, and any sum but 1 is raised.
     """
-    counts = [{(): 1}]
-    for j in range(1, len(lower)):
-        lab, here = labels[j], {}
-        for i in lower[j]:
-            for seq, c in counts[i].items():
-                seq += (lab,)
-                here[seq] = here.get(seq, 0) + c
-        counts.append(here)
     sm, tm = labels[-1]
-    best, strict = None, []  # strict: (sequence, blocks), one step per block
-    for seq in counts[-1]:
-        blocks, score = _chain_score(seq, tm, sm)
+    # by state id, 0 being the empty stack: the id under the top block,
+    # the top block, and the label sequence the state was first reached by
+    below, tops, seqs = [0], [None], [()]
+    ids = {}  # (below, W, S, steps) -> state id
+    pushes = {}  # label of j -> {state id: state id after the step to j}
+    states = [{0}]
+    for j in range(1, len(lower)):
+        sj, tj = lab = labels[j]
+        memo = pushes.setdefault(lab, {})
+        here = set().union(*map(states.__getitem__, lower[j]))
+        for sid in here - memo.keys():
+            # a state fixes its chain's last label, so the step to j
+            si, ti = seqs[sid][-1] if sid else (0, 0)
+            w = sj - si
+            x, n, base = tm * w - sm * (tj - ti), 1, sid
+            while base and _merges(tops[base], w, x):
+                w1, x1, n1 = tops[base]
+                w, x, n, base = w + w1, x + x1, n + n1, below[base]
+            new = memo[sid] = ids.setdefault((base, w, x, n), len(tops))
+            if new == len(tops):
+                below.append(base)
+                tops.append((w, x, n))
+                seqs.append(seqs[sid] + (lab,))
+        states.append(set(map(memo.__getitem__, here)))
+    best, strict = None, []  # strict: (state id, blocks), one step per block
+    for sid in states[-1]:
+        blocks, score = _chain_score(seqs[sid], tm, sm)
         if best is None or score > best:
             best, strict = score, []
-        if score == best and len(blocks) == len(seq):
-            strict.append((seq, blocks))
+        if score == best and len(blocks) == len(seqs[sid]):
+            strict.append((sid, blocks))
     if not best.is_positive():
         return best, None
-    ties = sum(counts[-1][seq] for seq, _blocks in strict)
+    ties = sum(_chains_carrying(lower, labels, seqs[sid]) for sid, _b in strict)
     if ties != 1:
         raise TheoremContradictionError(
             f"{ties} chains with strictly increasing weights "
             f"tie at the maximal score"
         )
-    seq, blocks = strict[0]
-    # the one chain carrying seq, followed down to the root by its labels
+    sid, blocks = strict[0]
+    # the one chain carrying the winner's sequence, followed down to the
+    # root by its prefix states: one block per step, so no block pooled
     chain = [len(lower) - 1]
-    for n in reversed(range(len(seq))):
-        chain.append(next(i for i in lower[chain[-1]] if seq[:n] in counts[i]))
+    while sid:
+        sid = below[sid]
+        chain.append(next(i for i in lower[chain[-1]] if sid in states[i]))
     return best, (tuple(reversed(chain)), _gamma(blocks))
+
+
+def _chains_carrying(lower, labels, seq):
+    """The number of chains from node 0 to the last node whose label
+    sequence is seq, in one pass over the nodes carrying its labels.  The
+    sigma of the labels strictly increases along a chain, so each label
+    of seq has one position."""
+    at = {lab: k for k, lab in enumerate(seq, 1)}
+    pos = [0] + [at.get(lab) for lab in labels[1:]]
+    counts = [1] + [0] * (len(lower) - 1)
+    for j in range(1, len(lower)):
+        if pos[j] is not None:
+            counts[j] = sum(counts[i] for i in lower[j] if pos[i] == pos[j] - 1)
+    return counts[-1]
 
 
 def kempf_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET):

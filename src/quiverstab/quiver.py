@@ -403,35 +403,42 @@ def _nonzero_lattice(m, budget: int) -> SubrepLattice:
 
 
 def _quotient_key(labels: list, lo: int, k: int):
-    """(slope, sigma) of subs[k] / subs[lo], from the lattice labels."""
-    s = labels[k][0] - labels[lo][0]
-    return Fraction(labels[k][1] - labels[lo][1], s), s
+    """(theta, sigma) of subs[k] / subs[lo], from the lattice labels; its
+    slope is theta / sigma, sigma > 0."""
+    return labels[k][1] - labels[lo][1], labels[k][0] - labels[lo][0]
 
 
 def _semistable_between(lat: SubrepLattice, labels: list, lo: int, hi: int) -> bool:
     """True iff subs[hi] / subs[lo] is semistable."""
-    mu = _quotient_key(labels, lo, hi)[0]
-    return all(_quotient_key(labels, lo, k)[0] <= mu for k in lat.between(lo, hi))
+    t, s = _quotient_key(labels, lo, hi)
+    for k in lat.between(lo, hi):
+        tk, sk = _quotient_key(labels, lo, k)
+        if tk * s > t * sk:
+            return False
+    return True
 
 
 def _max_destabilizing_above(lat: SubrepLattice, labels: list, lo: int) -> int:
     """Index of the maximal destabilizing subobject of M / subs[lo],
     lifted to M: the unique N strictly containing subs[lo] that
-    maximizes (slope, sigma) of N / subs[lo].  A tie contradicts
-    uniqueness and is raised, never broken silently."""
+    maximizes (slope, sigma) of N / subs[lo], compared by
+    cross-multiplying.  A tie contradicts uniqueness and is raised,
+    never broken silently."""
     best = []
-    best_key = None
+    best_t, best_s = 0, 0
     for k in lat.between(lo, len(lat.subs) - 1):
-        key = _quotient_key(labels, lo, k)
-        if best_key is None or key > best_key:
-            best_key = key
+        t, s = _quotient_key(labels, lo, k)
+        # the sign of slope - best slope, or else of sigma - best sigma
+        ahead = t * best_s - best_t * s or s - best_s
+        if not best or ahead > 0:
+            best_t, best_s = t, s
             best = [k]
-        elif key == best_key:
+        elif ahead == 0:
             best.append(k)
     if len(best) != 1:
         raise TheoremContradictionError(
             f"{len(best)} distinct subrepresentations tie at "
-            f"(slope, total dim) = {best_key}"
+            f"(slope, total dim) = {(Fraction(best_t, best_s), best_s)}"
         )
     return best[0]
 

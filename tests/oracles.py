@@ -5,10 +5,16 @@ off one subrepresentation lattice.  The HN oracles here take the
 textbook route instead: they build every quotient as a representation of
 its own and enumerate it afresh.
 
-The library's Kempf search scores each distinct step sequence once, in
+The library's Kempf search runs a dynamic program over interned PAV
+block stacks and scores each stack reached at the top once, in
 integers.  The Kempf oracles walk every chain one by one and score each
 on its filtration graph in Fractions, with a pool-adjacent-violators
-fit and a b-weighted score of their own.
+fit and a b-weighted score of their own; sequence_search keys the same
+dynamic program on whole label sequences instead of stacks.
+
+The HN-type counting oracle counts representations of each HN type by
+Reineke's closed form, from the quiver, the dimension vector, the
+stability parameters and q alone, knowing neither route.
 
 The library enumerates subrepresentations by a join over per-arrow
 closure masks.  The enumeration oracles filter the whole product of the
@@ -52,6 +58,7 @@ from quiverstab import (
     is_semistable,
     is_submodule,
     is_subrep,
+    kempf,
     max_destabilizing,
     sigma_of,
     slope,
@@ -438,6 +445,44 @@ def scored_chains(lat, params):
     return out, tm, sm
 
 
+def sequence_search(lower, labels):
+    """The Kempf search of kempf._kempf_search, keyed on whole label
+    sequences: counts[j] maps each label sequence of the chains from node
+    0 to j (node 0's label left out) to their number, and every distinct
+    sequence at the last node is scored from the start.  Same (best,
+    winner) and the same tie check."""
+    counts = [{(): 1}]
+    for j in range(1, len(lower)):
+        lab, here = labels[j], {}
+        for i in lower[j]:
+            for seq, c in counts[i].items():
+                seq += (lab,)
+                here[seq] = here.get(seq, 0) + c
+        counts.append(here)
+    sm, tm = labels[-1]
+    best, strict = None, []  # strict: (sequence, blocks), one step per block
+    for seq in counts[-1]:
+        blocks, score = kempf._chain_score(seq, tm, sm)
+        if best is None or score > best:
+            best, strict = score, []
+        if score == best and len(blocks) == len(seq):
+            strict.append((seq, blocks))
+    if not best.is_positive():
+        return best, None
+    ties = sum(counts[-1][seq] for seq, _blocks in strict)
+    if ties != 1:
+        raise TheoremContradictionError(
+            f"{ties} chains with strictly increasing weights "
+            f"tie at the maximal score"
+        )
+    seq, blocks = strict[0]
+    # the one chain carrying seq, followed down to the root by its labels
+    chain = [len(lower) - 1]
+    for n in reversed(range(len(seq))):
+        chain.append(next(i for i in lower[chain[-1]] if seq[:n] in counts[i]))
+    return best, (tuple(reversed(chain)), kempf._gamma(blocks))
+
+
 def kempf_by_chains(lat, scored):
     """(filtration, gamma, score) of the Kempf search read off the scored
     chains of scored_chains, with the same tie check."""
@@ -451,3 +496,75 @@ def kempf_by_chains(lat, scored):
         raise TheoremContradictionError(f"{len(best_strict)} chains tie")
     steps, gamma = best_strict[0]
     return Filtration(lat.rep, steps), gamma, best_score
+
+
+def euler_form(quiver, d, e) -> int:
+    """<d, e> = sum_i d_i e_i - sum over arrows i -> j of d_i e_j, for
+    dimension vectors in vertex order."""
+    at = {v: k for k, v in enumerate(quiver.vertices)}
+    return sum(a * b for a, b in zip(d, e)) - sum(
+        d[at[src]] * e[at[tgt]] for src, tgt in quiver.arrows
+    )
+
+
+def hn_type_counts(quiver, dims, params: StabilityParams, q: int) -> dict:
+    """The number of representations of dimension vector dims over F_q of
+    each Harder-Narasimhan type, the tuple of quotient dimension vectors
+    (vertex order) with strictly decreasing slopes.  Reineke (Invent.
+    Math. 152, 2003): #reps of type (d^1, ..., d^s) / |G_d| is
+    q^(-sum_{k<l} <d^l, d^k>) prod_k #semistable(d^k) / |G_{d^k}|, and
+    solving it for the semistable counts, from the smallest dimension
+    vectors up, needs only (Q, d, theta, sigma, q).  Exact Fractions."""
+    vs = quiver.vertices
+    at = {v: k for k, v in enumerate(vs)}
+
+    def slope_of(e):
+        return Fraction(
+            sum(params.theta[v] * x for v, x in zip(vs, e)),
+            sum(params.sigma[v] * x for v, x in zip(vs, e)),
+        )
+
+    def group_order(e):
+        out = 1
+        for n in e:
+            for k in range(n):
+                out *= q**n - q**k
+        return out
+
+    def types(e, above=None):
+        """Every sequence of non-zero vectors summing to e with strictly
+        decreasing slopes, all below the slope above (if given)."""
+        for first in itertools.product(*(range(x + 1) for x in e)):
+            if not any(first):
+                continue
+            mu = slope_of(first)
+            if above is not None and mu >= above:
+                continue
+            rest = tuple(a - b for a, b in zip(e, first))
+            if not any(rest):
+                yield (first,)
+            else:
+                for tail in types(rest, mu):
+                    yield (first,) + tail
+
+    semistable = {}
+
+    def per_group(hn_type):
+        """#reps of the type / |G_e|."""
+        out = Fraction(q) ** -sum(
+            euler_form(quiver, hn_type[l], hn_type[k])
+            for l in range(len(hn_type))
+            for k in range(l)
+        )
+        for part in hn_type:
+            if part not in semistable:
+                reps = q ** sum(part[at[s]] * part[at[t]] for s, t in quiver.arrows)
+                semistable[part] = reps - group_order(part) * sum(
+                    per_group(t) for t in types(part) if len(t) > 1
+                )
+            out *= Fraction(semistable[part], group_order(part))
+        return out
+
+    counts = {t: per_group(t) * group_order(dims) for t in types(tuple(dims))}
+    assert all(c.denominator == 1 for c in counts.values())
+    return {t: int(c) for t, c in counts.items() if c}

@@ -1,8 +1,10 @@
-"""The Kempf search scores distinct step sequences once, in integers;
-it must give the one-chain-at-a-time Fraction walk's answers, and the
-HN filtration."""
+"""The Kempf search scores each PAV block stack reached at M once, in
+integers; it must give the answers and tie errors of the search keyed
+on whole label sequences, the one-chain-at-a-time Fraction walk's
+answers, and the HN filtration."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,10 @@ import pytest
 from quiverstab import (
     ExactScore,
     Filtration,
+    Matrix,
     PrimeField,
     Quiver,
+    Representation,
     StabilityParams,
     SubrepLattice,
     TheoremContradictionError,
@@ -25,9 +29,15 @@ from quiverstab import (
 )
 from quiverstab.cli import EXIT_BUDGET, EXIT_OK, main, parse_problem
 
-from conftest import F2, F3, random_rep
-from oracles import kempf_by_chains, refinements_by_fractions, scored_chains
+from conftest import A3, F2, F3, params_for, random_rep
+from oracles import (
+    kempf_by_chains,
+    refinements_by_fractions,
+    scored_chains,
+    sequence_search,
+)
 from test_acceptance import main_theorem_problems
+from test_enumeration import SHAPES, random_maps
 
 CHAIN_HEAVY = (
     Path(__file__).resolve().parent.parent
@@ -122,6 +132,117 @@ def test_tie_between_chains_with_one_sequence_is_raised():
     labels = [(0, 0), (1, 1), (1, 1), (2, 0)]
     with pytest.raises(TheoremContradictionError, match="^2 chains"):
         kempf._kempf_search(lower, labels)
+
+
+def search_outcome(search, lower, labels):
+    """(best, winner) of a search, or the message of the tie it raised."""
+    try:
+        return search(lower, labels)
+    except TheoremContradictionError as exc:
+        return f"raised: {exc}"
+
+
+def assert_searches_agree(lower, labels):
+    assert search_outcome(kempf._kempf_search, lower, labels) == search_outcome(
+        sequence_search, lower, labels
+    )
+
+
+def lattice_dag(lat, params):
+    """(lower, labels) of the search on the lattice."""
+    return kempf._chain_index_sets(lat)[1], lat.labels(params)
+
+
+def random_params(rng, q):
+    return StabilityParams(
+        {v: rng.randint(-2, 2) for v in q.vertices},
+        {v: rng.randint(1, 2) for v in q.vertices},
+    )
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_state_search_equals_sequence_search_on_shapes(shape):
+    quiver_, field, dims = shape
+    rng, prng = random.Random(4), random.Random(9)
+    # the reps of test_enumeration.test_join_equals_product
+    for density in (0.0, 0.3, 0.3, 0.6, 0.6, 1.0, 1.0):
+        lat = SubrepLattice(random_maps(rng, quiver_, field, dims, density))
+        assert_searches_agree(*lattice_dag(lat, random_params(prng, quiver_)))
+
+
+# 1- and 2-Kronecker, A3, D4, loop plus arrow, oriented 2-cycle
+SEARCH_FAMILIES = (
+    (Quiver.kronecker(1), (3, 3)),
+    (Quiver.kronecker(2), (2, 3)),
+    (A3, (2, 2, 2)),
+    FAMILIES[0],
+    FAMILIES[1],
+    FAMILIES[2],
+)
+
+
+def test_state_search_equals_sequence_search_on_random_reps():
+    rng = random.Random(20261018)
+    sampled = 0
+    while sampled < 504:
+        q, max_dims = SEARCH_FAMILIES[sampled % len(SEARCH_FAMILIES)]
+        m = random_rep(rng, q, rng.choice((F2, F3)), max_dims)
+        if m.is_zero():
+            continue
+        assert_searches_agree(*lattice_dag(SubrepLattice(m), random_params(rng, q)))
+        sampled += 1
+
+
+# (lower, labels) of hand-built DAGs rooted at node 0
+HAND_BUILT = {
+    # the chains 0 < 1 < 3 and 0 < 2 < 3 pool their two steps into one
+    # block (2, 0, 2 steps), so five sequences at node 5 make four
+    # states; the winner 0 < 4 < 5 has one step per block
+    "two-sequences-one-state": (
+        [[], [0], [0], [0, 1, 2], [0], [0, 3, 4]],
+        [(0, 0), (1, 0), (1, -1), (2, 0), (2, 1), (3, 0)],
+    ),
+    # 0 < 1 < 3 and 0 < 2 < 3 have different sequences, one step per
+    # block and the same score 27/2
+    "two-states-tie": (
+        [[], [0], [0], [0, 1, 2]],
+        [(0, 0), (1, 1), (2, 1), (3, 0)],
+    ),
+    # two chains carry the winning sequence ((1, 1), (2, 0))
+    "two-chains-one-sequence": (
+        [[], [0], [0], [0, 1, 2]],
+        [(0, 0), (1, 1), (1, 1), (2, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("dag", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_state_search_equals_sequence_search_on_hand_built_dags(dag):
+    assert_searches_agree(*dag)
+
+
+def test_sequences_that_pool_alike_are_scored_once(monkeypatch):
+    scored = []
+
+    def chain_score(seq, tm, sm):
+        scored.append(seq)
+        return score_chain(seq, tm, sm)
+
+    score_chain = kempf._chain_score
+    monkeypatch.setattr(kempf, "_chain_score", chain_score)
+    lower, labels = HAND_BUILT["two-sequences-one-state"]
+    best, winner = kempf._kempf_search(lower, labels)
+    assert (best, winner) == (ExactScore(1, Fraction(27, 2)), ((0, 4, 5), (-1, 2)))
+    assert len(scored) == len(set(scored)) == 4
+
+
+def test_state_search_equals_sequence_search_on_an_a3_rung():
+    # A3 (3,3,3) over F2: 255 subreps and about 1.5 million chains
+    rng = random.Random(1)
+    rows = [tuple(rng.randrange(2) for _c in range(3)) for _r in range(6)]
+    maps = (Matrix(F2, 3, 3, tuple(rows[:3])), Matrix(F2, 3, 3, tuple(rows[3:])))
+    m = Representation(A3, F2, dict.fromkeys(A3.vertices, 3), maps)
+    assert_searches_agree(*lattice_dag(SubrepLattice(m), params_for(A3, (2, 0, -2))))
 
 
 def test_chain_budget_exits_4(capsys):
