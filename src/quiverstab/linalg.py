@@ -60,16 +60,6 @@ class Matrix:
             ncols = len(rows[0])
         return Matrix(field, len(rows), ncols, rows)
 
-    @staticmethod
-    def zero(field: PrimeField, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(field, nrows, ncols, tuple((0,) * ncols for _ in range(nrows)))
-
-    @staticmethod
-    def identity(field: PrimeField, n: int) -> "Matrix":
-        return Matrix(
-            field, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        )
-
     def apply_to(self, vec) -> tuple:
         """Matrix-vector product, vec of length ncols."""
         if len(vec) != self.ncols:
@@ -104,6 +94,22 @@ def rref(m: Matrix) -> Matrix:
                 ]
         pivot_row += 1
     return Matrix(m.field, m.nrows, m.ncols, tuple(tuple(r) for r in rows))
+
+
+def _in_span(vec, pivots: tuple, columns: tuple, p: int) -> bool:
+    """True iff vec lies in the span of the RREF rows with these pivots
+    and these (j, column j) non-pivot columns.
+
+    The only member with the pivot coordinates of vec is the combination
+    of the rows whose coefficients are those coordinates, so vec is a
+    member iff each non-pivot coordinate equals that combination's: one
+    dot product per non-pivot column.
+    """
+    coefs = [vec[j] for j in pivots]
+    for j, column in columns:
+        if (vec[j] - sum(map(mul, column, coefs))) % p:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -150,32 +156,13 @@ class Subspace:
         rows = tuple(r for r in m.rows if any(r))
         return Subspace(field, ambient, rows)
 
-    @staticmethod
-    def zero(field: PrimeField, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, ())
-
-    @staticmethod
-    def full(field: PrimeField, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Matrix.identity(field, ambient).rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains_vector(self, vec) -> bool:
-        """True iff vec lies in the subspace.
-
-        The only member with the pivot coordinates of vec is the
-        combination of the basis rows whose coefficients are those
-        coordinates, so vec is a member iff each non-pivot coordinate
-        equals that combination's: one dot product per non-pivot column.
-        """
-        p = self.field.p
-        coefs = [vec[j] for j in self.pivots]
-        for j, column in self._columns:
-            if (vec[j] - sum(map(mul, column, coefs))) % p:
-                return False
-        return True
+        """True iff vec lies in the subspace."""
+        return _in_span(vec, self.pivots, self._columns, self.field.p)
 
     def points(self) -> list:
         """Every non-zero member whose first non-zero entry is 1, once each.
@@ -233,13 +220,28 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def _subspaces_of_dim(n: int, field: PrimeField, k: int):
-    """All dimension-k subspaces, generated via RREF pivot patterns.
+class _Images(dict):
+    """m·row for each row looked up, computed once per distinct row."""
+
+    def __init__(self, m: Matrix):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, row):
+        image = self[row] = self.m.apply_to(row)
+        return image
+
+
+def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
+    """The dimension-k subspaces that every map of images sends into
+    themselves, generated via RREF pivot patterns.
 
     A pattern fixes the pivot columns, which are unit columns.  Column j
     off the pattern is free in the rows whose pivot lies left of j and 0
     below them, so each subspace of the pattern is one choice of its
-    non-pivot columns.
+    non-pivot columns.  A choice is kept iff the image of each of its
+    basis rows passes the membership rule of those columns, and only kept
+    choices are built as subspaces.
     """
     p = field.p
     out = []
@@ -260,22 +262,32 @@ def _subspaces_of_dim(n: int, field: PrimeField, k: int):
             for j, c in free_columns:
                 columns[j] = c
             basis = tuple(zip(*columns))
-            out.append(Subspace._from_pattern(field, n, basis, pivots, free_columns))
+            if not images or all(
+                _in_span(image[row], pivots, free_columns, p)
+                for image in images for row in basis
+            ):
+                out.append(Subspace._from_pattern(field, n, basis, pivots, free_columns))
     out.sort(key=Subspace.canonical_bytes)
     return out
 
 
-def enumerate_subspaces(n: int, field: PrimeField, k=None):
-    """All subspaces of F_p^n of dimension k (all dimensions if k is None).
+def enumerate_subspaces(n: int, field: PrimeField, k=None, maps=()):
+    """All subspaces of F_p^n of dimension k (all dimensions if k is None)
+    that every n x n matrix in maps sends into themselves.
 
     Canonical order: by dimension, then lexicographic on the flattened
-    RREF basis entries.  Each subspace appears exactly once.
+    RREF basis entries.  Each subspace appears exactly once.  The maps
+    are tested on each RREF pattern's basis rows before anything is
+    built, each distinct row mapped once per map, so with loops the work
+    past the pattern walk scales with the subspaces kept.
     """
-    if k is not None:
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        return list(_subspaces_of_dim(n, field, k))
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    for m in maps:
+        if m.field != field or m.nrows != n or m.ncols != n:
+            raise ValueError(f"each map must be a {n}x{n} matrix over F_{field.p}")
+    images = [_Images(m) for m in maps]
     out = []
-    for d in range(n + 1):
-        out.extend(_subspaces_of_dim(n, field, d))
+    for d in range(n + 1) if k is None else (k,):
+        out.extend(_subspaces_of_dim(n, field, d, images))
     return out

@@ -230,9 +230,12 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     G_{k+1} = 2 G_k + (p^k - 1) G_{k-1}), counted only until it passes
     the budget, so the count raised is a lower bound.
 
-    Each loop filters its vertex's subspace list once.  Each other arrow
-    u -> w gives every subspace a at u the bit mask of the subspaces at
-    w that contain its image.  A join over the vertices in quiver order
+    Each vertex's list holds only the subspaces its loops send into
+    themselves (enumerate_subspaces tests the loops while it generates),
+    and vertices of one shape, equal dimension and loop matrices, share
+    one list and one memo of point masks.  Each other arrow u -> w gives
+    every subspace a at u the bit mask of the subspaces at w that
+    contain its image.  A join over the vertices in quiver order
     then visits only consistent assignments: the choices at a vertex are
     the AND of the masks of the arrows from vertices already placed,
     less those failing an arrow into a placed vertex.
@@ -247,39 +250,39 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
             if count * cur > budget:
                 raise EnumerationBudgetError(count * cur, budget, "candidates")
         count *= cur
+    # vertices of one shape, (dimension, loop matrices), share one list
     pos = {v: k for k, v in enumerate(order)}
-    lists = [enumerate_subspaces(m.dims[v], m.field) for v in order]
-    arrows = list(zip(m.quiver.arrows, m.arrow_maps))
-    for (src, tgt), mat in arrows:
+    loops = [[] for _ in order]
+    arrows = []  # (u, w, matrix) of each arrow u -> w with u != w
+    for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps):
         if src == tgt:
-            k = pos[src]
-            rows = {row for s in lists[k] for row in s.basis}
-            image = {row: mat.apply_to(row) for row in rows}
-            lists[k] = [
-                s for s in lists[k]
-                if all(s.contains_vector(image[row]) for row in s.basis)
-            ]
-    # per vertex w: (u, normalized image of each distinct basis row at u)
-    # of each arrow u -> w with u != w
-    into = [[] for _ in order]
-    for (src, tgt), mat in arrows:
-        u, w = pos[src], pos[tgt]
-        if u != w:
-            rows = {row for s in lists[u] for row in s.basis}
-            image = {row: _point(mat.apply_to(row), p) for row in rows}
-            into[w].append((u, image))
+            loops[pos[src]].append(mat)
+        else:
+            arrows.append((pos[src], pos[tgt], mat))
+    shapes = [(m.dims[v], tuple(maps)) for v, maps in zip(order, loops)]
+    built = {
+        (d, maps): enumerate_subspaces(d, m.field, maps=maps)
+        for d, maps in dict.fromkeys(shapes)
+    }
+    lists = [built[shape] for shape in shapes]
+    # per shape of w: (u, w, normalized image of each distinct basis row
+    # at u) of each arrow u -> w
+    into = {}
+    for u, w, mat in arrows:
+        rows = {row for s in lists[u] for row in s.basis}
+        image = {row: _point(mat.apply_to(row), p) for row in rows}
+        into.setdefault(shapes[w], []).append((u, w, image))
     # per vertex k: (masks, placed vertex) of the arrows from a vertex
-    # placed earlier into k, and of the arrows from k into one
+    # placed earlier into k, and of the arrows from k into one; one point
+    # memo per shape, over the images of every arrow into that shape
     incoming = [[] for _ in order]
     outgoing = [[] for _ in order]
-    for w, images in enumerate(into):
-        if not images:
-            continue
-        points = {pt for _u, image in images for pt in image.values()}
+    for shape, images in into.items():
+        points = {pt for _u, _w, image in images for pt in image.values()}
         points.discard(None)
-        memo = _point_masks(lists[w], points, p)
-        everything = (1 << len(lists[w])) - 1
-        for u, image in images:
+        memo = _point_masks(built[shape], points, p)
+        everything = (1 << len(built[shape])) - 1
+        for u, w, image in images:
             masks = _arrow_masks(image, lists[u], memo, everything)
             if u < w:
                 incoming[w].append((masks, u))

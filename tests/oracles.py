@@ -18,7 +18,9 @@ stability parameters and q alone, knowing neither route.
 
 The library enumerates subrepresentations by a join over per-arrow
 closure masks.  The enumeration oracles filter the whole product of the
-per-vertex subspace lists instead.
+per-vertex subspace lists instead, and the subrep-counting oracle gives
+the number of subreps of each dimension vector, summed over every
+representation, in closed form.
 
 The library sorts subrepresentations by their dimension vector and the
 index of each space in its vertex's canonical list.  The order oracle
@@ -31,9 +33,10 @@ RREF basis row by row instead.
 The representation-level helpers (restriction, quotient, preimage, the
 seesaw check and the reparameterization of theta) serve only these
 oracles and the tests, so they live here and not in the library.  So do
-the matrix product, the sum of two subspaces, the zero and full spaces
-of a representation, and the exact Galois number of subspaces of F_p^n,
-against which the enumeration's budget check is tested.
+the matrix product, the zero and identity matrices, the sum of two
+subspaces, the zero and full subspaces and those of a representation,
+and the exact Galois number of subspaces of F_p^n, against which the
+enumeration's budget check is tested.
 """
 
 import itertools
@@ -99,12 +102,30 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_spanning(a.field, a.ambient, list(a.basis) + list(b.basis))
 
 
+def zero_matrix(field, nrows: int, ncols: int) -> Matrix:
+    return Matrix(field, nrows, ncols, tuple((0,) * ncols for _ in range(nrows)))
+
+
+def identity_matrix(field, n: int) -> Matrix:
+    return Matrix(
+        field, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    )
+
+
+def zero_subspace(field, ambient: int) -> Subspace:
+    return Subspace(field, ambient, ())
+
+
+def full_subspace(field, ambient: int) -> Subspace:
+    return Subspace(field, ambient, identity_matrix(field, ambient).rows)
+
+
 def full_spaces(m: Representation) -> dict:
-    return {v: Subspace.full(m.field, m.dims[v]) for v in m.quiver.vertices}
+    return {v: full_subspace(m.field, m.dims[v]) for v in m.quiver.vertices}
 
 
 def zero_spaces(m: Representation) -> dict:
-    return {v: Subspace.zero(m.field, m.dims[v]) for v in m.quiver.vertices}
+    return {v: zero_subspace(m.field, m.dims[v]) for v in m.quiver.vertices}
 
 
 def subspace_count(n: int, p: int) -> int:
@@ -118,6 +139,54 @@ def subspace_count(n: int, p: int) -> int:
         pk *= p
         prev, cur = cur, 2 * cur + (pk - 1) * prev
     return cur
+
+
+def every_rep(q, field, dims):
+    """Every representation of q over field with dims (in vertex order),
+    one per choice of all matrix entries."""
+    d = dict(zip(q.vertices, dims))
+    shapes = [(d[tgt], d[src]) for src, tgt in q.arrows]
+    entries = [range(field.p)] * sum(r * c for r, c in shapes)
+    for flat in itertools.product(*entries):
+        maps, k = [], 0
+        for r, c in shapes:
+            rows = tuple(tuple(flat[k + i * c : k + (i + 1) * c]) for i in range(r))
+            maps.append(Matrix(field, r, c, rows))
+            k += r * c
+        yield Representation(q, field, d, tuple(maps))
+
+
+def subrep_counts_by_formula(quiver, dims, q: int) -> dict:
+    """For each dimension vector e <= dims (tuples in vertex order), the
+    number of pairs (M, U), M a representation of dimension dims over F_q
+    and U a subrepresentation of M of dimension e:
+    prod_v [d_v choose e_v]_q * q^(sum over arrows i -> j of
+    e_i e_j + (d_i - e_i) d_j).  In a basis adapted to U at every vertex,
+    an arrow i -> j preserves U iff its block from U_i to the complement
+    of U_j is zero, which leaves e_i e_j + (d_i - e_i) d_j free entries.
+    Loops (i = j) are arrows like any other."""
+    at = {v: k for k, v in enumerate(quiver.vertices)}
+
+    def grassmannian(n, k):
+        """Number of k-dimensional subspaces of F_q^n: ordered bases of a
+        subspace over ordered bases of F_q^k."""
+        num = den = 1
+        for i in range(k):
+            num *= q**n - q**i
+            den *= q**k - q**i
+        return num // den
+
+    out = {}
+    for e in itertools.product(*(range(d + 1) for d in dims)):
+        count = 1
+        for n, k in zip(dims, e):
+            count *= grassmannian(n, k)
+        free = sum(
+            e[at[i]] * e[at[j]] + (dims[at[i]] - e[at[i]]) * dims[at[j]]
+            for i, j in quiver.arrows
+        )
+        out[e] = count * q**free
+    return out
 
 
 def canonical_key(sub: Subrepresentation):

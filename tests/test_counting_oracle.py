@@ -1,24 +1,24 @@
 """Both routes sort every representation of a few small families by HN
 type; the counts per type must equal Reineke's closed form, which knows
-neither route."""
+neither route.  Enumeration, which both routes read, is checked the same
+way: over every representation of a family, the subreps of each
+dimension vector must add up to a closed-form count."""
 
-import itertools
 from collections import Counter
 
 import pytest
 
 from quiverstab import (
-    Matrix,
     Quiver,
-    Representation,
     SemistableInputError,
     SubrepLattice,
+    enumerate_subreps,
     hn_filtration,
     kempf_filtration,
 )
 
 from conftest import A3, F2, F3, params_for
-from oracles import hn_type_counts
+from oracles import every_rep, hn_type_counts, subrep_counts_by_formula
 
 LOOP_PLUS_ARROW = Quiver(("v0", "v1"), (("v0", "v0"), ("v0", "v1")))
 CYCLE2 = Quiver(("v0", "v1"), (("v0", "v1"), ("v1", "v0")))
@@ -39,19 +39,6 @@ SWEEPS = {
         [((1, 0, -1), (1, 1, 1)), ((2, -1, 0), (1, 2, 1)), ((-1, -2, -2), (2, 2, 1))],
     ),
 }
-
-
-def every_rep(q, field, dims):
-    d = dict(zip(q.vertices, dims))
-    shapes = [(d[tgt], d[src]) for src, tgt in q.arrows]
-    entries = [range(field.p)] * sum(r * c for r, c in shapes)
-    for flat in itertools.product(*entries):
-        maps, k = [], 0
-        for r, c in shapes:
-            rows = tuple(tuple(flat[k + i * c : k + (i + 1) * c]) for i in range(r))
-            maps.append(Matrix(field, r, c, rows))
-            k += r * c
-        yield Representation(q, field, d, tuple(maps))
 
 
 def hn_type(f, q):
@@ -76,3 +63,25 @@ def test_hn_types_of_both_routes_match_the_counting_formula(sweep):
         expected = hn_type_counts(q, dims, p, field.p)
         assert dict(hn_counts) == expected
         assert dict(kempf_counts) == expected
+
+
+# (quiver, field, dims) for the closed-form count of subreps
+SUBREP_COUNTS = {
+    "loop-plus-arrow-21-F3": (LOOP_PLUS_ARROW, F3, (2, 1)),
+    "cycle2-22-F2": (CYCLE2, F2, (2, 2)),
+    "one-loop-3-F2": (Quiver(("v",), (("v", "v"),)), F2, (3,)),
+    "two-loops-2-F2": (Quiver(("v",), (("v", "v"),) * 2), F2, (2,)),
+}
+
+
+@pytest.mark.parametrize("family", SUBREP_COUNTS.values(), ids=SUBREP_COUNTS.keys())
+def test_subrep_counts_match_the_closed_form(family):
+    """Summed over every rep of the family, the subreps of each dimension
+    vector that enumerate_subreps finds equal the closed-form count."""
+    q, field, dims = family
+    found = Counter()
+    for m in every_rep(q, field, dims):
+        found.update(
+            tuple(s.spaces[v].dim for v in q.vertices) for s in enumerate_subreps(m)
+        )
+    assert dict(found) == subrep_counts_by_formula(q, dims, field.p)

@@ -14,10 +14,17 @@ from quiverstab import (
     Subspace,
     enumerate_submodules,
     enumerate_subreps,
+    enumerate_subspaces,
+    quiver,
 )
 
 from conftest import F2, F3
-from oracles import canonical_key, submodules_by_product, subreps_by_product
+from oracles import (
+    canonical_key,
+    submodules_by_product,
+    subreps_by_product,
+    zero_matrix,
+)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -31,6 +38,8 @@ A3_INTO_MIDDLE = Quiver(("a", "b", "c"), (("a", "b"), ("c", "b")))
 TRIANGLE = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
 CYCLE2 = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
 LOOP_AFTER_ARROW = Quiver(("a", "b"), (("a", "b"), ("b", "b")))
+LOOP_BEFORE_ARROW = Quiver(("a", "b"), (("a", "a"), ("a", "b")))
+TWO_LOOPED = Quiver(("a", "b"), (("a", "a"), ("b", "b"), ("a", "b")))
 
 # id -> (quiver, field, dims in vertex order)
 SHAPES = {
@@ -51,6 +60,13 @@ SHAPES = {
     "cycle2-f7": (CYCLE2, F7, (2, 2)),
     "loop-after-arrow-f5": (LOOP_AFTER_ARROW, F5, (3, 2)),
     "line-into-space-f7": (Quiver.kronecker(1), F7, (1, 3)),
+    # vertices of one dimension share a subspace list only when their
+    # loops are equal: a looped and an unlooped vertex must not share,
+    "loop-beside-plain": (LOOP_BEFORE_ARROW, F2, (3, 3)),
+    # nor two vertices with different loops; over F2 the loops are both
+    # zero (density 0) or both all-ones (density 1), equal, and may share
+    "two-looped-vertices": (TWO_LOOPED, F3, (2, 2)),
+    "two-looped-vertices-f2": (TWO_LOOPED, F2, (2, 2)),
 }
 
 
@@ -121,6 +137,32 @@ def test_kronecker_1_3_over_f97_tests_each_target_once(monkeypatch):
     assert calls["listed"] == 0
 
 
+def test_one_list_per_vertex_shape(monkeypatch):
+    """Vertices share a subspace list iff they have the same dimension
+    and the same loop matrices; sharing changes no subrep."""
+    built = []
+
+    def counted(n, field, k=None, maps=()):
+        built.append((n, maps))
+        return enumerate_subspaces(n, field, k, maps)
+
+    monkeypatch.setattr(quiver, "enumerate_subspaces", counted)
+    shift = Matrix.from_rows(F3, [[0, 1], [0, 0]])
+    swap = Matrix.from_rows(F3, [[0, 1], [1, 0]])
+    arrow = Matrix.from_rows(F3, [[1, 2], [0, 1]])
+    cases = [
+        (CYCLE2, (arrow, arrow), 1),
+        (LOOP_BEFORE_ARROW, (shift, arrow), 2),
+        (TWO_LOOPED, (shift, swap, arrow), 2),
+        (TWO_LOOPED, (shift, shift, arrow), 1),
+    ]
+    for q, maps, lists in cases:
+        m = Representation(q, F3, {"a": 2, "b": 2}, maps)
+        built.clear()
+        assert keys(enumerate_subreps(m)) == keys(subreps_by_product(m))
+        assert len(built) == lists
+
+
 @pytest.mark.parametrize("h, field, dims", [(1, F3, (2, 2)), (2, F3, (2, 2)),
                                             (3, F2, (2, 3)), (1, F5, (1, 3))])
 def test_submodules_equal_product(h, field, dims):
@@ -145,7 +187,7 @@ def test_quiver_longer_than_the_recursion_limit():
     q = Quiver(vertices, tuple(zip(vertices, vertices[1:])))
     dims = {v: int(i < 2) for i, v in enumerate(vertices)}
     maps = tuple(
-        Matrix.from_rows(F2, [[1]]) if i == 0 else Matrix.zero(F2, dims[t], dims[s])
+        Matrix.from_rows(F2, [[1]]) if i == 0 else zero_matrix(F2, dims[t], dims[s])
         for i, (s, t) in enumerate(q.arrows)
     )
     m = Representation(q, F2, dims, maps)

@@ -23,6 +23,7 @@ from quiverstab import (
 )
 
 from conftest import F2, F3
+from oracles import full_subspace, identity_matrix, zero_matrix, zero_subspace
 
 
 def all_modules(field, dim_v, dim_w, h):
@@ -48,22 +49,22 @@ def all_modules(field, dim_v, dim_w, h):
 class TestModuleBasics:
     def test_component_shape_validation(self):
         with pytest.raises(ValueError):
-            KroneckerModule(F2, 2, 1, (Matrix.zero(F2, 2, 1),))
+            KroneckerModule(F2, 2, 1, (zero_matrix(F2, 2, 1),))
         with pytest.raises(ValueError):
             KroneckerModule(F2, 1, 1, ())
 
     def test_h_property(self):
-        m = KroneckerModule(F2, 1, 1, (Matrix.zero(F2, 1, 1),) * 3)
+        m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),) * 3)
         assert m.h == 3
 
     def test_is_submodule_brute_force(self):
-        m = KroneckerModule(F2, 2, 2, (Matrix.identity(F2, 2),))
+        m = KroneckerModule(F2, 2, 2, (identity_matrix(F2, 2),))
         v = Subspace.from_spanning(F2, 2, [[1, 0]])
         assert is_submodule(m, v, v)
-        assert not is_submodule(m, v, Subspace.zero(F2, 2))
+        assert not is_submodule(m, v, zero_subspace(F2, 2))
 
     def test_enumerate_includes_extremes(self):
-        m = KroneckerModule(F2, 1, 1, (Matrix.identity(F2, 1),))
+        m = KroneckerModule(F2, 1, 1, (identity_matrix(F2, 1),))
         subs = enumerate_submodules(m)
         dims = [s.dims() for s in subs]
         assert (0, 0) in dims and (1, 1) in dims
@@ -87,7 +88,7 @@ class TestQuiverTranslation:
     def test_submodule_from_subrep(self):
         from quiverstab import enumerate_subreps
 
-        m = KroneckerModule(F2, 1, 1, (Matrix.zero(F2, 1, 1),))
+        m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),))
         rep = to_quiver_rep(m)
         for s in enumerate_subreps(rep):
             sub = submodule_from_subrep(s)
@@ -96,17 +97,17 @@ class TestQuiverTranslation:
 
 class TestSemistability:
     def test_requires_positive_dim_w(self):
-        m = KroneckerModule(F2, 1, 0, (Matrix.zero(F2, 0, 1),))
+        m = KroneckerModule(F2, 1, 0, (zero_matrix(F2, 0, 1),))
         with pytest.raises(ValueError):
             is_semistable_module(m)
 
     def test_alpha_zero_unstable(self):
-        m = KroneckerModule(F2, 1, 1, (Matrix.zero(F2, 1, 1),))
+        m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),))
         # (V, 0) is a submodule with dim V' * dim W = 1 > 0 = dim V * dim W'
         assert not is_semistable_module(m)
 
     def test_identity_semistable(self):
-        m = KroneckerModule(F2, 1, 1, (Matrix.identity(F2, 1),))
+        m = KroneckerModule(F2, 1, 1, (identity_matrix(F2, 1),))
         assert is_semistable_module(m)
 
     def test_equivalence_exhaustive_small(self):
@@ -135,18 +136,18 @@ class TestSemistability:
 class TestSubordinateAndTight:
     def test_subordinate_reflexive_and_order(self):
         a = KroneckerSubmodule(
-            Subspace.zero(F2, 2), Subspace.full(F2, 2)
+            zero_subspace(F2, 2), full_subspace(F2, 2)
         )
         b = KroneckerSubmodule(
-            Subspace.full(F2, 2), Subspace.zero(F2, 2)
+            full_subspace(F2, 2), zero_subspace(F2, 2)
         )
         assert is_subordinate(a, a)
         assert is_subordinate(a, b)
         assert not is_subordinate(b, a)
 
     def test_full_module_not_tight_when_alpha_zero(self):
-        m = KroneckerModule(F2, 1, 1, (Matrix.zero(F2, 1, 1),))
-        full = KroneckerSubmodule(Subspace.full(F2, 1), Subspace.full(F2, 1))
+        m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),))
+        full = KroneckerSubmodule(full_subspace(F2, 1), full_subspace(F2, 1))
         # (V, 0) is a submodule and dominates (V, W) in the subordination order
         assert not is_tight(full, m)
 

@@ -6,7 +6,6 @@ from quiverstab import (
     EnumerationBudgetError,
     StabilityParams,
     KroneckerModule,
-    Matrix,
     PrimeField,
     Quiver,
     Representation,
@@ -29,6 +28,7 @@ from oracles import (
     hn_report_by_quotients,
     labels_of,
     subspace_count,
+    zero_matrix,
 )
 from test_acceptance import main_theorem_problems
 from test_enumeration import SHAPES, random_maps
@@ -131,7 +131,7 @@ def test_subrep_budget_checked_before_building(monkeypatch):
 
 def test_submodule_budget_checked_before_building(monkeypatch):
     monkeypatch.setattr(quiver, "enumerate_subspaces", no_subspace_lists)
-    m = KroneckerModule(F97, 3, 3, (Matrix.zero(F97, 3, 3),))
+    m = KroneckerModule(F97, 3, 3, (zero_matrix(F97, 3, 3),))
     with pytest.raises(EnumerationBudgetError) as exc:
         enumerate_submodules(m, budget=10)
     assert 10 < exc.value.count <= subspace_count(3, 97) ** 2

@@ -14,7 +14,16 @@ from quiverstab import (
     rref,
 )
 
-from oracles import matmul, reduce, subspace_count, subspace_sum
+from oracles import (
+    full_subspace,
+    identity_matrix,
+    matmul,
+    reduce,
+    subspace_count,
+    subspace_sum,
+    zero_matrix,
+    zero_subspace,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -78,8 +87,8 @@ class TestMatrix:
         rng = random.Random(1)
         for _ in range(20):
             m = random_matrix(rng, F5, 3, 4)
-            assert matmul(Matrix.identity(F5, 3), m) == m
-            assert matmul(m, Matrix.identity(F5, 4)) == m
+            assert matmul(identity_matrix(F5, 3), m) == m
+            assert matmul(m, identity_matrix(F5, 4)) == m
 
     def test_matmul_associative(self):
         rng = random.Random(2)
@@ -98,8 +107,8 @@ class TestMatrix:
             assert m.apply_to(v) == tuple(r[0] for r in matmul(m, col).rows)
 
     def test_zero_dimensions(self):
-        assert Matrix.zero(F2, 0, 3).nrows == 0
-        assert matmul(Matrix.zero(F2, 3, 0), Matrix.zero(F2, 0, 2)) == Matrix.zero(
+        assert zero_matrix(F2, 0, 3).nrows == 0
+        assert matmul(zero_matrix(F2, 3, 0), zero_matrix(F2, 0, 2)) == zero_matrix(
             F2, 3, 2
         )
 
@@ -148,8 +157,8 @@ class TestRref:
             assert rref(m) == rref(m2)
 
     def test_rank_via_known_cases(self):
-        assert rank(Matrix.identity(F2, 3)) == 3
-        assert rank(Matrix.zero(F5, 2, 4)) == 0
+        assert rank(identity_matrix(F2, 3)) == 3
+        assert rank(zero_matrix(F5, 2, 4)) == 0
         m = Matrix.from_rows(F3, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
         assert rank(m) == 2
 
@@ -165,13 +174,13 @@ class TestKernelImage:
                 if not any(m.apply_to(v))
             )
             assert 3 ** (m.ncols - rank(m)) == killed
-            assert apply(m, Subspace.full(F3, 4)).dim == rank(m)
+            assert apply(m, full_subspace(F3, 4)).dim == rank(m)
 
     def test_image_brute_force(self):
         rng = random.Random(10)
         for _ in range(50):
             m = random_matrix(rng, F2, 3, 3)
-            img = apply(m, Subspace.full(F2, 3))
+            img = apply(m, full_subspace(F2, 3))
             hit = {
                 m.apply_to(v) for v in itertools.product(range(2), repeat=3)
             }
@@ -185,8 +194,8 @@ class TestSubspace:
         assert a == b
 
     def test_zero_and_full(self):
-        z = Subspace.zero(F2, 3)
-        f = Subspace.full(F2, 3)
+        z = zero_subspace(F2, 3)
+        f = full_subspace(F2, 3)
         assert z.dim == 0 and f.dim == 3
         assert contains(f, z)
         assert not contains(z, f)
@@ -237,7 +246,7 @@ class TestSubspace:
 
     def test_apply_image(self):
         m = Matrix.from_rows(F2, [[1, 0], [1, 0]])
-        s = Subspace.full(F2, 2)
+        s = full_subspace(F2, 2)
         assert apply(m, s) == Subspace.from_spanning(F2, 2, [[1, 1]])
 
 
@@ -278,3 +287,120 @@ class TestEnumeration:
         subs = enumerate_subspaces(3, F2)
         sets = [frozenset(span_vectors(s)) for s in subs]
         assert len(set(sets)) == len(sets)
+
+
+def invariant_by_filter(n, field, maps, k=None):
+    """The subspaces that every map sends into themselves, filtered from
+    the whole list by computing each image."""
+    return [
+        s for s in enumerate_subspaces(n, field, k)
+        if all(contains(s, apply(m, s)) for m in maps)
+    ]
+
+
+def shift(field, n):
+    """The nilpotent shift e_{i+1} -> e_i."""
+    return Matrix.from_rows(
+        field, [[int(j == i + 1) for j in range(n)] for i in range(n)], ncols=n
+    )
+
+
+def random_square(rng, field, n, density):
+    return Matrix.from_rows(field, [
+        [rng.randrange(1, field.p) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ], ncols=n)
+
+
+class TestInvariantEnumeration:
+    """enumerate_subspaces(n, F, maps=ms) tests the maps while it walks
+    the RREF patterns; it must equal the whole list filtered afterwards,
+    in the same order."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=lambda f: f"F{f.p}")
+    def test_special_maps(self, field):
+        for n in range(4):
+            scalar = Matrix.from_rows(
+                field, [[2 * int(i == j) for j in range(n)] for i in range(n)], ncols=n
+            )
+            for maps in (
+                (zero_matrix(field, n, n),),
+                (identity_matrix(field, n),),
+                (scalar,),
+                (shift(field, n),),
+            ):
+                got = enumerate_subspaces(n, field, maps=maps)
+                assert got == invariant_by_filter(n, field, maps)
+        # the zero, identity and scalar maps keep every subspace
+        every = enumerate_subspaces(3, field)
+        assert enumerate_subspaces(3, field, maps=(zero_matrix(field, 3, 3),)) == every
+        assert enumerate_subspaces(3, field, maps=(identity_matrix(field, 3),)) == every
+        # the shift keeps exactly its flag 0 < <e_0> < <e_0, e_1> < F^3
+        flag = enumerate_subspaces(3, field, maps=(shift(field, 3),))
+        assert [s.basis for s in flag] == [
+            (), ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)), identity_matrix(field, 3).rows
+        ]
+
+    @pytest.mark.parametrize("field, rows", [
+        (F2, [[0, 0, 1], [1, 0, 1], [0, 1, 0]]),  # x^3 + x + 1
+        (F3, [[0, 2], [1, 0]]),                   # x^2 + 1
+        (F3, [[0, 0, 2], [1, 0, 1], [0, 1, 0]]),  # x^3 + 2x + 1
+        (F5, [[0, 3], [1, 0]]),                   # x^2 + 2
+    ])
+    def test_irreducible_companion_keeps_only_zero_and_whole(self, field, rows):
+        n = len(rows)
+        c = Matrix.from_rows(field, rows)
+        got = enumerate_subspaces(n, field, maps=(c,))
+        assert got == invariant_by_filter(n, field, (c,))
+        assert [s.dim for s in got] == [0, n]
+
+    def test_two_loops_at_once(self):
+        for field in (F2, F3):
+            diagonal = Matrix.from_rows(field, [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+            for maps in (
+                (shift(field, 3), diagonal),
+                (diagonal, shift(field, 3)),
+                (identity_matrix(field, 3), shift(field, 3)),
+            ):
+                got = enumerate_subspaces(3, field, maps=maps)
+                assert got == invariant_by_filter(3, field, maps)
+            # the shift's flag is invariant under the diagonal too; the
+            # transposed shift keeps the opposite flag, so with it only 0 and F^3
+            both = enumerate_subspaces(3, field, maps=(shift(field, 3), diagonal))
+            assert [s.dim for s in both] == [0, 1, 2, 3]
+            lower = Matrix.from_rows(field, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+            maps = (shift(field, 3), lower)
+            got = enumerate_subspaces(3, field, maps=maps)
+            assert got == invariant_by_filter(3, field, maps)
+            assert [s.dim for s in got] == [0, 3]
+
+    @pytest.mark.parametrize("field", [F2, F3, F5], ids=lambda f: f"F{f.p}")
+    def test_random_maps(self, field):
+        rng = random.Random(field.p)
+        for n in range(5):
+            for density in (0.2, 0.5, 1.0):
+                for count in (1, 2):
+                    maps = tuple(
+                        random_square(rng, field, n, density) for _ in range(count)
+                    )
+                    got = enumerate_subspaces(n, field, maps=maps)
+                    assert got == invariant_by_filter(n, field, maps)
+        maps = (random_square(rng, field, 4, 0.3),)
+        for k in range(5):
+            assert enumerate_subspaces(4, field, k, maps) == invariant_by_filter(
+                4, field, maps, k
+            )
+
+    def test_kept_subspaces_test_membership(self):
+        """Each kept subspace carries its pattern's pivots and columns."""
+        maps = (shift(F3, 4),)
+        for s in enumerate_subspaces(4, F3, maps=maps):
+            fresh = Subspace(F3, 4, s.basis)
+            for v in itertools.product(range(3), repeat=4):
+                assert s.contains_vector(v) == fresh.contains_vector(v)
+
+    def test_maps_must_be_square_over_the_field(self):
+        with pytest.raises(ValueError, match="3x3 matrix over F_2"):
+            enumerate_subspaces(3, F2, maps=(zero_matrix(F2, 3, 2),))
+        with pytest.raises(ValueError, match="3x3 matrix over F_2"):
+            enumerate_subspaces(3, F2, maps=(zero_matrix(F3, 3, 3),))

@@ -8,13 +8,11 @@ from quiverstab import (
     EnumerationBudgetError,
     Filtration,
     InvalidSubrepresentationError,
-    Matrix,
     PrimeField,
     Quiver,
     Representation,
     StabilityParams,
     Subrepresentation,
-    Subspace,
     TheoremContradictionError,
     ZeroRepresentationError,
     apply,
@@ -42,12 +40,15 @@ from conftest import (
 from oracles import (
     canonical_key,
     full_spaces,
+    full_subspace,
     preimage_spaces,
     quotient,
     reparam_theta,
     restrict,
     seesaw_check,
+    zero_matrix,
     zero_spaces,
+    zero_subspace,
 )
 
 
@@ -86,7 +87,7 @@ class TestRepresentation:
     def test_shape_validation(self):
         q = Quiver.kronecker(1)
         with pytest.raises(ValueError):
-            Representation(q, F2, {"v0": 2, "v1": 1}, (Matrix.zero(F2, 2, 2),))
+            Representation(q, F2, {"v0": 2, "v1": 1}, (zero_matrix(F2, 2, 2),))
 
     def test_restrict_of_full_is_isomorphic_to_parent(self):
         rng = random.Random(20)
@@ -100,8 +101,8 @@ class TestRepresentation:
     def test_closure_enforced(self):
         m = kronecker_rep(F2, (1, 1), [[1]])
         spaces = {
-            "v0": Subspace.full(F2, 1),
-            "v1": Subspace.zero(F2, 1),
+            "v0": full_subspace(F2, 1),
+            "v1": zero_subspace(F2, 1),
         }
         with pytest.raises(InvalidSubrepresentationError):
             Subrepresentation(m, spaces)
@@ -238,7 +239,7 @@ class TestFiltration:
         with pytest.raises(ValueError):
             Filtration(m, ())
         sub = Subrepresentation(
-            m, {"v0": Subspace.full(F2, 1), "v1": Subspace.zero(F2, 1)}
+            m, {"v0": full_subspace(F2, 1), "v1": zero_subspace(F2, 1)}
         )
         with pytest.raises(ValueError):
             Filtration(m, (sub,))
@@ -248,7 +249,7 @@ class TestFiltration:
     def test_quotient_dims(self):
         m = kronecker_rep(F2, (1, 1), [[0]])
         sub = Subrepresentation(
-            m, {"v0": Subspace.full(F2, 1), "v1": Subspace.zero(F2, 1)}
+            m, {"v0": full_subspace(F2, 1), "v1": zero_subspace(F2, 1)}
         )
         full = Subrepresentation(m, full_spaces(m))
         f = Filtration(m, (sub, full))
