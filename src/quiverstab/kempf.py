@@ -8,22 +8,25 @@ S_i = theta(M) b_i - sigma(M) theta(M_i / M_{i-1}), with sum S_i = 0.
 The score of weights Gamma_1 <= ... <= Gamma_t is
 sum Gamma_i S_i / sqrt(sum b_i Gamma_i^2).  Its maximizer over the
 ordered cone is the b-weighted non-decreasing fit of S_i / b_i, read off
-the least concave majorant of the cumulative graph.  _chain_score, the
-one scoring function of the library, pools adjacent violators in
-integers, equal means too, so Gamma strictly increases exactly when each
-block is one step; _merges is its one merge rule.  Since sigma(M) and
+the least concave majorant of the cumulative graph.  _chain_score pools
+adjacent violators in integers, equal means too, so Gamma strictly
+increases exactly when each block is one step; _merges is the one merge
+rule and _square_with the one score formula.  Since sigma(M) and
 theta(M) are fixed, what a chain's prefix hands on to any continuation
 is its stack of pooled blocks, so the search runs over the chains from
-the zero subrep to M as a dynamic program on interned block stacks.  It
-scores each stack reached at M once, in one pass that both searches
-read, and builds Gamma (_gamma) for the winner only.  Scores are held
-and compared as integers, so comparisons and ties are exact.
+the zero subrep to M as a dynamic program on interned block stacks.
+Each stack carries its score square from the stack below it, so the
+stacks reached at M are compared in one pass that both searches read;
+the winner alone is pooled again, by _chain_score, as a cross-check and
+for its Gamma (_gamma).  Scores are held and compared as integers, so
+comparisons and ties are exact.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from .errors import (
@@ -106,6 +109,15 @@ def _merges(top, w, x):
     return top[1] * w >= x * top[0]
 
 
+def _square_with(square, top):
+    """The score square (num, den) of a block stack from that of the
+    stack under its top block (W, S, steps): den is the lcm of the stack's
+    W and num = sum S^2 (den / W), so the score is sqrt(num / den)."""
+    (num, den), (w, x, _n) = square, top
+    wl = lcm(den, w)
+    return num * (wl // den) + x * x * (wl // w), wl
+
+
 def _chain_score(chain_dims, tm, sm):
     """Pooled blocks (W, S, number of steps) and score sqrt(sum S^2 / W)
     of a chain given cumulative (sigma, theta) pairs of its steps, ending
@@ -124,9 +136,8 @@ def _chain_score(chain_dims, tm, sm):
             w1, x1, n1 = blocks.pop()
             w, x, n = w + w1, x + x1, n + n1
         blocks.append((w, x, n))
-    wl = lcm(*(w for w, _x, _n in blocks))
-    square_num = sum(x * x * (wl // w) for w, x, _n in blocks)
-    return blocks, ExactScore._positive(square_num, wl) if square_num else ZERO_SCORE
+    square = reduce(_square_with, blocks, (0, 1))
+    return blocks, ExactScore._positive(*square) if square[0] else ZERO_SCORE
 
 
 def _gamma(blocks):
@@ -164,20 +175,22 @@ def _kempf_search(lower, labels):
     what a prefix hands on to any continuation is its stack of blocks
     (W, S, steps).  Each stack is interned as (below, W, S, steps), below
     being the id of the stack under its top block, and states[j] holds
-    the ids of the stacks of the chains from 0 to j.  Each state at M is
-    scored once, by _chain_score on the label sequence it was first
-    reached by.
+    the ids of the stacks of the chains from 0 to j.  A stack fixes its
+    chains' last label, (W, (tm W - S) / sm) summed over its blocks, and
+    its score square, carried from the stack below as it is interned.
 
     Returns (best score, winner); if the best score is positive, winner
     is (node indices from 0, gamma) of the one chain with strictly
     increasing weights at that score, else None.  A state at that score
-    with one step per block fixes its label sequence; the chains carrying
-    each such sequence are counted, and any sum but 1 is raised.
+    with one step per block fixes its label sequence, the last labels down
+    its stack; the chains carrying each such sequence are counted, and any
+    sum but 1 is raised, as is a winner that _chain_score, which gives
+    gamma's blocks, scores other than its carried square.
     """
     sm, tm = labels[-1]
     # by state id, 0 being the empty stack: the id under the top block,
-    # the top block, and the label sequence the state was first reached by
-    below, tops, seqs = [0], [None], [()]
+    # the top block, the last label and the score square (num, den)
+    below, tops, last, squares = [0], [None], [(0, 0)], [(0, 1)]
     ids = {}  # (below, W, S, steps) -> state id
     pushes = {}  # label of j -> {state id: state id after the step to j}
     states = [{0}]
@@ -186,8 +199,7 @@ def _kempf_search(lower, labels):
         memo = pushes.setdefault(lab, {})
         here = set().union(*map(states.__getitem__, lower[j]))
         for sid in here - memo.keys():
-            # a state fixes its chain's last label, so the step to j
-            si, ti = seqs[sid][-1] if sid else (0, 0)
+            si, ti = last[sid]
             w = sj - si
             x, n, base = tm * w - sm * (tj - ti), 1, sid
             while base and _merges(tops[base], w, x):
@@ -197,24 +209,36 @@ def _kempf_search(lower, labels):
             if new == len(tops):
                 below.append(base)
                 tops.append((w, x, n))
-                seqs.append(seqs[sid] + (lab,))
+                last.append(lab)
+                squares.append(_square_with(squares[base], tops[-1]))
         states.append(set(map(memo.__getitem__, here)))
-    best, strict = None, []  # strict: (state id, blocks), one step per block
+    (num, den), at_best = (0, 1), []
     for sid in states[-1]:
-        blocks, score = _chain_score(seqs[sid], tm, sm)
-        if best is None or score > best:
-            best, strict = score, []
-        if score == best and len(blocks) == len(seqs[sid]):
-            strict.append((sid, blocks))
-    if not best.is_positive():
-        return best, None
-    ties = sum(_chains_carrying(lower, labels, seqs[sid]) for sid, _b in strict)
+        n, d = squares[sid]
+        if n * den > num * d:
+            (num, den), at_best = (n, d), []
+        if n * den == num * d:
+            at_best.append(sid)
+    if not num:
+        return ZERO_SCORE, None
+    strict = []  # (state id, label sequence), one step per block
+    for sid in at_best:
+        seq, s = [], sid
+        while s and tops[s][2] == 1:
+            seq.append(last[s])
+            s = below[s]
+        if not s:
+            strict.append((sid, tuple(reversed(seq))))
+    ties = sum(_chains_carrying(lower, labels, seq) for _sid, seq in strict)
     if ties != 1:
         raise TheoremContradictionError(
             f"{ties} chains with strictly increasing weights "
             f"tie at the maximal score"
         )
-    sid, blocks = strict[0]
+    sid, seq = strict[0]
+    blocks, best = _chain_score(seq, tm, sm)
+    if best != ExactScore._positive(num, den):
+        raise TheoremContradictionError("winner's score differs from its carried score")
     # the one chain carrying the winner's sequence, followed down to the
     # root by its prefix states: one block per step, so no block pooled
     chain = [len(lower) - 1]

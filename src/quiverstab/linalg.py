@@ -13,17 +13,6 @@ from dataclasses import dataclass
 from operator import mul
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class PrimeField:
     """The prime field F_p, 2 <= p <= 97."""
@@ -31,7 +20,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not (2 <= self.p <= 97) or not _is_prime(self.p):
+        p = self.p
+        if not (isinstance(p, int) and 1 < p < 98 and all(p % d for d in range(2, p))):
             raise ValueError(f"p must be a prime in [2, 97], got {self.p!r}")
 
 
@@ -47,9 +37,8 @@ class Matrix:
     def __post_init__(self):
         if len(self.rows) != self.nrows:
             raise ValueError("row count mismatch")
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("ragged rows")
 
     @staticmethod
     def from_rows(field: PrimeField, rows, ncols=None) -> "Matrix":
@@ -76,22 +65,15 @@ def rref(m: Matrix) -> Matrix:
     for col in range(m.ncols):
         if pivot_row >= m.nrows:
             break
-        chosen = None
-        for r in range(pivot_row, m.nrows):
-            if rows[r][col] % p != 0:
-                chosen = r
-                break
-        if chosen is None:
+        found = next((r for r in range(pivot_row, m.nrows) if rows[r][col] % p), None)
+        if found is None:
             continue
-        rows[pivot_row], rows[chosen] = rows[chosen], rows[pivot_row]
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
         inv = pow(rows[pivot_row][col], -1, p)
-        rows[pivot_row] = [(x * inv) % p for x in rows[pivot_row]]
+        pivot = rows[pivot_row] = [(x * inv) % p for x in rows[pivot_row]]
         for r in range(m.nrows):
-            if r != pivot_row and rows[r][col] % p != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    (a - factor * b) % p for a, b in zip(rows[r], rows[pivot_row])
-                ]
+            if r != pivot_row and (factor := rows[r][col] % p):
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], pivot)]
         pivot_row += 1
     return Matrix(m.field, m.nrows, m.ncols, tuple(tuple(r) for r in rows))
 
@@ -124,9 +106,8 @@ class Subspace:
     basis: tuple  # tuple of row tuples, RREF, full row rank
 
     def __post_init__(self):
-        for r in self.basis:
-            if len(r) != self.ambient:
-                raise ValueError("basis row length != ambient dimension")
+        if any(len(r) != self.ambient for r in self.basis):
+            raise ValueError("basis row length != ambient dimension")
         pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.basis)
         columns = tuple(zip(*self.basis)) if self.basis else ((),) * self.ambient
         # the frozen dataclass allows setting attributes through object
@@ -149,12 +130,8 @@ class Subspace:
 
     @staticmethod
     def from_spanning(field: PrimeField, ambient: int, vectors) -> "Subspace":
-        vectors = list(vectors)
-        if not vectors:
-            return Subspace(field, ambient, ())
         m = rref(Matrix.from_rows(field, vectors, ncols=ambient))
-        rows = tuple(r for r in m.rows if any(r))
-        return Subspace(field, ambient, rows)
+        return Subspace(field, ambient, tuple(r for r in m.rows if any(r)))
 
     @property
     def dim(self) -> int:
@@ -171,18 +148,19 @@ class Subspace:
         sits at the pivot of the first row with a non-zero coefficient
         and equals that coefficient.  So the members listed are the
         combinations of one row, with coefficient 1, and any of the rows
-        after it: (p^dim - 1) / (p - 1) of them.
+        after it: (p^dim - 1) / (p - 1) of them, built a row at a time:
+        each later row extends the layer by v + c row, c = 1, ..., p - 1.
         """
         p = self.field.p
         out = []
         for i, row in enumerate(self.basis):
-            after = self.basis[i + 1:]
-            columns = list(zip(*after)) if after else [()] * self.ambient
-            for coefs in itertools.product(range(p), repeat=len(after)):
-                out.append(tuple(
-                    (x + sum(map(mul, coefs, column))) % p
-                    for x, column in zip(row, columns)
-                ))
+            layer = [row]
+            for after in self.basis[i + 1:]:
+                layer += [
+                    tuple((a + c * b) % p for a, b in zip(v, after))
+                    for c in range(1, p) for v in layer
+                ]
+            out.extend(layer)
         return out
 
     def canonical_bytes(self) -> tuple:
@@ -190,14 +168,10 @@ class Subspace:
         return tuple(itertools.chain.from_iterable(self.basis))
 
 
-def _check_compatible(a: Subspace, b: Subspace):
-    if a.field != b.field or a.ambient != b.ambient:
-        raise ValueError("subspaces live in different ambient spaces")
-
-
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is contained in a."""
-    _check_compatible(a, b)
+    if a.field != b.field or a.ambient != b.ambient:
+        raise ValueError("subspaces live in different ambient spaces")
     return all(a.contains_vector(row) for row in b.basis)
 
 

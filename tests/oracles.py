@@ -6,8 +6,8 @@ textbook route instead: they build every quotient as a representation of
 its own and enumerate it afresh.
 
 The library's Kempf search runs a dynamic program over interned PAV
-block stacks and scores each stack reached at the top once, in
-integers.  The Kempf oracles walk every chain one by one and score each
+block stacks, each carrying its score square in integers from the stack
+below it.  The Kempf oracles walk every chain one by one and score each
 on its filtration graph in Fractions, with a pool-adjacent-violators
 fit and a b-weighted score of their own; sequence_search keys the same
 dynamic program on whole label sequences instead of stacks.
@@ -18,9 +18,10 @@ stability parameters and q alone, knowing neither route.
 
 The library enumerates subrepresentations by a join over per-arrow
 closure masks.  The enumeration oracles filter the whole product of the
-per-vertex subspace lists instead, and the subrep-counting oracle gives
-the number of subreps of each dimension vector, summed over every
-representation, in closed form.
+per-vertex subspace lists instead.  The flag-counting oracles give, in
+closed form and summed over every representation, the number of subreps
+of each dimension vector and the number of nested pairs U1 <= U2 of each
+pair of dimension vectors, which checks the containment table.
 
 The library sorts subrepresentations by their dimension vector and the
 index of each space in its vertex's canonical list.  The order oracle
@@ -156,36 +157,62 @@ def every_rep(q, field, dims):
         yield Representation(q, field, d, tuple(maps))
 
 
+def _grassmannian(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n: ordered bases of a
+    subspace over ordered bases of F_q^k."""
+    num = den = 1
+    for i in range(k):
+        num *= q**n - q**i
+        den *= q**k - q**i
+    return num // den
+
+
+def _flag_count(quiver, dims, flag, q: int) -> int:
+    """The number of pairs (M, U^1 <= ... <= U^k), M a representation of
+    dimension dims over F_q and U^r subreps of M of dimension flag[r - 1]:
+    prod_v (flags of those dims in F_q^(d_v)) * q^(sum over arrows i -> j,
+    r = 1..k+1 of (e^r_i - e^(r-1)_i) e^r_j), e^0 = 0 and e^(k+1) = dims.
+    In a basis adapted to the flag at every vertex, an arrow i -> j
+    preserves it iff it sends layer r at i into U^r_j, which leaves
+    (e^r_i - e^(r-1)_i) e^r_j free entries per layer.  Loops (i = j) are
+    arrows like any other."""
+    at = {v: k for k, v in enumerate(quiver.vertices)}
+    layers = [(0,) * len(dims), *flag, tuple(dims)]
+    count = 1
+    for lo, hi in zip(layers[1:], layers[2:]):
+        for n, k in zip(hi, lo):
+            count *= _grassmannian(n, k, q)
+    free = sum(
+        (e[at[i]] - e0[at[i]]) * e[at[j]]
+        for e0, e in zip(layers, layers[1:])
+        for i, j in quiver.arrows
+    )
+    return count * q**free
+
+
 def subrep_counts_by_formula(quiver, dims, q: int) -> dict:
     """For each dimension vector e <= dims (tuples in vertex order), the
     number of pairs (M, U), M a representation of dimension dims over F_q
     and U a subrepresentation of M of dimension e:
     prod_v [d_v choose e_v]_q * q^(sum over arrows i -> j of
-    e_i e_j + (d_i - e_i) d_j).  In a basis adapted to U at every vertex,
-    an arrow i -> j preserves U iff its block from U_i to the complement
-    of U_j is zero, which leaves e_i e_j + (d_i - e_i) d_j free entries.
-    Loops (i = j) are arrows like any other."""
-    at = {v: k for k, v in enumerate(quiver.vertices)}
+    e_i e_j + (d_i - e_i) d_j), the flags of _flag_count with k = 1."""
+    return {
+        e: _flag_count(quiver, dims, (e,), q)
+        for e in itertools.product(*(range(d + 1) for d in dims))
+    }
 
-    def grassmannian(n, k):
-        """Number of k-dimensional subspaces of F_q^n: ordered bases of a
-        subspace over ordered bases of F_q^k."""
-        num = den = 1
-        for i in range(k):
-            num *= q**n - q**i
-            den *= q**k - q**i
-        return num // den
 
+def containment_pairs_by_formula(quiver, dims, q: int) -> dict:
+    """For each pair (e1, e2) of dimension vectors e1 <= e2 <= dims, the
+    number of triples (M, U1, U2), M a representation of dimension dims
+    over F_q and U1 <= U2 subreps of M of dimensions e1 and e2:
+    prod_v [d_v choose e2_v]_q [e2_v choose e1_v]_q * q^(sum over arrows
+    i -> j of e1_i e1_j + (e2_i - e1_i) e2_j + (d_i - e2_i) d_j), the flags
+    of _flag_count with k = 2."""
     out = {}
-    for e in itertools.product(*(range(d + 1) for d in dims)):
-        count = 1
-        for n, k in zip(dims, e):
-            count *= grassmannian(n, k)
-        free = sum(
-            e[at[i]] * e[at[j]] + (dims[at[i]] - e[at[i]]) * dims[at[j]]
-            for i, j in quiver.arrows
-        )
-        out[e] = count * q**free
+    for e2 in itertools.product(*(range(d + 1) for d in dims)):
+        for e1 in itertools.product(*(range(d + 1) for d in e2)):
+            out[e1, e2] = _flag_count(quiver, dims, (e1, e2), q)
     return out
 
 

@@ -238,14 +238,30 @@ class TestExitCodes:
     def test_no_positive_score_exits_contradiction(self, tmp_path, monkeypatch, capsys):
         # alpha_zero_problem is unstable, so a search whose every chain
         # scores zero contradicts the theorem
-        def zero_score(seq, _tm, _sm):
-            return (0,) * len(seq), kempf.ZERO_SCORE
-
-        monkeypatch.setattr(kempf, "_chain_score", zero_score)
+        monkeypatch.setattr(
+            kempf, "_kempf_search", lambda *_args: (kempf.ZERO_SCORE, None)
+        )
         path = write_problem(tmp_path, alpha_zero_problem())
         assert main(["verify", path]) == EXIT_CONTRADICTION
         err = capsys.readouterr().err
         assert err.startswith("theorem contradiction: ") and "Traceback" not in err
+
+    def test_winner_score_off_its_carried_score_exits_contradiction(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # pooling the winner's sequence again must give the score its
+        # stack carried through the search
+        def doubled_score(seq, tm, sm):
+            blocks, score = score_chain(seq, tm, sm)
+            return blocks, kempf.ExactScore(1, 4 * score.square)
+
+        score_chain = kempf._chain_score
+        monkeypatch.setattr(kempf, "_chain_score", doubled_score)
+        path = write_problem(tmp_path, alpha_zero_problem())
+        assert main(["verify", path]) == EXIT_CONTRADICTION
+        err = capsys.readouterr().err
+        assert err.startswith("theorem contradiction: ") and "Traceback" not in err
+        assert "carried score" in err
 
     def test_kempf_on_semistable_reports_cleanly(self, tmp_path, capsys):
         path = write_problem(tmp_path, semistable_problem())

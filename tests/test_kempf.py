@@ -339,9 +339,8 @@ class TestKempfFiltration:
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
         assert not is_semistable(m, params)
-        monkeypatch.setattr(
-            kempf, "_chain_score", lambda seq, _tm, _sm: ((0,) * len(seq), ZERO_SCORE)
-        )
+        # a search whose every chain scores zero
+        monkeypatch.setattr(kempf, "_kempf_search", lambda *_args: (ZERO_SCORE, None))
         with pytest.raises(
             TheoremContradictionError, match="admits no chain of positive score"
         ):

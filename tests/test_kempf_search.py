@@ -1,13 +1,16 @@
-"""The Kempf search scores each PAV block stack reached at M once, in
-integers; it must give the answers and tie errors of the search keyed
-on whole label sequences, the one-chain-at-a-time Fraction walk's
-answers, and the HN filtration."""
+"""The Kempf search carries each PAV block stack's score square in
+integers as it interns the stack; it must give the answers and tie
+errors of the search keyed on whole label sequences, the
+one-chain-at-a-time Fraction walk's answers, and the HN filtration, and
+each carried square must be the one _chain_score gives."""
 
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverstab import (
     ExactScore,
@@ -31,6 +34,8 @@ from quiverstab.cli import EXIT_BUDGET, EXIT_OK, main, parse_problem
 
 from conftest import A3, F2, F3, params_for, random_rep
 from oracles import (
+    ascending_chains,
+    chain_score_by_fractions,
     kempf_by_chains,
     refinements_by_fractions,
     scored_chains,
@@ -221,7 +226,61 @@ def test_state_search_equals_sequence_search_on_hand_built_dags(dag):
     assert_searches_agree(*dag)
 
 
+def pushed_stack(seq, tm, sm):
+    """The block stack of a label sequence pushed one step at a time the
+    way _kempf_search pushes a state: each block with the score square
+    (num, den) carried from the stack under it by _square_with."""
+    stack = []  # (W, S, steps, square of the stack up to this block)
+    prev_s, prev_t = 0, 0
+    for s, t in seq:
+        w = s - prev_s
+        x, n = tm * w - sm * (t - prev_t), 1
+        prev_s, prev_t = s, t
+        while stack and kempf._merges(stack[-1], w, x):
+            w1, x1, n1, _square = stack.pop()
+            w, x, n = w + w1, x + x1, n + n1
+        below = stack[-1][3] if stack else (0, 1)
+        stack.append((w, x, n, kempf._square_with(below, (w, x, n))))
+    return stack
+
+
+def assert_carried_square_is_the_chain_score(seq):
+    """Every prefix's carried square has _chain_score's blocks and its
+    integers; the whole chain's score is the Fraction oracle's."""
+    sm, tm = seq[-1]
+    for k in range(1, len(seq) + 1):
+        stack = pushed_stack(seq[:k], tm, sm)
+        blocks, score = kempf._chain_score(seq[:k], tm, sm)
+        assert [top[:3] for top in stack] == blocks
+        num, den = stack[-1][3]
+        assert (score._num, score._den) == ((num, den) if num else (0, 1))
+    assert score == chain_score_by_fractions(seq, tm, sm)[1]
+
+
+# label sequences: sigma strictly increasing from above 0, integer theta;
+# the last label is the end label (sm, tm), sm > 0
+LABEL_SEQUENCES = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(-20, 20)),
+    min_size=1, max_size=8, unique_by=lambda lab: lab[0],
+).map(sorted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(LABEL_SEQUENCES)
+def test_carried_square_equals_the_chain_score(seq):
+    assert_carried_square_is_the_chain_score(seq)
+
+
+@pytest.mark.parametrize("dag", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_carried_square_equals_the_chain_score_on_hand_built_dags(dag):
+    lower, labels = dag
+    for chain in ascending_chains(lower, len(lower) - 1):
+        assert_carried_square_is_the_chain_score([labels[i] for i in chain[1:]])
+
+
 def test_sequences_that_pool_alike_are_scored_once(monkeypatch):
+    # the states at M are compared by their carried squares; only the
+    # winner's sequence is pooled again
     scored = []
 
     def chain_score(seq, tm, sm):
@@ -233,7 +292,7 @@ def test_sequences_that_pool_alike_are_scored_once(monkeypatch):
     lower, labels = HAND_BUILT["two-sequences-one-state"]
     best, winner = kempf._kempf_search(lower, labels)
     assert (best, winner) == (ExactScore(1, Fraction(27, 2)), ((0, 4, 5), (-1, 2)))
-    assert len(scored) == len(set(scored)) == 4
+    assert scored == [(labels[4], labels[5])]
 
 
 def test_state_search_equals_sequence_search_on_an_a3_rung():
