@@ -50,7 +50,6 @@ from .kempf import (
     ZERO_SCORE,
     kempf_filtration,
     kempf_semistability,
-    refinement_domination_violations,
 )
 from .kronecker import (
     EquivalenceReport,

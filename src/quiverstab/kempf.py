@@ -301,29 +301,3 @@ def kempf_semistability(
     _subs, lower, _top = _chain_index_sets(lat)
     return not _kempf_search(lower, lat.labels(params))[0].is_positive()
 
-
-def refinement_domination_violations(
-    m,
-    f: Filtration,
-    params: StabilityParams,
-    best_score: ExactScore,
-    budget: int = DEFAULT_BUDGET,
-):
-    """Insert one extra subrepresentation between consecutive steps of
-    the filtration f of m (or below the first) and check no refined
-    chain scores higher.  m: a Representation or its SubrepLattice.
-
-    Returns the list of violating refinements (expected empty).
-    """
-    lat = _nonzero_lattice(m, budget)
-    chain = lat.chain_of(f)
-    labels = lat.labels(params)
-    sm, tm = labels[-1]
-    out = []
-    for pos, (lo, hi) in enumerate(zip(chain, chain[1:])):
-        for k in lat.between(lo, hi)[:-1]:  # the last is hi itself
-            refined = chain[1 : pos + 1] + [k] + chain[pos + 1 :]
-            _blocks, score = _chain_score([labels[i] for i in refined], tm, sm)
-            if score > best_score:
-                out.append((pos, lat.subs[k], score))
-    return out

@@ -206,6 +206,31 @@ class _Images(dict):
         return image
 
 
+def _row0_first(n: int, pivots: tuple, choices: list, images: list, p: int):
+    """The choices of the non-pivot columns for which every map sends
+    basis row 0 into the span: with row 0 fixed, its image im meets
+    _in_span's rule iff each column j meets im[j] == sum_i im[pivot_i] *
+    column[i] (mod p).  A column's choices come in blocks, one per row-0 entry."""
+    options = [(int(j == pivots[0]),) for j in range(n)]  # for each entry of row 0
+    blocks = {}
+    for col in choices:
+        j, size = col[0][0], len(col) // p or 1
+        blocks[j] = [col[e:e + size] for e in range(0, len(col), size)]
+        options[j] = range(len(blocks[j]))
+    for row0 in itertools.product(*options):
+        kept = [b[row0[j]] for j, b in blocks.items()]
+        for image in images:
+            im = image[row0]
+            coefs = [im[q] for q in pivots]
+            kept = [
+                [(j, c) for j, c in col if (im[j] - sum(map(mul, c, coefs))) % p == 0]
+                for col in kept
+            ]
+            if not all(kept):  # some column has no choice left: drop this row 0
+                break
+        yield from itertools.product(*kept)
+
+
 def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
     """The dimension-k subspaces that every map of images sends into
     themselves, generated via RREF pivot patterns.
@@ -214,8 +239,9 @@ def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
     off the pattern is free in the rows whose pivot lies left of j and 0
     below them, so each subspace of the pattern is one choice of its
     non-pivot columns.  A choice is kept iff the image of each of its
-    basis rows passes the membership rule of those columns, and only kept
-    choices are built as subspaces.
+    basis rows passes the membership rule of those columns; only kept
+    choices are built.  If a non-pivot column lies right of pivot 1, it
+    is free below row 0, and _row0_first skips the choices failing on row 0.
     """
     p = field.p
     out = []
@@ -232,13 +258,16 @@ def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
                     (j, head + zeros)
                     for head in itertools.product(range(p), repeat=free)
                 ])
-        for free_columns in itertools.product(*choices):
+        # elsewhere (k = 1 too) fixing row 0 first costs more than it saves
+        later = int(bool(images) and k > 1 and n - pivots[1] > k - 1)
+        walk = _row0_first(n, pivots, choices, images, p) if later else None
+        for free_columns in walk or itertools.product(*choices):
             for j, c in free_columns:
                 columns[j] = c
             basis = tuple(zip(*columns))
             if not images or all(
                 _in_span(image[row], pivots, free_columns, p)
-                for image in images for row in basis
+                for image in images for row in basis[later:]
             ):
                 out.append(Subspace._from_pattern(field, n, basis, pivots, free_columns))
     out.sort(key=Subspace.canonical_bytes)
@@ -251,9 +280,9 @@ def enumerate_subspaces(n: int, field: PrimeField, k=None, maps=()):
 
     Canonical order: by dimension, then lexicographic on the flattened
     RREF basis entries.  Each subspace appears exactly once.  The maps
-    are tested on each RREF pattern's basis rows before anything is
-    built, each distinct row mapped once per map, so with loops the work
-    past the pattern walk scales with the subspaces kept.
+    are tested on each RREF pattern's basis rows, row 0 before the later
+    rows are generated where a column is free below row 0, each distinct
+    row mapped once per map, and only the subspaces kept are built.
     """
     if k is not None and not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")

@@ -235,10 +235,10 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     and vertices of one shape, equal dimension and loop matrices, share
     one list and one memo of point masks.  Each other arrow u -> w gives
     every subspace a at u the bit mask of the subspaces at w that
-    contain its image.  A join over the vertices in quiver order
-    then visits only consistent assignments: the choices at a vertex are
-    the AND of the masks of the arrows from vertices already placed,
-    less those failing an arrow into a placed vertex.
+    contain its image, transposed once if w comes first in quiver order.
+    A join over the vertices in quiver order then visits only consistent
+    assignments: the choices at a vertex are the AND of its arrows' masks
+    at the choices made at the vertices already placed.
     """
     order = m.quiver.vertices
     p = m.field.p
@@ -272,11 +272,10 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
         rows = {row for s in lists[u] for row in s.basis}
         image = {row: _point(mat.apply_to(row), p) for row in rows}
         into.setdefault(shapes[w], []).append((u, w, image))
-    # per vertex k: (masks, placed vertex) of the arrows from a vertex
-    # placed earlier into k, and of the arrows from k into one; one point
-    # memo per shape, over the images of every arrow into that shape
-    incoming = [[] for _ in order]
-    outgoing = [[] for _ in order]
+    # per vertex k: (masks, placed vertex) of each arrow between k and a
+    # vertex placed earlier; one point memo per shape, over the images of
+    # every arrow into that shape
+    earlier = [[] for _ in order]
     for shape, images in into.items():
         points = {pt for _u, _w, image in images for pt in image.values()}
         points.discard(None)
@@ -284,22 +283,15 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
         everything = (1 << len(built[shape])) - 1
         for u, w, image in images:
             masks = _arrow_masks(image, lists[u], memo, everything)
-            if u < w:
-                incoming[w].append((masks, u))
-            else:
-                outgoing[u].append((masks, w))
+            if u > w:  # for each c at w, the sources at u whose image c contains
+                masks, sources = [0] * len(built[shape]), masks
+                for a, mask in enumerate(sources):
+                    for c in _bits(mask):
+                        masks[c] |= 1 << a
+                u, w = w, u
+            earlier[w].append((masks, u))
 
     chosen = [0] * len(order)  # chosen[j]: index into lists[j]
-
-    def choices(k: int) -> list:
-        """Indices at vertex k consistent with chosen[:k]."""
-        allowed = (1 << len(lists[k])) - 1
-        for masks, u in incoming[k]:
-            allowed &= masks[chosen[u]]
-        return [
-            b for b in _bits(allowed)
-            if all(masks[b] >> chosen[w] & 1 for masks, w in outgoing[k])
-        ]
 
     # depth-first with an explicit stack of (k, choice at vertex k - 1),
     # so no quiver is too long for the recursion limit
@@ -314,7 +306,10 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
             key = tuple(s.dim for s in spaces.values()), tuple(chosen)
             out.append((key, Subrepresentation._closed(m, spaces)))
         else:
-            stack.extend((k + 1, c) for c in choices(k))
+            allowed = (1 << len(lists[k])) - 1
+            for masks, u in earlier[k]:
+                allowed &= masks[chosen[u]]
+            stack.extend((k + 1, c) for c in _bits(allowed))
     out.sort(key=itemgetter(0))
     return [s for _key, s in out]
 

@@ -32,8 +32,9 @@ non-pivot column.  The membership oracle reduces the vector against the
 RREF basis row by row instead.
 
 The representation-level helpers (restriction, quotient, preimage, the
-seesaw check and the reparameterization of theta) serve only these
-oracles and the tests, so they live here and not in the library.  So do
+seesaw check, the reparameterization of theta and the refinement
+domination check) serve only these oracles and the tests, so they live
+here and not in the library.  So do
 the matrix product, the zero and identity matrices, the sum of two
 subspaces, the zero and full subspaces and those of a representation,
 and the exact Galois number of subspaces of F_p^n, against which the
@@ -45,6 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from quiverstab import (
+    DEFAULT_BUDGET,
     ZERO_SCORE,
     ExactScore,
     Filtration,
@@ -69,6 +71,7 @@ from quiverstab import (
     sub_contains,
     theta_of,
 )
+from quiverstab.quiver import _nonzero_lattice
 
 
 def reduce(s, vec) -> tuple:
@@ -505,6 +508,33 @@ def chain_score_by_fractions(chain_dims, tm, sm):
     if all(x == 0 for x in gamma):
         return gamma, ZERO_SCORE
     return gamma, score_by_fractions(gamma, b, v)
+
+
+def refinement_domination_violations(
+    m,
+    f: Filtration,
+    params: StabilityParams,
+    best_score: ExactScore,
+    budget: int = DEFAULT_BUDGET,
+):
+    """Insert one extra subrepresentation between consecutive steps of
+    the filtration f of m (or below the first) and check no refined
+    chain scores higher.  m: a Representation or its SubrepLattice.
+
+    Returns the list of violating refinements (expected empty).
+    """
+    lat = _nonzero_lattice(m, budget)
+    chain = lat.chain_of(f)
+    labels = lat.labels(params)
+    sm, tm = labels[-1]
+    out = []
+    for pos, (lo, hi) in enumerate(zip(chain, chain[1:])):
+        for k in lat.between(lo, hi)[:-1]:  # the last is hi itself
+            refined = chain[1 : pos + 1] + [k] + chain[pos + 1 :]
+            _blocks, score = kempf._chain_score([labels[i] for i in refined], tm, sm)
+            if score > best_score:
+                out.append((pos, lat.subs[k], score))
+    return out
 
 
 def refinements_by_fractions(lat, f, params):

@@ -7,9 +7,11 @@ representations by HN type and the counts per type must equal Reineke's
 closed form (tests/oracles.py::hn_type_counts).  On two families the
 subreps of each dimension vector (k = 1) and the nested pairs U1 <= U2
 that the containment table records (k = 2) must equal their closed-form
-counts too.  Each family prints one line with its time; the script exits
-1 if any count differs or the library raises on any family, 0 otherwise.
-It takes a few tens of seconds.
+counts too; on one loop (3)/F3, over all 19,683 loops, the k = 1 counts
+alone, which take in the 2-dimensional pattern whose row 0 the
+enumeration tests first.  Each family prints one line with its time; the script
+exits 1 if any count differs or the library raises on any family, 0
+otherwise.  It takes a few tens of seconds.
 """
 
 import sys
@@ -55,6 +57,11 @@ FLAG_SWEEPS = {
     "kronecker2-22-F3": (Quiver.kronecker(2), F3, (2, 2)),
 }
 
+# (quiver, field, dims) for the k = 1 counts alone
+SUBREP_SWEEPS = {
+    "one-loop-3-F3": (Quiver(("v",), (("v", "v"),)), F3, (3,)),
+}
+
 
 def hn_sweep(q, field, dims, grid) -> bool:
     return all(
@@ -73,10 +80,17 @@ def flag_sweep(q, field, dims) -> bool:
     ) and pairs == containment_pairs_by_formula(q, dims, field.p)
 
 
+def subrep_sweep(q, field, dims) -> bool:
+    return subrep_counts(q, field, dims) == subrep_counts_by_formula(q, dims, field.p)
+
+
 def main() -> int:
     runs = [(f"HN types {name}", hn_sweep, args) for name, args in HN_SWEEPS.items()]
     runs += [
         (f"k = 1, 2 {name}", flag_sweep, args) for name, args in FLAG_SWEEPS.items()
+    ]
+    runs += [
+        (f"k = 1 {name}", subrep_sweep, args) for name, args in SUBREP_SWEEPS.items()
     ]
     failed = 0
     for label, sweep, args in runs:

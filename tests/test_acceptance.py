@@ -28,7 +28,6 @@ from quiverstab import (
     p1_hn,
     p1_slope,
     rank3_weights,
-    refinement_domination_violations,
     enumerate_subreps,
     sigma_of,
     theta_of,
@@ -39,6 +38,7 @@ from conftest import A3, F2, F3, params_for, random_rep
 from oracles import (
     filtration_graph,
     primitive_oracle,
+    refinement_domination_violations,
     reparam_theta,
     score_by_fractions,
     seesaw_check,

@@ -100,6 +100,27 @@ def test_join_equals_product(shape):
         assert keys(enumerate_subreps(m)) == keys(subreps_by_product(m))
 
 
+def by_vertex(subs):
+    """Each subrep as its sorted (vertex name, basis) pairs, one entry
+    per subrep, in a canonical order of its own."""
+    return sorted(
+        tuple(sorted((v, s.basis) for v, s in sub.spaces.items())) for sub in subs
+    )
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_join_in_either_vertex_order(shape):
+    """Reversing the vertex order turns every arrow's forward mask into a
+    transposed one and back; the subreps must stay the same."""
+    quiver, field, dims = shape
+    reversed_order = Quiver(quiver.vertices[::-1], quiver.arrows)
+    rng = random.Random(4)
+    for density in (0.0, 0.3, 0.3, 0.6, 0.6, 1.0, 1.0):
+        m = random_maps(rng, quiver, field, dims, density)
+        r = Representation(reversed_order, field, m.dims, m.arrow_maps)
+        assert by_vertex(enumerate_subreps(r)) == by_vertex(enumerate_subreps(m))
+
+
 def test_kronecker_1_3_over_f97():
     q = Quiver.kronecker(1)
     m = Representation(

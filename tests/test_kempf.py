@@ -16,7 +16,6 @@ from quiverstab import (
     kempf,
     kempf_filtration,
     kempf_semistability,
-    refinement_domination_violations,
 )
 
 from conftest import A3, F2, F3, all_kronecker_reps, kronecker_rep, params_for, random_rep
@@ -25,6 +24,7 @@ from oracles import (
     graph_by_fractions,
     pav_by_fractions,
     primitive_oracle,
+    refinement_domination_violations,
     score_by_fractions,
 )
 

@@ -26,7 +26,6 @@ from quiverstab import (
     is_semistable,
     kempf_filtration,
     kempf_semistability,
-    refinement_domination_violations,
     kempf,
     quiver,
 )
@@ -37,6 +36,7 @@ from oracles import (
     ascending_chains,
     chain_score_by_fractions,
     kempf_by_chains,
+    refinement_domination_violations,
     refinements_by_fractions,
     scored_chains,
     sequence_search,

@@ -11,6 +11,7 @@ from quiverstab import (
     contains,
     enumerate_subspaces,
     gaussian_binomial,
+    linalg,
     rref,
 )
 
@@ -305,6 +306,13 @@ def shift(field, n):
     )
 
 
+def scalar(field, n):
+    """2·I, a scalar map other than 0 and I."""
+    return Matrix.from_rows(
+        field, [[2 * int(i == j) for j in range(n)] for i in range(n)], ncols=n
+    )
+
+
 def random_square(rng, field, n, density):
     return Matrix.from_rows(field, [
         [rng.randrange(1, field.p) if rng.random() < density else 0 for _ in range(n)]
@@ -320,13 +328,10 @@ class TestInvariantEnumeration:
     @pytest.mark.parametrize("field", [F2, F3, F5], ids=lambda f: f"F{f.p}")
     def test_special_maps(self, field):
         for n in range(4):
-            scalar = Matrix.from_rows(
-                field, [[2 * int(i == j) for j in range(n)] for i in range(n)], ncols=n
-            )
             for maps in (
                 (zero_matrix(field, n, n),),
                 (identity_matrix(field, n),),
-                (scalar,),
+                (scalar(field, n),),
                 (shift(field, n),),
             ):
                 got = enumerate_subspaces(n, field, maps=maps)
@@ -390,6 +395,40 @@ class TestInvariantEnumeration:
             assert enumerate_subspaces(4, field, k, maps) == invariant_by_filter(
                 4, field, maps, k
             )
+
+    @pytest.mark.parametrize("field, n", [(F3, 5), (F5, 4)], ids=["F3^5", "F5^4"])
+    def test_benchmark_shapes(self, field, n):
+        """The looped vertex shapes of the benchmark, where row 0 prunes
+        most choices: each kept subspace also carries the pivots and
+        columns that its basis gives."""
+        rng = random.Random(field.p * n)
+        cases = [
+            tuple(random_square(rng, field, n, density) for _ in range(count))
+            for density in (0.2, 0.5, 1.0) for count in (1, 2)
+        ]
+        cases += [(shift(field, n),), (zero_matrix(field, n, n),),
+                  (identity_matrix(field, n),), (scalar(field, n),)]
+        for maps in cases:
+            got = enumerate_subspaces(n, field, maps=maps)
+            assert got == invariant_by_filter(n, field, maps)
+            for s in got:
+                fresh = Subspace(field, n, s.basis)
+                assert (s.pivots, s._columns) == (fresh.pivots, fresh._columns)
+
+    def test_row0_first_prunes_membership_tests(self, monkeypatch):
+        """On the shift of F3^5, row 0 rejects most choices before they
+        are generated (testing every choice takes 3,087 membership
+        tests)."""
+        calls = [0]
+        in_span = linalg._in_span
+
+        def counted(*args):
+            calls[0] += 1
+            return in_span(*args)
+
+        monkeypatch.setattr(linalg, "_in_span", counted)
+        assert len(enumerate_subspaces(5, F3, maps=(shift(F3, 5),))) == 6
+        assert calls[0] <= 1000
 
     def test_kept_subspaces_test_membership(self):
         """Each kept subspace carries its pattern's pivots and columns."""
