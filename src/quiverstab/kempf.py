@@ -35,14 +35,13 @@ from .errors import (
     TheoremContradictionError,
 )
 from .quiver import (
-    DEFAULT_BUDGET,
     Filtration,
     StabilityParams,
     SubrepLattice,
     enumerate_subreps,  # unused here; perfbench/tracing.py wraps this binding
     is_semistable,
     slope,
-    _nonzero_lattice,
+    _require_nonzero,
 )
 
 
@@ -262,17 +261,17 @@ def _chains_carrying(lower, labels, seq):
     return counts[-1]
 
 
-def kempf_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET):
+def kempf_filtration(lat: SubrepLattice, params: StabilityParams):
     """Maximally destabilizing weighted filtration of an unstable
     representation, by exhaustive scoring of every strictly increasing
     chain ending at the whole representation.
 
-    m is a Representation or its SubrepLattice (whose budget then
-    applies).  Returns (filtration, gamma, score).  The winner must have
-    strictly increasing weights; a tie between two distinct such chains
-    at the maximal score contradicts uniqueness and is raised.
+    The chains are charged against the lattice's budget.  Returns
+    (filtration, gamma, score).  The winner must have strictly increasing
+    weights; a tie between two distinct such chains at the maximal score
+    contradicts uniqueness and is raised.
     """
-    lat = _nonzero_lattice(m, budget)
+    _require_nonzero(lat)
     if is_semistable(lat, params):
         raise SemistableInputError("the representation is semistable")
     subs, lower, _top = _chain_index_sets(lat)
@@ -290,14 +289,11 @@ def kempf_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET):
     return filtration, gamma, best
 
 
-def kempf_semistability(
-    m, params: StabilityParams, budget: int = DEFAULT_BUDGET
-) -> bool:
+def kempf_semistability(lat: SubrepLattice, params: StabilityParams) -> bool:
     """Semistability via the numerical criterion: no chain admits
     non-decreasing weights with positive pairing, read off the best score
-    of _kempf_search, which also checks an unstable input for a tie.  m: a
-    Representation or its SubrepLattice (whose budget then applies)."""
-    lat = _nonzero_lattice(m, budget)
+    of _kempf_search, which also checks an unstable input for a tie."""
+    _require_nonzero(lat)
     _subs, lower, _top = _chain_index_sets(lat)
     return not _kempf_search(lower, lat.labels(params))[0].is_positive()
 

@@ -115,14 +115,12 @@ def is_subordinate(a: KroneckerSubmodule, b: KroneckerSubmodule) -> bool:
     return contains(b.v_part, a.v_part) and contains(a.w_part, b.w_part)
 
 
-def is_tight(a: KroneckerSubmodule, m, budget: int = DEFAULT_BUDGET) -> bool:
-    """Tight: subordinate to no submodule other than itself.  m: a
-    KroneckerModule or the SubrepLattice of its quiver reading."""
-    if isinstance(m, SubrepLattice):
-        submodules = map(submodule_from_subrep, m.subs)
-    else:
-        submodules = enumerate_submodules(m, budget)
-    for b in submodules:
+def is_tight(a: KroneckerSubmodule, lat: SubrepLattice) -> bool:
+    """Tight: subordinate to no submodule other than itself, the
+    submodules read off the lattice of the module's quiver reading."""
+    if lat.rep.quiver != Quiver.kronecker(len(lat.rep.quiver.arrows)):
+        raise ValueError("not the lattice of a Kronecker module's quiver reading")
+    for b in map(submodule_from_subrep, lat.subs):
         if (b.v_part, b.w_part) == (a.v_part, a.w_part):
             continue
         if is_subordinate(a, b):

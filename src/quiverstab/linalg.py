@@ -108,8 +108,17 @@ class Subspace:
     def __post_init__(self):
         if any(len(r) != self.ambient for r in self.basis):
             raise ValueError("basis row length != ambient dimension")
-        pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.basis)
+        p = self.field.p
+        if any(not 0 <= x < p for r in self.basis for x in r):
+            raise ValueError(f"basis entries must lie in 0..{p - 1}")
+        # a zero row gets pivot -1, which the increasing test rejects
+        pivots = tuple(next((j for j, x in enumerate(r) if x), -1) for r in self.basis)
         columns = tuple(zip(*self.basis)) if self.basis else ((),) * self.ambient
+        if not all(a < b for a, b in zip((-1,) + pivots, pivots)) or any(
+            columns[q] != tuple(int(r == i) for r in range(len(pivots)))
+            for i, q in enumerate(pivots)
+        ):
+            raise ValueError("basis is not in RREF without zero rows")
         # the frozen dataclass allows setting attributes through object
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_columns", tuple(

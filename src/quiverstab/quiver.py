@@ -391,13 +391,10 @@ class SubrepLattice:
         return [0] + [self.subs.index(s) for s in f.steps]
 
 
-def _nonzero_lattice(m, budget: int) -> SubrepLattice:
-    """The lattice of m, a Representation or already its SubrepLattice;
-    stability is undefined for the zero representation."""
-    rep = m.rep if isinstance(m, SubrepLattice) else m
-    if rep.is_zero():
+def _require_nonzero(lat: SubrepLattice):
+    """Stability is undefined for the zero representation."""
+    if lat.rep.is_zero():
         raise ZeroRepresentationError("operation undefined for the zero representation")
-    return m if rep is not m else SubrepLattice(m, budget)
 
 
 def _quotient_key(labels: list, lo: int, k: int):
@@ -441,20 +438,17 @@ def _max_destabilizing_above(lat: SubrepLattice, labels: list, lo: int) -> int:
     return best[0]
 
 
-def is_semistable(m, params: StabilityParams, budget: int = DEFAULT_BUDGET) -> bool:
-    """m: a Representation or its SubrepLattice."""
-    lat = _nonzero_lattice(m, budget)
+def is_semistable(lat: SubrepLattice, params: StabilityParams) -> bool:
+    """True iff no subrepresentation has a slope above the whole's."""
+    _require_nonzero(lat)
     return _semistable_between(lat, lat.labels(params), 0, len(lat.subs) - 1)
 
 
-def max_destabilizing(
-    m, params: StabilityParams, budget: int = DEFAULT_BUDGET
-) -> Subrepresentation:
+def max_destabilizing(lat: SubrepLattice, params: StabilityParams) -> Subrepresentation:
     """The unique non-zero subrepresentation of maximal slope and, among
     those, maximal total dimension.  A tie contradicts uniqueness and is
-    raised, never broken silently.  m: a Representation or its
-    SubrepLattice."""
-    lat = _nonzero_lattice(m, budget)
+    raised, never broken silently."""
+    _require_nonzero(lat)
     return lat.subs[_max_destabilizing_above(lat, lat.labels(params), 0)]
 
 
@@ -489,12 +483,12 @@ class Filtration:
         return out
 
 
-def hn_filtration(m, params: StabilityParams, budget: int = DEFAULT_BUDGET) -> Filtration:
+def hn_filtration(lat: SubrepLattice, params: StabilityParams) -> Filtration:
     """Harder-Narasimhan filtration as an iterated maximum over the
     lattice: M_1 is the maximal destabilizing subobject, and each next
     step is the maximal destabilizing subobject of M / M_{i-1}, read off
-    the interval [M_{i-1}, M].  m: a Representation or its SubrepLattice."""
-    lat = _nonzero_lattice(m, budget)
+    the interval [M_{i-1}, M]."""
+    _require_nonzero(lat)
     labels = lat.labels(params)
     # the first step goes through the public name, which perfbench/tracing.py spans
     chain = [lat.subs.index(max_destabilizing(lat, params))]
@@ -515,13 +509,12 @@ class HNReport:
 
 
 def check_hn_properties(
-    m, f: Filtration, params: StabilityParams, budget: int = DEFAULT_BUDGET
+    lat: SubrepLattice, f: Filtration, params: StabilityParams
 ) -> HNReport:
     """Verify the two defining properties on a computed filtration f of
-    m: strictly descending quotient slopes and semistable quotients, each
-    quotient read off its interval in the lattice.  m: a Representation
-    or its SubrepLattice."""
-    lat = _nonzero_lattice(m, budget)
+    lat.rep: strictly descending quotient slopes and semistable quotients,
+    each quotient read off its interval in the lattice."""
+    _require_nonzero(lat)
     chain = lat.chain_of(f)
     slopes = [slope(d, params) for d in f.quotient_dims()]
     descending = all(a > b for a, b in zip(slopes, slopes[1:]))

@@ -46,7 +46,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from quiverstab import (
-    DEFAULT_BUDGET,
     ZERO_SCORE,
     ExactScore,
     Filtration,
@@ -56,6 +55,7 @@ from quiverstab import (
     Matrix,
     Representation,
     StabilityParams,
+    SubrepLattice,
     Subrepresentation,
     Subspace,
     TheoremContradictionError,
@@ -71,7 +71,6 @@ from quiverstab import (
     sub_contains,
     theta_of,
 )
-from quiverstab.quiver import _nonzero_lattice
 
 
 def reduce(s, vec) -> tuple:
@@ -382,7 +381,7 @@ def hn_by_quotients(m, params):
     """HN filtration by recursion: the maximal destabilizing subobject,
     then the HN filtration of the quotient by it, lifted back to m by
     preimage."""
-    first = max_destabilizing(m, params)
+    first = max_destabilizing(SubrepLattice(m), params)
     if first.is_full():
         return Filtration(m, (first,))
     quot, _projs = quotient(m, first)
@@ -406,7 +405,7 @@ def hn_report_by_quotients(f, params):
             quot, projs = quotient(m, f.steps[i - 1])
             spaces = {v: apply(projs[v], step.spaces[v]) for v in m.quiver.vertices}
             sub = restrict(quot, Subrepresentation(quot, spaces))
-        semis.append(is_semistable(sub, params))
+        semis.append(is_semistable(SubrepLattice(sub), params))
     descending = all(a > b for a, b in zip(slopes, slopes[1:]))
     return HNReport(slopes, descending, semis)
 
@@ -511,19 +510,17 @@ def chain_score_by_fractions(chain_dims, tm, sm):
 
 
 def refinement_domination_violations(
-    m,
+    lat: SubrepLattice,
     f: Filtration,
     params: StabilityParams,
     best_score: ExactScore,
-    budget: int = DEFAULT_BUDGET,
 ):
     """Insert one extra subrepresentation between consecutive steps of
-    the filtration f of m (or below the first) and check no refined
-    chain scores higher.  m: a Representation or its SubrepLattice.
+    the filtration f of lat.rep (or below the first) and check no refined
+    chain scores higher.
 
     Returns the list of violating refinements (expected empty).
     """
-    lat = _nonzero_lattice(m, budget)
     chain = lat.chain_of(f)
     labels = lat.labels(params)
     sm, tm = labels[-1]

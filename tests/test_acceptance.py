@@ -16,6 +16,7 @@ from quiverstab import (
     PrimeField,
     Rank3Slopes,
     SplitBundle,
+    SubrepLattice,
     ZERO_SCORE,
     TheoremContradictionError,
     enumerate_subspaces,
@@ -272,11 +273,12 @@ def test_criterion_6_property_suites():
         if m.is_zero():
             continue
         params = params_for(A3, tuple(rng.randint(-2, 2) for _ in range(3)))
-        f = hn_filtration(m, params)
+        lat = SubrepLattice(m)
+        f = hn_filtration(lat, params)
         for a, b in ((2, 1), (3, -2)):
             p2 = reparam_theta(params, a, b)
-            assert is_semistable(m, params) == is_semistable(m, p2)
-            f2 = hn_filtration(m, p2)
+            assert is_semistable(lat, params) == is_semistable(lat, p2)
+            f2 = hn_filtration(lat, p2)
             assert [s.spaces for s in f.steps] == [s.spaces for s in f2.steps]
         reparam_checked += 1
 
@@ -286,14 +288,15 @@ def test_criterion_6_property_suites():
         if m.is_zero():
             continue
         params = params_for(A3, tuple(rng.randint(-2, 2) for _ in range(3)))
-        if is_semistable(m, params):
+        lat = SubrepLattice(m)
+        if is_semistable(lat, params):
             continue
-        f, gamma, score = kempf_filtration(m, params)
+        f, gamma, score = kempf_filtration(lat, params)
         _b, v = filtration_graph(f, params)
         # strict convexity of the winner graph
         assert all(x < y for x, y in zip(v, v[1:]))
         # refinement domination
-        assert refinement_domination_violations(m, f, params, score) == []
+        assert refinement_domination_violations(lat, f, params, score) == []
         # per-vertex vs collected pairing identity
         assert pairing_collected(f, gamma, params) == pairing_per_vertex(
             f, gamma, params
@@ -319,7 +322,6 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_kronecker_equivalence_and_tightness():
     from quiverstab import (
-        SubrepLattice,
         equivalence_check,
         is_tight,
         module_stability_params,

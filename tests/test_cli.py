@@ -306,9 +306,9 @@ class TestSharedLattice:
         calls = []
         is_semistable = qv.is_semistable
 
-        def counted(m, params, *args):
-            calls.append(m)
-            return is_semistable(m, params, *args)
+        def counted(lat, params):
+            calls.append(lat)
+            return is_semistable(lat, params)
 
         monkeypatch.setattr(qv, "is_semistable", counted)
         monkeypatch.setattr(kempf, "is_semistable", counted)
@@ -360,6 +360,17 @@ class TestJsonReports:
         assert code == EXIT_OK
         # alpha = 0: all four subspace pairs are subrepresentations
         assert report["result"]["count"] == 4
+
+    def test_enumerate_zero_representation(self, tmp_path, capsys):
+        # the zero rep has a lattice, its one subrep; only the stability
+        # commands refuse it (EXIT_USAGE_CASES)
+        data = problem_with(("representation",), ZERO_REPRESENTATION)
+        code, report = self.run_json(capsys, ["enumerate", write_problem(tmp_path, data)])
+        assert code == EXIT_OK
+        assert report["result"] == {
+            "count": 1,
+            "dimension_vectors": [{"v0": 0, "v1": 0}],
+        }
 
     def test_semistable_agreement_flag(self, tmp_path, capsys):
         path = write_problem(tmp_path, semistable_problem())

@@ -257,7 +257,7 @@ class TestScoreFunctions:
         # on the quotient, so its pairing must vanish
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        b, v = filtration_graph(hn_filtration(m, params), params)
+        b, v = filtration_graph(hn_filtration(SubrepLattice(m), params), params)
         assert score_by_fractions((3, 3), b, v) == ZERO_SCORE
 
 
@@ -282,7 +282,7 @@ class TestKempfFiltration:
     def test_alpha_zero_example(self):
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        f, gamma, score = kempf_filtration(m, params)
+        f, gamma, score = kempf_filtration(SubrepLattice(m), params)
         assert f.step_dims() == [{"v0": 1, "v1": 0}, {"v0": 1, "v1": 1}]
         assert gamma == (Fraction(-1), Fraction(1))
         assert score == ExactScore(1, Fraction(2))
@@ -291,16 +291,17 @@ class TestKempfFiltration:
         m = kronecker_rep(F2, (1, 1), [[1]])
         params = params_for(m.quiver, (1, 0))
         with pytest.raises(SemistableInputError):
-            kempf_filtration(m, params)
+            kempf_filtration(SubrepLattice(m), params)
 
     def test_equals_hn_small_exhaustive(self):
         q = kronecker_rep(F2, (1, 1), [[0]]).quiver
         params = params_for(q, (1, 0))
         for m in all_kronecker_reps(F2, (2, 1)):
-            if is_semistable(m, params):
+            lat = SubrepLattice(m)
+            if is_semistable(lat, params):
                 continue
-            hn = hn_filtration(m, params)
-            kf, _gamma, _score = kempf_filtration(m, params)
+            hn = hn_filtration(lat, params)
+            kf, _gamma, _score = kempf_filtration(lat, params)
             assert [s.spaces for s in hn.steps] == [s.spaces for s in kf.steps]
 
     def test_winner_graph_strictly_convex(self):
@@ -311,9 +312,10 @@ class TestKempfFiltration:
             if m.is_zero():
                 continue
             params = params_for(A3, tuple(rng.randint(-2, 2) for _ in range(3)))
-            if is_semistable(m, params):
+            lat = SubrepLattice(m)
+            if is_semistable(lat, params):
                 continue
-            f, gamma, _score = kempf_filtration(m, params)
+            f, gamma, _score = kempf_filtration(lat, params)
             _b, v = filtration_graph(f, params)
             assert all(a < b for a, b in zip(v, v[1:]))
             assert all(a < b for a, b in zip(gamma, gamma[1:]))
@@ -324,7 +326,8 @@ class TestKempfFiltration:
         # 0, 1 and 3, whose quotient slopes 0 then 1 increase
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        assert SubrepLattice(m).dims[1] == (0, 1)
+        lat = SubrepLattice(m)
+        assert lat.dims[1] == (0, 1)
         monkeypatch.setattr(
             kempf,
             "_kempf_search",
@@ -333,18 +336,19 @@ class TestKempfFiltration:
         with pytest.raises(
             TheoremContradictionError, match="^winning chain has a non-convex graph$"
         ):
-            kempf_filtration(m, params)
+            kempf_filtration(lat, params)
 
     def test_no_positive_score_is_a_contradiction(self, monkeypatch):
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        assert not is_semistable(m, params)
+        lat = SubrepLattice(m)
+        assert not is_semistable(lat, params)
         # a search whose every chain scores zero
         monkeypatch.setattr(kempf, "_kempf_search", lambda *_args: (ZERO_SCORE, None))
         with pytest.raises(
             TheoremContradictionError, match="admits no chain of positive score"
         ):
-            kempf_filtration(m, params)
+            kempf_filtration(lat, params)
 
     def test_refinement_domination(self):
         rng = random.Random(47)
@@ -354,10 +358,11 @@ class TestKempfFiltration:
             if m.is_zero():
                 continue
             params = params_for(A3, tuple(rng.randint(-2, 2) for _ in range(3)))
-            if is_semistable(m, params):
+            lat = SubrepLattice(m)
+            if is_semistable(lat, params):
                 continue
-            f, _gamma, score = kempf_filtration(m, params)
-            assert refinement_domination_violations(m, f, params, score) == []
+            f, _gamma, score = kempf_filtration(lat, params)
+            assert refinement_domination_violations(lat, f, params, score) == []
             checked += 1
 
 
@@ -366,8 +371,9 @@ class TestKempfSemistability:
         q_params = params_for(kronecker_rep(F2, (1, 1), [[0]]).quiver, (1, 0))
         for dims in ((1, 1), (2, 1), (1, 2)):
             for m in all_kronecker_reps(F2, dims):
-                assert kempf_semistability(m, q_params) == is_semistable(
-                    m, q_params
+                lat = SubrepLattice(m)
+                assert kempf_semistability(lat, q_params) == is_semistable(
+                    lat, q_params
                 )
 
     def test_agrees_random_a3(self):
@@ -382,5 +388,6 @@ class TestKempfSemistability:
                 tuple(rng.randint(-2, 2) for _ in range(3)),
                 tuple(rng.randint(1, 2) for _ in range(3)),
             )
-            assert kempf_semistability(m, params) == is_semistable(m, params)
+            lat = SubrepLattice(m)
+            assert kempf_semistability(lat, params) == is_semistable(lat, params)
             checked += 1

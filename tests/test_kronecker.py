@@ -6,11 +6,14 @@ from quiverstab import (
     KroneckerModule,
     KroneckerSubmodule,
     Matrix,
+    Quiver,
+    Representation,
     Subspace,
     SubrepLattice,
     enumerate_submodules,
     equivalence_check,
     hn_filtration,
+    is_semistable,
     is_semistable_module,
     is_submodule,
     is_subordinate,
@@ -149,25 +152,38 @@ class TestSubordinateAndTight:
         m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),))
         full = KroneckerSubmodule(full_subspace(F2, 1), full_subspace(F2, 1))
         # (V, 0) is a submodule and dominates (V, W) in the subordination order
-        assert not is_tight(full, m)
+        assert not is_tight(full, SubrepLattice(to_quiver_rep(m)))
 
-    def test_tight_on_lattice_as_on_module(self):
-        for m in all_modules(F2, 2, 1, 1):
+    def test_tight_matches_brute_force(self):
+        # brute force: sub is subordinate to no other submodule
+        shapes = ((F2, 2, 1, 1), (F2, 1, 2, 2), (F2, 2, 2, 1), (F3, 1, 1, 2))
+        for m in itertools.chain.from_iterable(itertools.starmap(all_modules, shapes)):
             lat = SubrepLattice(to_quiver_rep(m))
-            for sub in enumerate_submodules(m):
-                assert is_tight(sub, lat) == is_tight(sub, m)
+            submodules = enumerate_submodules(m)
+            for sub in submodules:
+                tight = not any(
+                    is_subordinate(sub, b)
+                    for b in submodules
+                    if (b.v_part, b.w_part) != (sub.v_part, sub.w_part)
+                )
+                assert is_tight(sub, lat) == tight, (m, sub.dims())
+
+    def test_tight_refuses_a_lattice_of_another_quiver(self):
+        # the lattice of v0 -> v1 -> v2 has v0 and v1 parts, but no submodules
+        q = Quiver(("v0", "v1", "v2"), (("v0", "v1"), ("v1", "v2")))
+        one = Matrix.from_rows(F2, [[1]])
+        lat = SubrepLattice(Representation(q, F2, dict.fromkeys(q.vertices, 1), (one, one)))
+        full = KroneckerSubmodule(full_subspace(F2, 1), full_subspace(F2, 1))
+        with pytest.raises(ValueError):
+            is_tight(full, lat)
 
     def test_proper_hn_steps_tight(self):
         params = module_stability_params()
         for m in all_modules(F2, 2, 1, 1):
-            rep = to_quiver_rep(m)
-            if rep.is_zero():
+            lat = SubrepLattice(to_quiver_rep(m))
+            if is_semistable(lat, params):
                 continue
-            from quiverstab import is_semistable
-
-            if is_semistable(rep, params):
-                continue
-            f = hn_filtration(rep, params)
+            f = hn_filtration(lat, params)
             for step in f.steps[:-1]:
                 sub = submodule_from_subrep(step)
-                assert is_tight(sub, m), (m, sub.dims())
+                assert is_tight(sub, lat), (m, sub.dims())

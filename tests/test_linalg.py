@@ -194,6 +194,18 @@ class TestSubspace:
         b = Subspace.from_spanning(F3, 3, [[1, 2, 1], [0, 2, 2]])
         assert a == b
 
+    @pytest.mark.parametrize("basis", [
+        ((1, 2, 0), (0, 1, 1)),  # pivot column 1 is not a unit column
+        ((2, 0),),               # pivot entry 2, not 1
+        ((0, 0),),               # zero row
+        ((0, 1), (1, 0)),        # pivots decrease
+        ((1, 3),),               # entry outside 0..p-1
+    ], ids=["echelon-not-reduced", "non-monic-pivot", "zero-row",
+            "pivots-decrease", "entry-out-of-range"])
+    def test_rejects_basis_not_in_rref(self, basis):
+        with pytest.raises(ValueError):
+            Subspace(F3, len(basis[0]), basis)
+
     def test_zero_and_full(self):
         z = zero_subspace(F2, 3)
         f = full_subspace(F2, 3)

@@ -12,6 +12,7 @@ from quiverstab import (
     Quiver,
     Representation,
     StabilityParams,
+    SubrepLattice,
     Subrepresentation,
     TheoremContradictionError,
     ZeroRepresentationError,
@@ -21,6 +22,8 @@ from quiverstab import (
     gaussian_binomial,
     hn_filtration,
     is_semistable,
+    kempf_filtration,
+    kempf_semistability,
     max_destabilizing,
     sigma_of,
     slope,
@@ -198,12 +201,24 @@ class TestSemistability:
                 for s in enumerate_subreps(m)
                 if not s.is_zero()
             )
-            assert is_semistable(m, params) == verdict
+            assert is_semistable(SubrepLattice(m), params) == verdict
 
     def test_zero_rep_raises(self):
         m = kronecker_rep(F2, (0, 0), [[]])
         with pytest.raises(ZeroRepresentationError):
-            is_semistable(m, params_for(m.quiver, (1, 0)))
+            is_semistable(SubrepLattice(m), params_for(m.quiver, (1, 0)))
+
+    @pytest.mark.parametrize("route", [
+        is_semistable, max_destabilizing, hn_filtration,
+        kempf_filtration, kempf_semistability,
+    ], ids=lambda f: f.__name__)
+    def test_zero_lattice_raises_on_every_route(self, route):
+        # the zero rep has a lattice, its one subrep; each route refuses it
+        m = kronecker_rep(F2, (0, 0), [[]])
+        lat = SubrepLattice(m)
+        assert len(lat.subs) == 1
+        with pytest.raises(ZeroRepresentationError):
+            route(lat, params_for(m.quiver, (1, 0)))
 
 
 class TestMaxDestabilizing:
@@ -212,7 +227,7 @@ class TestMaxDestabilizing:
         q = Quiver.kronecker(1)
         params = params_for(q, (1, 0))
         for m in all_kronecker_reps(F2, (2, 2)):
-            s = max_destabilizing(m, params)
+            s = max_destabilizing(SubrepLattice(m), params)
             best = max(
                 (slope(x.dim_vector(), params), sigma_of(x.dim_vector(), params))
                 for x in enumerate_subreps(m)
@@ -224,8 +239,9 @@ class TestMaxDestabilizing:
     def test_semistable_gives_full(self):
         m = kronecker_rep(F2, (1, 1), [[1]])
         params = params_for(m.quiver, (1, 0))
-        assert is_semistable(m, params)
-        assert max_destabilizing(m, params).is_full()
+        lat = SubrepLattice(m)
+        assert is_semistable(lat, params)
+        assert max_destabilizing(lat, params).is_full()
 
 
 class TestFiltration:
@@ -260,13 +276,13 @@ class TestHNFiltration:
     def test_alpha_zero_kronecker(self):
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
-        f = hn_filtration(m, params)
+        f = hn_filtration(SubrepLattice(m), params)
         assert f.step_dims() == [{"v0": 1, "v1": 0}, {"v0": 1, "v1": 1}]
 
     def test_semistable_gives_one_step(self):
         m = kronecker_rep(F2, (1, 1), [[1]])
         params = params_for(m.quiver, (1, 0))
-        f = hn_filtration(m, params)
+        f = hn_filtration(SubrepLattice(m), params)
         assert len(f.steps) == 1
 
     def test_defining_properties_random(self):
@@ -281,8 +297,9 @@ class TestHNFiltration:
                 tuple(rng.randint(-2, 2) for _ in range(3)),
                 tuple(rng.randint(1, 2) for _ in range(3)),
             )
-            f = hn_filtration(m, params)
-            report = check_hn_properties(m, f, params)
+            lat = SubrepLattice(m)
+            f = hn_filtration(lat, params)
+            report = check_hn_properties(lat, f, params)
             assert report.ok, (m, params, report)
             checked += 1
 
@@ -294,8 +311,9 @@ class TestHNFiltration:
             if m.is_zero():
                 continue
             params = params_for(A3, tuple(rng.randint(-2, 2) for _ in range(3)))
-            f = hn_filtration(m, params)
-            assert f.steps[0] == max_destabilizing(m, params)
+            lat = SubrepLattice(m)
+            f = hn_filtration(lat, params)
+            assert f.steps[0] == max_destabilizing(lat, params)
             checked += 1
 
 
@@ -337,9 +355,10 @@ class TestReparameterization:
                 tuple(rng.randint(-2, 2) for _ in range(3)),
                 tuple(rng.randint(1, 2) for _ in range(3)),
             )
+            lat = SubrepLattice(m)
             for a, b in ((1, 1), (2, -1), (3, 2)):
                 p2 = reparam_theta(params, a, b)
-                assert is_semistable(m, params) == is_semistable(m, p2)
+                assert is_semistable(lat, params) == is_semistable(lat, p2)
             checked += 1
 
     def test_hn_subspaces_invariant(self):
@@ -350,10 +369,11 @@ class TestReparameterization:
             if m.is_zero():
                 continue
             params = params_for(A3, tuple(rng.randint(-2, 2) for _ in range(3)))
-            f = hn_filtration(m, params)
+            lat = SubrepLattice(m)
+            f = hn_filtration(lat, params)
             for a, b in ((1, 3), (2, -2), (4, 1)):
                 p2 = reparam_theta(params, a, b)
-                f2 = hn_filtration(m, p2)
+                f2 = hn_filtration(lat, p2)
                 assert [s.spaces for s in f.steps] == [
                     s.spaces for s in f2.steps
                 ]
