@@ -53,17 +53,11 @@ from .kempf import (
 )
 from .kronecker import (
     EquivalenceReport,
-    KroneckerModule,
-    KroneckerSubmodule,
-    enumerate_submodules,
     equivalence_check,
     is_semistable_module,
-    is_submodule,
     is_subordinate,
     is_tight,
     module_stability_params,
-    submodule_from_subrep,
-    to_quiver_rep,
 )
 from .curves import (
     Rank2Candidate,

@@ -33,9 +33,10 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
-from . import curves, kempf, kronecker, quiver as qv
+from . import curves, kempf, quiver as qv
 from .errors import (
     DegenerateInputError,
     EnumerationBudgetError,
@@ -166,7 +167,9 @@ def parse_problem(data: dict):
 
 def frac_str(x) -> str:
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    # Decimal prints an int of any length; str() refuses one longer
+    # than sys.get_int_max_str_digits() digits
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def _score_payload(score: kempf.ExactScore) -> dict:

@@ -147,13 +147,6 @@ class Subrepresentation:
     def is_full(self) -> bool:
         return all(s.dim == self.parent.dims[v] for v, s in self.spaces.items())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subrepresentation)
-            and self.parent == other.parent
-            and self.spaces == other.spaces
-        )
-
 
 def sub_contains(a: Subrepresentation, b: Subrepresentation) -> bool:
     """True iff b's spaces are contained in a's at every vertex."""

@@ -20,8 +20,10 @@ The library enumerates subrepresentations by a join over per-arrow
 closure masks.  The enumeration oracles filter the whole product of the
 per-vertex subspace lists instead.  The flag-counting oracles give, in
 closed form and summed over every representation, the number of subreps
-of each dimension vector and the number of nested pairs U1 <= U2 of each
-pair of dimension vectors, which checks the containment table.
+of each dimension vector, the number of nested pairs U1 <= U2 of each
+pair of dimension vectors, which checks the containment table, and the
+number of chains 0 < U1 < ... < M of each strictly increasing sequence of
+dimension vectors, which checks the inclusion DAG of the Kempf search.
 
 The library sorts subrepresentations by their dimension vector and the
 index of each space in its vertex's canonical list.  The order oracle
@@ -51,7 +53,6 @@ from quiverstab import (
     Filtration,
     HNReport,
     InvalidSubrepresentationError,
-    KroneckerSubmodule,
     Matrix,
     Representation,
     StabilityParams,
@@ -62,7 +63,6 @@ from quiverstab import (
     apply,
     enumerate_subspaces,
     is_semistable,
-    is_submodule,
     is_subrep,
     kempf,
     max_destabilizing,
@@ -218,6 +218,31 @@ def containment_pairs_by_formula(quiver, dims, q: int) -> dict:
     return out
 
 
+def strict_chain_counts_by_formula(quiver, dims, q: int) -> dict:
+    """For each strictly increasing sequence of dimension vectors
+    0 < e1 < ... < ek < dims (tuples in vertex order; the sequence of the
+    e's, possibly empty), the number of pairs (M, chain), M a
+    representation of dimension dims over F_q and 0 < U1 < ... < Uk < M a
+    chain of subreps with those dimension vectors: the flags of
+    _flag_count, since subreps with different dimension vectors are
+    nested only strictly."""
+    top = tuple(dims)
+    zero = (0,) * len(top)
+    out = {}
+
+    def extend(seq, e):
+        if e == top:
+            out[seq[:-1]] = _flag_count(quiver, dims, seq[:-1], q)
+            return
+        for nxt in itertools.product(*(range(a, d + 1) for a, d in zip(e, top))):
+            if nxt != e:
+                extend(seq + (nxt,), nxt)
+
+    if top != zero:
+        extend((), zero)
+    return out
+
+
 def canonical_key(sub: Subrepresentation):
     """The canonical order of subrepresentations: the dimension vector in
     vertex order, then the flattened RREF basis at every vertex."""
@@ -242,18 +267,25 @@ def subreps_by_product(m):
     return out
 
 
-def submodules_by_product(km):
-    """Every submodule of the Kronecker module km in canonical order: the
-    product of the subspace lists of V and W, each pair checked by
-    is_submodule."""
+def submodules_by_product(m):
+    """Every submodule of the Kronecker module m, a representation of a
+    Kronecker quiver, in canonical order: the product of the subspace
+    lists of V and W, each pair kept iff every arrow sends each basis row
+    of the V-part into the W-part."""
     pairs = itertools.product(
-        enumerate_subspaces(km.dim_v, km.field),
-        enumerate_subspaces(km.dim_w, km.field),
+        enumerate_subspaces(m.dims["v0"], m.field),
+        enumerate_subspaces(m.dims["v1"], m.field),
     )
-    out = [KroneckerSubmodule(a, b) for a, b in pairs if is_submodule(km, a, b)]
-    out.sort(
-        key=lambda s: (s.dims(), s.v_part.canonical_bytes(), s.w_part.canonical_bytes())
-    )
+    out = [
+        Subrepresentation._closed(m, {"v0": a, "v1": b})
+        for a, b in pairs
+        if all(
+            b.contains_vector(mat.apply_to(row))
+            for mat in m.arrow_maps
+            for row in a.basis
+        )
+    ]
+    out.sort(key=canonical_key)
     return out
 
 

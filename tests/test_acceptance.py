@@ -321,13 +321,7 @@ def test_criterion_6_property_suites():
 
 
 def test_criterion_7_kronecker_equivalence_and_tightness():
-    from quiverstab import (
-        equivalence_check,
-        is_tight,
-        module_stability_params,
-        submodule_from_subrep,
-        to_quiver_rep,
-    )
+    from quiverstab import equivalence_check, is_tight, module_stability_params
 
     params = module_stability_params()
     modules = 0
@@ -336,15 +330,15 @@ def test_criterion_7_kronecker_equivalence_and_tightness():
         for dw in range(1, 3):
             for h in (1, 2):
                 for m in all_modules(F2, dv, dw, h):
-                    assert equivalence_check(m).agree
+                    lat = SubrepLattice(m)
+                    assert equivalence_check(lat).agree
                     modules += 1
-                    lat = SubrepLattice(to_quiver_rep(m))
                     if is_semistable(lat, params):
                         continue
                     unstable += 1
                     f = hn_filtration(lat, params)
                     for step in f.steps[:-1]:
-                        assert is_tight(submodule_from_subrep(step), lat)
+                        assert is_tight(step, lat)
     assert unstable > 0
     print(
         f"[PASS] criterion 7: semistability equivalence on {modules} modules, "

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: enumeration would visit at least ")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["verify", "kempf", "hn"])
+    def test_rational_past_the_int_string_limit_exits_ok(
+        self, tmp_path, capsys, command, fmt
+    ):
+        # theta has 4,300 digits, which str() still renders, but the score
+        # square and the quotient slopes of (2,1) with a zero map have more
+        t = 10**4300 - 1
+        data = problem_with(("representation",), {"dims": {"v0": 2, "v1": 1},
+                                                  "matrices": {"0": [[0, 0]]}})
+        data["stability"]["theta"] = {"v0": t, "v1": -t}
+        path = write_problem(tmp_path, data)
+        assert main(["--format", fmt, command, path]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and "Traceback" not in out
+        if fmt == "json" and command != "hn":
+            report = json.loads(out)["result"]
+            num, den = report["score"]["square"].split("/")
+            assert len(num) > 4300
+            m, params = parse_problem(data)
+            square = kempf.kempf_filtration(qv.SubrepLattice(m), params)[2].square
+            assert (int(Decimal(num)), int(Decimal(den))) == (
+                square.numerator, square.denominator
+            )
+
     def test_semistable_verify_ok(self, tmp_path, capsys):
         path = write_problem(tmp_path, semistable_problem())
         assert main(["verify", path]) == EXIT_OK
@@ -399,6 +425,14 @@ class TestInlineCommands:
         assert code == EXIT_OK
         assert report["result"]["quotient_slopes"] == ["2", "0", "-1"]
         assert len(report["result"]["steps"]) == 3
+
+    def test_p1_slope_past_the_int_string_limit(self, capsys):
+        # a 4,300-digit degree times a 10-digit multiplicity
+        deg = "9" * 4300
+        assert main(["p1", "--blocks", f"{deg}:9999999999,1:1"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert len(out.split("slope: ")[1].split("/")[0]) > 4300
 
     def test_rank2(self, capsys):
         code = main(

@@ -3,18 +3,21 @@ type; the counts per type must equal Reineke's closed form, which knows
 neither route.  Enumeration, which both routes read, is checked the same
 way: over every representation of a family, the subreps of each
 dimension vector must add up to a closed-form count, and so must the
-pairs of nested subreps that the containment table records."""
+pairs of nested subreps that the containment table records and the
+chains of subreps that the Kempf search's inclusion DAG holds."""
 
 from collections import Counter
 
 import pytest
 
 from quiverstab import (
+    EnumerationBudgetError,
     Quiver,
     SemistableInputError,
     SubrepLattice,
     enumerate_subreps,
     hn_filtration,
+    kempf,
     kempf_filtration,
 )
 
@@ -23,6 +26,7 @@ from oracles import (
     containment_pairs_by_formula,
     every_rep,
     hn_type_counts,
+    strict_chain_counts_by_formula,
     subrep_counts_by_formula,
 )
 
@@ -139,3 +143,54 @@ def test_containment_pairs_match_the_closed_form(family):
     assert containment_pair_counts(q, field, dims) == containment_pairs_by_formula(
         q, dims, field.p
     )
+
+
+# (quiver, field, dims) for the closed-form count of strictly increasing chains
+STRICT_CHAINS = {
+    "cycle2-22-F2": (CYCLE2, F2, (2, 2)),
+    "a3-121-F2": (A3, F2, (1, 2, 1)),
+    "kronecker2-12-F3": (Quiver.kronecker(2), F3, (1, 2)),
+    "loop-plus-arrow-21-F3": (LOOP_PLUS_ARROW, F3, (2, 1)),
+}
+
+
+def strict_chain_counts(q, field, dims):
+    """The chains 0 < U1 < ... < M that the Kempf search's inclusion DAG
+    holds (the lower lists of kempf._chain_index_sets), by the sequence of
+    dimension vectors of U1, ..., Uk, summed over every rep of the family;
+    and the sum of the exact chain counts that EnumerationBudgetError
+    reports when each lattice's budget is one below its count."""
+    found = Counter()
+    reported = 0
+    for m in every_rep(q, field, dims):
+        lat = SubrepLattice(m)
+        _subs, lower, top = kempf._chain_index_sets(lat)
+        # ending[j]: the chains from 0 to j, by the dimension vectors of
+        # their nodes after 0, j's included
+        ending = [Counter({(): 1})]
+        for j in range(1, top + 1):
+            here = Counter()
+            for i in lower[j]:
+                for seq, n in ending[i].items():
+                    here[seq + (lat.dims[j],)] += n
+            ending.append(here)
+        chains = {seq[:-1]: n for seq, n in ending[top].items()}
+        found.update(chains)
+        lat.budget = sum(chains.values()) - 1
+        try:
+            kempf._chain_index_sets(lat)
+        except EnumerationBudgetError as exc:
+            reported += exc.count
+    return dict(found), reported
+
+
+@pytest.mark.parametrize("family", STRICT_CHAINS.values(), ids=STRICT_CHAINS.keys())
+def test_strict_chains_match_the_closed_form(family):
+    """Summed over every rep of the family, the chains of each sequence of
+    dimension vectors, and the chain counts the budget reports, equal the
+    closed-form count."""
+    q, field, dims = family
+    found, reported = strict_chain_counts(q, field, dims)
+    expected = strict_chain_counts_by_formula(q, dims, field.p)
+    assert found == expected
+    assert reported == sum(expected.values())

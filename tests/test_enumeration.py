@@ -6,13 +6,12 @@ import random
 import pytest
 
 from quiverstab import (
-    KroneckerModule,
     Matrix,
     PrimeField,
     Quiver,
     Representation,
     Subspace,
-    enumerate_submodules,
+    SubrepLattice,
     enumerate_subreps,
     enumerate_subspaces,
     quiver,
@@ -194,12 +193,9 @@ def test_submodules_equal_product(h, field, dims):
             random_maps(rng, Quiver.kronecker(1), field, dims, density).arrow_maps[0]
             for _ in range(h)
         )
-        km = KroneckerModule(field, dv, dw, maps)
-        got = enumerate_submodules(km)
-        want = submodules_by_product(km)
-        assert [(s.v_part, s.w_part) for s in got] == [
-            (s.v_part, s.w_part) for s in want
-        ]
+        m = Representation(Quiver.kronecker(h), field, {"v0": dv, "v1": dw}, maps)
+        got = SubrepLattice(m).subs
+        assert [s.spaces for s in got] == [s.spaces for s in submodules_by_product(m)]
 
 
 def test_quiver_longer_than_the_recursion_limit():

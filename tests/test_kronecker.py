@@ -1,189 +1,140 @@
-import itertools
-
 import pytest
 
 from quiverstab import (
-    KroneckerModule,
-    KroneckerSubmodule,
     Matrix,
     Quiver,
     Representation,
     Subspace,
     SubrepLattice,
-    enumerate_submodules,
+    Subrepresentation,
     equivalence_check,
     hn_filtration,
     is_semistable,
     is_semistable_module,
-    is_submodule,
     is_subordinate,
+    is_subrep,
     is_tight,
     module_stability_params,
-    submodule_from_subrep,
-    to_quiver_rep,
-    kronecker,
     quiver,
 )
 
-from conftest import F2, F3
-from oracles import full_subspace, identity_matrix, zero_matrix, zero_subspace
+from conftest import F2, F3, all_kronecker_reps, kronecker_rep
+from oracles import full_subspace, zero_matrix, zero_subspace
 
 
 def all_modules(field, dim_v, dim_w, h):
-    n = dim_v * dim_w
-    for combo in itertools.product(
-        itertools.product(range(field.p), repeat=n), repeat=h
-    ):
-        maps = tuple(
-            Matrix(
-                field,
-                dim_w,
-                dim_v,
-                tuple(
-                    tuple(entries[i * dim_v + j] for j in range(dim_v))
-                    for i in range(dim_w)
-                ),
-            )
-            for entries in combo
-        )
-        yield KroneckerModule(field, dim_v, dim_w, maps)
+    """Every module V (x) F^h -> W over field: the representations of the
+    h-Kronecker quiver with V at v0 and W at v1."""
+    return all_kronecker_reps(field, (dim_v, dim_w), h)
+
+
+def pair(parent, v_part, w_part):
+    """The submodule (V', W') of parent, unchecked."""
+    return Subrepresentation._closed(parent, {"v0": v_part, "v1": w_part})
 
 
 class TestModuleBasics:
     def test_component_shape_validation(self):
+        q = Quiver.kronecker(1)
         with pytest.raises(ValueError):
-            KroneckerModule(F2, 2, 1, (zero_matrix(F2, 2, 1),))
+            Representation(q, F2, {"v0": 2, "v1": 1}, (zero_matrix(F2, 2, 1),))
         with pytest.raises(ValueError):
-            KroneckerModule(F2, 1, 1, ())
+            Representation(q, F2, {"v0": 1, "v1": 1}, ())
 
     def test_h_property(self):
-        m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),) * 3)
-        assert m.h == 3
+        # h = 3 parallel arrows are a module; no arrow at all is none
+        m = kronecker_rep(F2, (1, 1), [[0]] * 3)
+        assert not is_semistable_module(SubrepLattice(m))
+        bare = Representation(Quiver.kronecker(0), F2, {"v0": 1, "v1": 1}, ())
+        with pytest.raises(ValueError):
+            is_semistable_module(SubrepLattice(bare))
 
     def test_is_submodule_brute_force(self):
-        m = KroneckerModule(F2, 2, 2, (identity_matrix(F2, 2),))
+        m = kronecker_rep(F2, (2, 2), [[1, 0, 0, 1]])
         v = Subspace.from_spanning(F2, 2, [[1, 0]])
-        assert is_submodule(m, v, v)
-        assert not is_submodule(m, v, zero_subspace(F2, 2))
+        assert is_subrep(m, {"v0": v, "v1": v})
+        assert not is_subrep(m, {"v0": v, "v1": zero_subspace(F2, 2)})
 
     def test_enumerate_includes_extremes(self):
-        m = KroneckerModule(F2, 1, 1, (identity_matrix(F2, 1),))
-        subs = enumerate_submodules(m)
-        dims = [s.dims() for s in subs]
-        assert (0, 0) in dims and (1, 1) in dims
-
-
-class TestQuiverTranslation:
-    def test_round_trip_submodules(self):
-        from quiverstab import enumerate_subreps
-
-        for m in all_modules(F2, 2, 1, 1):
-            rep = to_quiver_rep(m)
-            via_rep = {
-                (s.spaces["v0"], s.spaces["v1"])
-                for s in enumerate_subreps(rep)
-            }
-            direct = {
-                (s.v_part, s.w_part) for s in enumerate_submodules(m)
-            }
-            assert via_rep == direct
-
-    def test_submodule_from_subrep(self):
-        from quiverstab import enumerate_subreps
-
-        m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),))
-        rep = to_quiver_rep(m)
-        for s in enumerate_subreps(rep):
-            sub = submodule_from_subrep(s)
-            assert is_submodule(m, sub.v_part, sub.w_part)
+        lat = SubrepLattice(kronecker_rep(F2, (1, 1), [[1]]))
+        assert (0, 0) in lat.dims and (1, 1) in lat.dims
 
 
 class TestSemistability:
     def test_requires_positive_dim_w(self):
-        m = KroneckerModule(F2, 1, 0, (zero_matrix(F2, 0, 1),))
+        lat = SubrepLattice(kronecker_rep(F2, (1, 0), [[]]))
         with pytest.raises(ValueError):
-            is_semistable_module(m)
+            is_semistable_module(lat)
+        with pytest.raises(ValueError):
+            equivalence_check(lat)
 
     def test_alpha_zero_unstable(self):
-        m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),))
+        lat = SubrepLattice(kronecker_rep(F2, (1, 1), [[0]]))
         # (V, 0) is a submodule with dim V' * dim W = 1 > 0 = dim V * dim W'
-        assert not is_semistable_module(m)
+        assert not is_semistable_module(lat)
 
     def test_identity_semistable(self):
-        m = KroneckerModule(F2, 1, 1, (identity_matrix(F2, 1),))
-        assert is_semistable_module(m)
+        assert is_semistable_module(SubrepLattice(kronecker_rep(F2, (1, 1), [[1]])))
 
     def test_equivalence_exhaustive_small(self):
         for dv in range(3):
             for dw in range(1, 3):
                 for h in (1, 2):
                     for m in all_modules(F2, dv, dw, h):
-                        assert equivalence_check(m).agree
+                        assert equivalence_check(SubrepLattice(m)).agree
 
     def test_equivalence_enumerates_once(self, monkeypatch):
+        # both verdicts read the given lattice and enumerate nothing more
+        lat = SubrepLattice(kronecker_rep(F3, (2, 2), [[1, 0, 0, 0]]))
         calls = []
-        original = quiver.enumerate_subreps
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(quiver, "enumerate_subreps", counting)
-        monkeypatch.setattr(kronecker, "enumerate_subreps", counting)
-        m = KroneckerModule(F3, 2, 2, (Matrix.from_rows(F3, [[1, 0], [0, 0]]),))
-        report = equivalence_check(m)
-        assert len(calls) == 1
+        monkeypatch.setattr(quiver, "enumerate_subreps", lambda *a: calls.append(a))
+        report = equivalence_check(lat)
+        assert calls == []
         assert not report.module_semistable and not report.quiver_semistable
 
 
 class TestSubordinateAndTight:
     def test_subordinate_reflexive_and_order(self):
-        a = KroneckerSubmodule(
-            zero_subspace(F2, 2), full_subspace(F2, 2)
-        )
-        b = KroneckerSubmodule(
-            full_subspace(F2, 2), zero_subspace(F2, 2)
-        )
+        m = kronecker_rep(F2, (2, 2), [[0, 0, 0, 0]])
+        a = pair(m, zero_subspace(F2, 2), full_subspace(F2, 2))
+        b = pair(m, full_subspace(F2, 2), zero_subspace(F2, 2))
         assert is_subordinate(a, a)
         assert is_subordinate(a, b)
         assert not is_subordinate(b, a)
 
     def test_full_module_not_tight_when_alpha_zero(self):
-        m = KroneckerModule(F2, 1, 1, (zero_matrix(F2, 1, 1),))
-        full = KroneckerSubmodule(full_subspace(F2, 1), full_subspace(F2, 1))
+        lat = SubrepLattice(kronecker_rep(F2, (1, 1), [[0]]))
         # (V, 0) is a submodule and dominates (V, W) in the subordination order
-        assert not is_tight(full, SubrepLattice(to_quiver_rep(m)))
+        assert not is_tight(lat.subs[-1], lat)
 
     def test_tight_matches_brute_force(self):
         # brute force: sub is subordinate to no other submodule
         shapes = ((F2, 2, 1, 1), (F2, 1, 2, 2), (F2, 2, 2, 1), (F3, 1, 1, 2))
-        for m in itertools.chain.from_iterable(itertools.starmap(all_modules, shapes)):
-            lat = SubrepLattice(to_quiver_rep(m))
-            submodules = enumerate_submodules(m)
-            for sub in submodules:
-                tight = not any(
-                    is_subordinate(sub, b)
-                    for b in submodules
-                    if (b.v_part, b.w_part) != (sub.v_part, sub.w_part)
-                )
-                assert is_tight(sub, lat) == tight, (m, sub.dims())
+        for shape in shapes:
+            for m in all_modules(*shape):
+                lat = SubrepLattice(m)
+                for sub in lat.subs:
+                    tight = not any(
+                        is_subordinate(sub, b) for b in lat.subs if b is not sub
+                    )
+                    assert is_tight(sub, lat) == tight, (m, sub.dim_vector())
 
     def test_tight_refuses_a_lattice_of_another_quiver(self):
         # the lattice of v0 -> v1 -> v2 has v0 and v1 parts, but no submodules
         q = Quiver(("v0", "v1", "v2"), (("v0", "v1"), ("v1", "v2")))
         one = Matrix.from_rows(F2, [[1]])
         lat = SubrepLattice(Representation(q, F2, dict.fromkeys(q.vertices, 1), (one, one)))
-        full = KroneckerSubmodule(full_subspace(F2, 1), full_subspace(F2, 1))
         with pytest.raises(ValueError):
-            is_tight(full, lat)
+            is_tight(lat.subs[-1], lat)
+        with pytest.raises(ValueError):
+            equivalence_check(lat)
 
     def test_proper_hn_steps_tight(self):
         params = module_stability_params()
         for m in all_modules(F2, 2, 1, 1):
-            lat = SubrepLattice(to_quiver_rep(m))
+            lat = SubrepLattice(m)
             if is_semistable(lat, params):
                 continue
             f = hn_filtration(lat, params)
             for step in f.steps[:-1]:
-                sub = submodule_from_subrep(step)
-                assert is_tight(sub, lat), (m, sub.dims())
+                assert is_tight(step, lat), (m, step.dim_vector())

@@ -5,13 +5,11 @@ import pytest
 from quiverstab import (
     EnumerationBudgetError,
     StabilityParams,
-    KroneckerModule,
     PrimeField,
     Quiver,
     Representation,
     SubrepLattice,
     check_hn_properties,
-    enumerate_submodules,
     enumerate_subreps,
     hn_filtration,
     is_semistable,
@@ -131,9 +129,10 @@ def test_subrep_budget_checked_before_building(monkeypatch):
 
 def test_submodule_budget_checked_before_building(monkeypatch):
     monkeypatch.setattr(quiver, "enumerate_subspaces", no_subspace_lists)
-    m = KroneckerModule(F97, 3, 3, (zero_matrix(F97, 3, 3),))
+    q = Quiver.kronecker(1)
+    m = Representation(q, F97, {"v0": 3, "v1": 3}, (zero_matrix(F97, 3, 3),))
     with pytest.raises(EnumerationBudgetError) as exc:
-        enumerate_submodules(m, budget=10)
+        SubrepLattice(m, budget=10)
     assert 10 < exc.value.count <= subspace_count(3, 97) ** 2
     assert exc.value.stage == "candidates"
 
