@@ -254,9 +254,7 @@ def verify_result(data: dict, budget: int) -> dict:
         agree = kempf.kempf_semistability(lat, params)
         return {"semistable": True, "match": agree}
     hn = qv.hn_filtration(lat, params)
-    match = [a.dim_vector() for a in hn.steps] == [
-        b.dim_vector() for b in kf.steps
-    ] and all(a.spaces == b.spaces for a, b in zip(hn.steps, kf.steps))
+    match = [a.spaces for a in hn.steps] == [b.spaces for b in kf.steps]
     return {
         "semistable": False,
         "match": match,

@@ -358,16 +358,6 @@ class SubrepLattice:
         """True iff subs[i] is contained in subs[j]."""
         return self._below[j] >> i & 1 == 1
 
-    def between(self, lo: int, hi: int) -> list:
-        """Indices k with subs[lo] strictly inside subs[k] inside subs[hi];
-        by the correspondence theorem, the non-zero subrepresentations of
-        subs[hi] / subs[lo]."""
-        return [
-            k
-            for k in range(lo + 1, hi + 1)
-            if self.contains(k, lo) and self.contains(hi, k)
-        ]
-
     def labels(self, params: StabilityParams) -> list:
         """(sigma, theta) of every subrepresentation, in lattice order."""
         order = self.rep.quiver.vertices
@@ -390,32 +380,21 @@ def _require_nonzero(lat: SubrepLattice):
         raise ZeroRepresentationError("operation undefined for the zero representation")
 
 
-def _quotient_key(labels: list, lo: int, k: int):
-    """(theta, sigma) of subs[k] / subs[lo], from the lattice labels; its
-    slope is theta / sigma, sigma > 0."""
-    return labels[k][1] - labels[lo][1], labels[k][0] - labels[lo][0]
-
-
-def _semistable_between(lat: SubrepLattice, labels: list, lo: int, hi: int) -> bool:
-    """True iff subs[hi] / subs[lo] is semistable."""
-    t, s = _quotient_key(labels, lo, hi)
-    for k in lat.between(lo, hi):
-        tk, sk = _quotient_key(labels, lo, k)
-        if tk * s > t * sk:
-            return False
-    return True
-
-
-def _max_destabilizing_above(lat: SubrepLattice, labels: list, lo: int) -> int:
-    """Index of the maximal destabilizing subobject of M / subs[lo],
-    lifted to M: the unique N strictly containing subs[lo] that
-    maximizes (slope, sigma) of N / subs[lo], compared by
-    cross-multiplying.  A tie contradicts uniqueness and is raised,
-    never broken silently."""
+def _interval_maxima(lat: SubrepLattice, labels: list, lo: int, hi: int) -> list:
+    """The indices k, ascending, with subs[lo] strictly inside subs[k]
+    inside subs[hi] (by the correspondence theorem, the non-zero
+    subrepresentations of subs[hi] / subs[lo]) at which subs[k] / subs[lo]
+    has the maximal (slope, sigma), compared by cross-multiplying the
+    labels.  subs[hi] / subs[lo] is semistable iff this is [hi]: a k inside
+    hi other than hi has a smaller sigma."""
+    below = lat._below
+    s0, t0 = labels[lo]
     best = []
     best_t, best_s = 0, 0
-    for k in lat.between(lo, len(lat.subs) - 1):
-        t, s = _quotient_key(labels, lo, k)
+    for k in _bits(below[hi]):
+        if k <= lo or not below[k] >> lo & 1:
+            continue
+        s, t = labels[k][0] - s0, labels[k][1] - t0
         # the sign of slope - best slope, or else of sigma - best sigma
         ahead = t * best_s - best_t * s or s - best_s
         if not best or ahead > 0:
@@ -423,10 +402,20 @@ def _max_destabilizing_above(lat: SubrepLattice, labels: list, lo: int) -> int:
             best = [k]
         elif ahead == 0:
             best.append(k)
+    return best
+
+
+def _max_destabilizing_above(lat: SubrepLattice, labels: list, lo: int) -> int:
+    """Index of the maximal destabilizing subobject of M / subs[lo],
+    lifted to M: the unique N strictly containing subs[lo] that
+    maximizes (slope, sigma) of N / subs[lo].  A tie contradicts
+    uniqueness and is raised, never broken silently."""
+    best = _interval_maxima(lat, labels, lo, len(lat.subs) - 1)
     if len(best) != 1:
+        (s, t), (s0, t0) = labels[best[0]], labels[lo]
         raise TheoremContradictionError(
             f"{len(best)} distinct subrepresentations tie at "
-            f"(slope, total dim) = {(Fraction(best_t, best_s), best_s)}"
+            f"(slope, sigma) = ({Fraction(t - t0, s - s0)}, {s - s0})"
         )
     return best[0]
 
@@ -434,12 +423,13 @@ def _max_destabilizing_above(lat: SubrepLattice, labels: list, lo: int) -> int:
 def is_semistable(lat: SubrepLattice, params: StabilityParams) -> bool:
     """True iff no subrepresentation has a slope above the whole's."""
     _require_nonzero(lat)
-    return _semistable_between(lat, lat.labels(params), 0, len(lat.subs) - 1)
+    full = len(lat.subs) - 1
+    return _interval_maxima(lat, lat.labels(params), 0, full) == [full]
 
 
 def max_destabilizing(lat: SubrepLattice, params: StabilityParams) -> Subrepresentation:
     """The unique non-zero subrepresentation of maximal slope and, among
-    those, maximal total dimension.  A tie contradicts uniqueness and is
+    those, maximal sigma.  A tie contradicts uniqueness and is
     raised, never broken silently."""
     _require_nonzero(lat)
     return lat.subs[_max_destabilizing_above(lat, lat.labels(params), 0)]
@@ -513,7 +503,7 @@ def check_hn_properties(
     descending = all(a > b for a, b in zip(slopes, slopes[1:]))
     labels = lat.labels(params)
     semis = [
-        _semistable_between(lat, labels, lo, hi)
+        _interval_maxima(lat, labels, lo, hi) == [hi]
         for lo, hi in zip(chain, chain[1:])
     ]
     return HNReport(slopes, descending, semis)

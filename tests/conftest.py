@@ -10,6 +10,7 @@ from quiverstab import (
     Quiver,
     Representation,
     StabilityParams,
+    SubrepLattice,
 )
 
 F2 = PrimeField(2)
@@ -68,3 +69,24 @@ def params_for(quiver, theta, sigma=None):
     return StabilityParams(
         dict(zip(quiver.vertices, theta)), dict(zip(quiver.vertices, sigma))
     )
+
+
+def patch_labels(monkeypatch, edit):
+    """Make SubrepLattice.labels pass its labels through edit(labels),
+    which changes them in place."""
+    labels_of = SubrepLattice.labels
+
+    def patched(lat, params):
+        labels = labels_of(lat, params)
+        edit(labels)
+        return labels
+
+    monkeypatch.setattr(SubrepLattice, "labels", patched)
+
+
+def tie_two_lines(labels):
+    """On a 2-dimensional vertex with no arrow, subs[1] and subs[2] are two
+    distinct lines, neither inside the other: lift both to one label of a
+    slope above every other."""
+    sigma, theta = labels[1]
+    labels[1] = labels[2] = (sigma, theta + 100)

@@ -558,7 +558,9 @@ def refinement_domination_violations(
     sm, tm = labels[-1]
     out = []
     for pos, (lo, hi) in enumerate(zip(chain, chain[1:])):
-        for k in lat.between(lo, hi)[:-1]:  # the last is hi itself
+        for k in range(lo + 1, hi):  # subs[k] strictly between subs[lo] and subs[hi]
+            if not (lat.contains(k, lo) and lat.contains(hi, k)):
+                continue
             refined = chain[1 : pos + 1] + [k] + chain[pos + 1 :]
             _blocks, score = kempf._chain_score([labels[i] for i in refined], tm, sm)
             if score > best_score:

@@ -23,6 +23,7 @@ from quiverstab.cli import (
     verify_result,
 )
 
+from conftest import patch_labels, tie_two_lines
 from oracles import subspace_count
 
 
@@ -288,6 +289,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("theorem contradiction: ") and "Traceback" not in err
         assert "carried score" in err
+
+    @pytest.mark.parametrize("command", ["hn", "verify"])
+    def test_label_tie_exits_contradiction(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # two lines, neither inside the other, patched to tie at the
+        # maximal (slope, sigma); verify's Kempf route meets it first
+        patch_labels(monkeypatch, tie_two_lines)
+        path = write_problem(tmp_path, arrow_free_problem(2, 2))
+        assert main([command, path]) == EXIT_CONTRADICTION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("theorem contradiction: ")
+        assert "Traceback" not in captured.err
+        if command == "hn":
+            assert "2 distinct subrepresentations tie" in captured.err
 
     def test_kempf_on_semistable_reports_cleanly(self, tmp_path, capsys):
         path = write_problem(tmp_path, semistable_problem())

@@ -4,6 +4,7 @@ import pytest
 
 from quiverstab import (
     EnumerationBudgetError,
+    Filtration,
     StabilityParams,
     PrimeField,
     Quiver,
@@ -19,7 +20,7 @@ from quiverstab import (
 )
 from quiverstab.cli import parse_problem
 
-from conftest import A3, F3, random_rep
+from conftest import A3, F2, F3, params_for, random_rep
 from oracles import (
     chain_dag,
     hn_by_quotients,
@@ -29,7 +30,7 @@ from oracles import (
     zero_matrix,
 )
 from test_acceptance import main_theorem_problems
-from test_enumeration import SHAPES, random_maps
+from test_enumeration import D4_IN, SHAPES, random_maps
 
 F97 = PrimeField(97)
 
@@ -49,6 +50,40 @@ def test_lattice_hn_equals_quotient_recursion():
         )
         unstable += 1
     assert unstable > 0
+
+
+@pytest.mark.parametrize(
+    "quiver, field, max_dims",
+    [(A3, F3, (2, 2, 2)), (D4_IN, F2, (2, 1, 1, 3))],
+    ids=["A3", "D4"],
+)
+def test_quotient_verdicts_on_chains_that_are_not_hn(quiver, field, max_dims):
+    # random strictly increasing chains to the whole, HN ones skipped:
+    # each quotient's verdict, read off its interval in the lattice,
+    # equals the one decided on the quotient built as a representation,
+    # and some quotient above 0 is not semistable
+    rng = random.Random(16)
+    chains = unstable_above_zero = 0
+    while chains < 40:
+        m = random_rep(rng, quiver, field, max_dims)
+        if m.is_zero():
+            continue
+        params = params_for(quiver, [rng.randint(-2, 2) for _ in quiver.vertices])
+        lat = SubrepLattice(m)
+        chain = [0]
+        while chain[-1] != len(lat.subs) - 1:
+            lo = chain[-1]
+            above = [k for k in range(lo + 1, len(lat.subs)) if lat.contains(k, lo)]
+            chain.append(rng.choice(above))
+        f = Filtration(m, tuple(lat.subs[i] for i in chain[1:]))
+        hn = hn_filtration(lat, params)
+        if [s.spaces for s in f.steps] == [s.spaces for s in hn.steps]:
+            continue
+        report = check_hn_properties(lat, f, params)
+        assert report == hn_report_by_quotients(f, params), (m, params, chain)
+        unstable_above_zero += report.quotients_semistable[1:].count(False)
+        chains += 1
+    assert unstable_above_zero > 0
 
 
 def test_lattice_order_and_inclusions():

@@ -38,7 +38,9 @@ from conftest import (
     all_kronecker_reps,
     kronecker_rep,
     params_for,
+    patch_labels,
     random_rep,
+    tie_two_lines,
 )
 from oracles import (
     canonical_key,
@@ -315,6 +317,48 @@ class TestHNFiltration:
             f = hn_filtration(lat, params)
             assert f.steps[0] == max_destabilizing(lat, params)
             checked += 1
+
+
+class TestLabelTies:
+    """Labels that no stability parameters give, patched in to reach the
+    tie sentinel and the semistability verdict on a tie."""
+
+    def lattice(self):
+        m = Representation(Quiver(("v0",), ()), F2, {"v0": 2}, ())
+        return SubrepLattice(m), StabilityParams({"v0": 1}, {"v0": 2})
+
+    @pytest.mark.parametrize(
+        "route", [max_destabilizing, hn_filtration], ids=lambda f: f.__name__
+    )
+    def test_two_maxima_neither_inside_the_other_raise(self, monkeypatch, route):
+        patch_labels(monkeypatch, tie_two_lines)
+        lat, params = self.lattice()
+        with pytest.raises(TheoremContradictionError) as exc:
+            route(lat, params)
+        assert str(exc.value) == (
+            "2 distinct subrepresentations tie at (slope, sigma) = (101/2, 2)"
+        )
+
+    def test_semistability_checks_do_not_raise_on_the_tie(self, monkeypatch):
+        patch_labels(monkeypatch, tie_two_lines)
+        lat, params = self.lattice()
+        assert is_semistable(lat, params) is False
+        f = Filtration(lat.rep, (lat.subs[-1],))
+        assert check_hn_properties(lat, f, params).quotients_semistable == [False]
+
+    def test_a_sub_tying_with_the_whole_is_not_semistable(self, monkeypatch):
+        # the whole is semistable iff it alone has the maximal (slope,
+        # sigma), the case in which hn_filtration is the one step [M]
+        def tie_with_the_whole(labels):
+            labels[1] = labels[-1]
+
+        patch_labels(monkeypatch, tie_with_the_whole)
+        lat, params = self.lattice()
+        with pytest.raises(TheoremContradictionError, match="^2 distinct"):
+            hn_filtration(lat, params)
+        assert is_semistable(lat, params) is False
+        f = Filtration(lat.rep, (lat.subs[-1],))
+        assert check_hn_properties(lat, f, params).quotients_semistable == [False]
 
 
 class TestSeesaw:
