@@ -15,6 +15,13 @@ rule and _square_with the one score formula.  Since sigma(M) and
 theta(M) are fixed, what a chain's prefix hands on to any continuation
 is its stack of pooled blocks, so the search runs over the chains from
 the zero subrep to M as a dynamic program on interned block stacks.
+The program reads a node's label and its predecessors' stacks, so it
+runs on the exact quotient of the inclusion DAG (_quotient): a class
+holds the subreps with one dimension vector and one multiset of
+predecessor classes, and each class edge carries its count k, so the
+chains to a class number sum k chains[c'] and a tie is counted in
+chains.  The winner's chain of classes is lifted to subreps from M
+down, the one member of each class below the subrep above it.
 Each stack carries its score square from the stack below it, so the
 stacks reached at M are compared in one pass that both searches read;
 the winner alone is pooled again, by _chain_score, as a cross-check and
@@ -25,8 +32,10 @@ comparisons and ties are exact.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import compress, count
 from math import gcd, lcm
 
 from .errors import (
@@ -41,6 +50,7 @@ from .quiver import (
     enumerate_subreps,  # unused here; perfbench/tracing.py wraps this binding
     is_semistable,
     slope,
+    _bits,
     _require_nonzero,
 )
 
@@ -150,23 +160,87 @@ def _gamma(blocks):
     return tuple(y // g for y, (_w, _x, n) in zip(nums, blocks) for _ in range(n))
 
 
+# A walk over a node's set bits, with its count and sort, costs about as
+# much as 32 ANDs of its mask with class masks, on masks of a few words
+# (measured with Python 3.11) and of some thousands alike.
+_WALK = 32
+
+
+def _quotient(below, keys):
+    """The exact quotient of a DAG for the Kempf search.  below[j] is
+    the bit mask of node j and its predecessors, which all come before j.
+
+    The class of j is keys[j] with the multiset of its predecessors'
+    classes, as (class, count) pairs in class order, found in one pass
+    in node order.  Node j counts its predecessors per class with one AND
+    of its mask per class so far, or, once those classes outnumber its
+    predecessors by _WALK or more, by walking its set bits.  The members
+    of a class carry the same search states and, an edge standing for
+    count edges, the same numbers of chains.  Returns (members, lower, first):
+    each class's bit mask of nodes, its (class, count) predecessors and
+    its first node, the classes numbered in the order of first nodes.
+    """
+    members, lower, first = [], [], []
+    of = []  # of[j]: the class of node j
+    classes = {}  # (key, classes, counts) -> class
+    for j, mask in enumerate(below):
+        if len(members) < mask.bit_count() + _WALK:
+            counts = [(mask & inside).bit_count() for inside in members]
+            cs = tuple(compress(count(), counts))
+            ns = tuple(filter(None, counts))
+        else:
+            counted = Counter(map(of.__getitem__, _bits(mask)[:-1]))
+            cs = tuple(sorted(counted))
+            ns = tuple(map(counted.__getitem__, cs))
+        c = classes.setdefault((keys[j], cs, ns), len(members))
+        if c == len(members):
+            members.append(0)
+            lower.append(tuple(zip(cs, ns)))
+            first.append(j)
+        members[c] |= 1 << j
+        of.append(c)
+    return members, lower, first
+
+
 def _chain_index_sets(lat: SubrepLattice):
-    """The lattice's inclusion DAG, rooted at the zero subrep: the subreps,
-    the strict-inclusion predecessors of each (read off the containment
-    masks) and the index of M.  The chains from 0 to M are charged
-    against the lattice's budget before any is searched."""
-    lower = [lat.strictly_below(j) for j in range(len(lat.subs))]
-    chains = [1]  # chains[j]: strictly increasing chains from 0 to j
+    """The exact quotient (_quotient) of the lattice's inclusion DAG,
+    keyed on dimension vectors, so one quotient serves every (sigma,
+    theta): (members, lower, first), the zero subrep's class first and
+    M's last.  The chains from 0 to M, sum k chains[c'] over the (c', k)
+    predecessors of each class, are charged against the lattice's budget
+    before any is searched."""
+    members, lower, first = _quotient(lat._below, lat.dims)
+    chains = [1]  # chains[c]: strictly increasing chains from 0 to a member of c
     for pre in lower[1:]:
-        chains.append(sum(chains[i] for i in pre))
+        chains.append(sum(k * chains[i] for i, k in pre))
     if chains[-1] > lat.budget:
         raise EnumerationBudgetError(chains[-1], lat.budget, "chains")
-    return lat.subs, lower, len(lower) - 1
+    return members, lower, first
+
+
+def _quotient_search(below, quotient, labels):
+    """_kempf_search on the quotient (members, lower, first) of the DAG
+    below (as _quotient reads it), labels[j] read at each class's first
+    node.  The winner's chain of classes is lifted to nodes from the last
+    one down: the one member of each class below the node above it, the
+    lowest bit of their AND, which the winner's chain count of 1 makes
+    the only one."""
+    members, lower, first = quotient
+    best, winner = _kempf_search(lower, [labels[j] for j in first])
+    if winner is None:
+        return best, None
+    chain, gamma = winner
+    nodes = [len(below) - 1]
+    for c in reversed(chain[:-1]):
+        inside = below[nodes[-1]] & members[c]
+        nodes.append((inside & -inside).bit_length() - 1)
+    return best, (tuple(reversed(nodes)), gamma)
 
 
 def _kempf_search(lower, labels):
     """Exhaustive Kempf search over the chains from node 0 to the last
-    node of a DAG, lower[j] being the predecessors of j and labels[j] the
+    node of a DAG, lower[j] being the (predecessor, count) pairs of j,
+    each edge standing for count parallel edges, and labels[j] the
     cumulative (sigma, theta) of j.
 
     A chain is searched as the PAV block stack of its prefix: the step
@@ -196,7 +270,7 @@ def _kempf_search(lower, labels):
     for j in range(1, len(lower)):
         sj, tj = lab = labels[j]
         memo = pushes.setdefault(lab, {})
-        here = set().union(*map(states.__getitem__, lower[j]))
+        here = set().union(*(states[i] for i, _k in lower[j]))
         for sid in here - memo.keys():
             si, ti = last[sid]
             w = sj - si
@@ -243,7 +317,7 @@ def _kempf_search(lower, labels):
     chain = [len(lower) - 1]
     while sid:
         sid = below[sid]
-        chain.append(next(i for i in lower[chain[-1]] if sid in states[i]))
+        chain.append(next(i for i, _k in lower[chain[-1]] if sid in states[i]))
     return best, (tuple(reversed(chain)), _gamma(blocks))
 
 
@@ -257,7 +331,7 @@ def _chains_carrying(lower, labels, seq):
     counts = [1] + [0] * (len(lower) - 1)
     for j in range(1, len(lower)):
         if pos[j] is not None:
-            counts[j] = sum(counts[i] for i in lower[j] if pos[i] == pos[j] - 1)
+            counts[j] = sum(k * counts[i] for i, k in lower[j] if pos[i] == pos[j] - 1)
     return counts[-1]
 
 
@@ -274,14 +348,13 @@ def kempf_filtration(lat: SubrepLattice, params: StabilityParams):
     _require_nonzero(lat)
     if is_semistable(lat, params):
         raise SemistableInputError("the representation is semistable")
-    subs, lower, _top = _chain_index_sets(lat)
-    best, winner = _kempf_search(lower, lat.labels(params))
+    best, winner = _quotient_search(lat._below, _chain_index_sets(lat), lat.labels(params))
     if winner is None:
         raise TheoremContradictionError(
             "unstable input admits no chain of positive score"
         )
     chain, gamma = winner
-    filtration = Filtration(lat.rep, tuple(subs[i] for i in chain[1:]))
+    filtration = Filtration(lat.rep, tuple(lat.subs[i] for i in chain[1:]))
     # v_i = theta(M) - sigma(M) slope_i increases iff the slopes decrease
     slopes = [slope(d, params) for d in filtration.quotient_dims()]
     if not all(a > b for a, b in zip(slopes, slopes[1:])):
@@ -294,6 +367,6 @@ def kempf_semistability(lat: SubrepLattice, params: StabilityParams) -> bool:
     non-decreasing weights with positive pairing, read off the best score
     of _kempf_search, which also checks an unstable input for a tie."""
     _require_nonzero(lat)
-    _subs, lower, _top = _chain_index_sets(lat)
-    return not _kempf_search(lower, lat.labels(params))[0].is_positive()
+    quotient = _chain_index_sets(lat)
+    return not _quotient_search(lat._below, quotient, lat.labels(params))[0].is_positive()
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress, count
 from operator import itemgetter, mul
 
 from .errors import (
@@ -176,18 +177,32 @@ def _point(vec, p: int):
     return tuple(x * inv % p for x in vec)
 
 
+def _byte_bits() -> list:
+    """_BYTE_BITS[b]: the offsets of the set bits of the byte b, ascending;
+    the entries for 2^i to 2^(i+1) - 1 are those below 2^i plus bit i."""
+    table = [()]
+    for i in range(8):
+        table += [t + (i,) for t in table]
+    return table
+
+
+_BYTE_BITS = _byte_bits()
+
+
 def _bits(mask: int) -> list:
-    """Indices of the set bits of mask, ascending."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    """Indices of the set bits of mask, ascending: the non-zero bytes of
+    mask are found in C, and each gives its set bits from _BYTE_BITS."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * k + i for k in compress(count(), data) for i in _BYTE_BITS[data[k]]]
 
 
-def _point_masks(targets: list, points: set, p: int) -> dict:
-    """For each of the given points, the bit mask over targets of the
-    subspaces that contain it.  Each target lists its own points or tests
-    the given ones, whichever are fewer, so the work is close to the
-    point-subspace incidences that exist."""
+def _point_masks(targets, points: set, p: int) -> dict:
+    """For each of the given points, the bit mask of the positions i of
+    the (i, subspace) targets whose subspace contains it.  Each target
+    lists its own points or tests the given ones, whichever are fewer, so
+    the work is close to the point-subspace incidences that exist."""
     masks = dict.fromkeys(points, 0)
-    for i, t in enumerate(targets):
+    for i, t in targets:
         if (p**t.dim - 1) // (p - 1) < len(points):
             hits = [pt for pt in t.points() if pt in masks]
         else:
@@ -231,7 +246,10 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     contain its image, transposed once if w comes first in quiver order.
     A join over the vertices in quiver order then visits only consistent
     assignments: the choices at a vertex are the AND of its arrows' masks
-    at the choices made at the vertices already placed.
+    at the choices made at the vertices already placed.  The list it
+    returns also carries the lists, the point memos and each subrep's
+    list positions (_Found), from which SubrepLattice builds its
+    containment table.
     """
     order = m.quiver.vertices
     p = m.field.p
@@ -269,10 +287,11 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     # vertex placed earlier; one point memo per shape, over the images of
     # every arrow into that shape
     earlier = [[] for _ in order]
+    memos = {}
     for shape, images in into.items():
         points = {pt for _u, _w, image in images for pt in image.values()}
         points.discard(None)
-        memo = _point_masks(built[shape], points, p)
+        memo = memos[shape] = _point_masks(enumerate(built[shape]), points, p)
         everything = (1 << len(built[shape])) - 1
         for u, w, image in images:
             masks = _arrow_masks(image, lists[u], memo, everything)
@@ -304,7 +323,19 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
                 allowed &= masks[chosen[u]]
             stack.extend((k + 1, c) for c in _bits(allowed))
     out.sort(key=itemgetter(0))
-    return [s for _key, s in out]
+    found = _Found(s for _key, s in out)
+    found.keys = [key for key, _s in out]
+    found.lists = lists
+    found.memos = [memos.get(shape, {}) for shape in shapes]
+    return found
+
+
+class _Found(list):
+    """The subreps enumerate_subreps returns, with what it indexed on the
+    way: keys[i], the dimension tuple and the list position at each
+    vertex of the i-th subrep; lists[k], the subspace list at vertex k;
+    and memos[k], the point masks over lists[k] of its shape ({} if no
+    arrow enters it)."""
 
 
 class SubrepLattice:
@@ -320,39 +351,41 @@ class SubrepLattice:
     def __init__(self, m: Representation, budget: int = DEFAULT_BUDGET):
         self.rep = m
         self.budget = budget
-        self.subs = enumerate_subreps(m, budget)
-        order = m.quiver.vertices
-        self.dims = [tuple(s.spaces[v].dim for v in order) for s in self.subs]
+        self._found = enumerate_subreps(m, budget)  # until _below reads it
+        self.subs = list(self._found)
+        self.dims = [dims for dims, _at in self._found.keys]
 
     @cached_property
     def _below(self) -> list:
         """_below[j]: bit mask of the indices i with subs[i] inside subs[j].
 
-        Built per vertex over its distinct subspaces, which the subreps
-        share.  RREF basis rows are normalized points, so b lies inside a
-        iff a contains every basis row of b: the arrow masks of the
-        identity give each b the mask of the spaces containing it.
+        Built per vertex over the list positions of the subspaces the
+        subreps use there, which enumeration hands over with the list
+        and its point masks.  RREF basis rows are normalized points, so
+        b lies inside a iff a contains every basis row of b; a row's mask
+        is enumeration's where it made one, else one made here over the
+        positions used.
         """
+        found = self.__dict__.pop("_found")
         masks = [-1] * len(self.subs)
-        for v in self.rep.quiver.vertices:
-            index = {}  # distinct subspace at v -> its position
-            at = [index.setdefault(s.spaces[v], len(index)) for s in self.subs]
-            members = [0] * len(index)  # mask of the subreps having each
-            for i, k in enumerate(at):
-                members[k] |= 1 << i
-            rows = {row: row for b in index for row in b.basis}  # the identity
-            memo = _point_masks(list(index), rows, self.rep.field.p)
-            above = _arrow_masks(rows, index, memo, (1 << len(index)) - 1)
-            inside = [0] * len(index)
-            for b, mask in enumerate(above):
-                for a in _bits(mask):
+        for k, (spaces, memo) in enumerate(zip(found.lists, found.memos)):
+            at = [positions[k] for _dims, positions in found.keys]
+            members = {}  # position used at k -> mask of the subreps using it
+            for i, b in enumerate(at):
+                members[b] = members.get(b, 0) | 1 << i
+            used = [(b, spaces[b]) for b in members]
+            rows = {row for _b, s in used for row in s.basis}
+            made = _point_masks(used, rows - memo.keys(), self.rep.field.p)
+            everything = sum(1 << b for b in members)
+            inside = [0] * len(spaces)
+            for b, s in used:
+                above = everything
+                for row in s.basis:
+                    above &= memo[row] if row in memo else made[row]
+                for a in _bits(above):
                     inside[a] |= members[b]
-            masks = [m & inside[k] for m, k in zip(masks, at)]
+            masks = [mask & inside[b] for mask, b in zip(masks, at)]
         return masks
-
-    def strictly_below(self, j: int) -> list:
-        """Indices of the subrepresentations strictly inside subs[j], ascending."""
-        return _bits(self._below[j] & ~(1 << j))
 
     def contains(self, j: int, i: int) -> bool:
         """True iff subs[i] is contained in subs[j]."""

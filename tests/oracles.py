@@ -25,6 +25,14 @@ pair of dimension vectors, which checks the containment table, and the
 number of chains 0 < U1 < ... < M of each strictly increasing sequence of
 dimension vectors, which checks the inclusion DAG of the Kempf search.
 
+The library's Kempf search runs on the exact quotient of the inclusion
+DAG: the subreps with one dimension vector and one multiset of
+predecessor classes form a class, and each class edge carries its
+count.  chain_dag lists every strict inclusion by pairwise sub_contains
+instead, and strictly_below reads the node-level lists off the
+containment masks; the library walks set bits byte by byte, and
+bits_by_bin walks the characters of bin().
+
 The library sorts subrepresentations by their dimension vector and the
 index of each space in its vertex's canonical list.  The order oracle
 compares the dimension vector and the RREF bytes of every space instead.
@@ -448,6 +456,18 @@ def labels_of(subs, params):
         (sigma_of(s.dim_vector(), params), theta_of(s.dim_vector(), params))
         for s in subs
     ]
+
+
+def strictly_below(lat, j):
+    """Indices of the subrepresentations strictly inside subs[j],
+    ascending, read off the containment mask by bits_by_bin."""
+    return bits_by_bin(lat._below[j] & ~(1 << j))
+
+
+def bits_by_bin(mask):
+    """Indices of the set bits of mask, ascending, one character of
+    bin(mask) at a time."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def chain_dag(lat, params):

@@ -1,0 +1,111 @@
+"""Time each stage of the Kempf route on the rungs of ROADMAP's baseline
+table, with the chain budget lifted.
+
+    python tests/rungs.py [rung ...]
+
+The rungs are seeded random representations, sigma = 1: maps drawn
+entry by entry, arrow by arrow and row by row, from random.Random(1)
+over F2 and random.Random(3) over F97; theta is (2, 0, -2) on A3,
+(1, 1, 1, -1) on D4 with the sink last and (1, -1) on Kronecker.  Each
+rung runs in a child process of its own, so the peak RSS printed is that
+rung's.  Per rung it prints the subreps, the strict inclusions, the
+classes of the quotient of the inclusion DAG, the chains from 0 to M and
+the best score, then the seconds spent on enumeration, the containment
+masks, the quotient (with the chain count) and the search.  It prints
+timings, so it is not part of the test suite; the five rungs take about
+15 s.
+"""
+
+import json
+import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from quiverstab import (  # noqa: E402
+    Matrix,
+    PrimeField,
+    Quiver,
+    Representation,
+    StabilityParams,
+    SubrepLattice,
+    kempf,
+)
+
+UNBOUNDED = 10**30
+A3 = Quiver(("v0", "v1", "v2"), (("v0", "v1"), ("v1", "v2")))
+D4 = Quiver(("a", "b", "c", "z"), (("a", "z"), ("b", "z"), ("c", "z")))
+
+# name -> (quiver, p, dims, seed, theta)
+RUNGS = {
+    "A3 (4,3,3)/F2": (A3, 2, (4, 3, 3), 1, (2, 0, -2)),
+    "D4 (2,2,2,4)/F2": (D4, 2, (2, 2, 2, 4), 1, (1, 1, 1, -1)),
+    "A3 (4,4,3)/F2": (A3, 2, (4, 4, 3), 1, (2, 0, -2)),
+    "A3 (4,4,4)/F2": (A3, 2, (4, 4, 4), 1, (2, 0, -2)),
+    "Kron (1,3)/F97": (Quiver.kronecker(1), 97, (1, 3), 3, (1, -1)),
+}
+
+
+def rung(name):
+    """(representation, params) of a rung."""
+    q, p, dims, seed, theta = RUNGS[name]
+    rng, field = random.Random(seed), PrimeField(p)
+    d = dict(zip(q.vertices, dims))
+    maps = tuple(
+        Matrix(field, d[t], d[s], tuple(
+            tuple(rng.randrange(p) for _c in range(d[s])) for _r in range(d[t])
+        ))
+        for s, t in q.arrows
+    )
+    params = StabilityParams(dict(zip(q.vertices, theta)), dict.fromkeys(q.vertices, 1))
+    return Representation(q, field, d, maps), params
+
+
+def measure(name):
+    """The counts and stage times of one rung, as a dict."""
+    m, params = rung(name)
+    t0 = time.perf_counter()
+    lat = SubrepLattice(m, UNBOUNDED)
+    t1 = time.perf_counter()
+    below = lat._below
+    t2 = time.perf_counter()
+    members, lower, first = kempf._chain_index_sets(lat)
+    t3 = time.perf_counter()
+    labels = lat.labels(params)
+    best, _winner = kempf._kempf_search(lower, [labels[i] for i in first])
+    t4 = time.perf_counter()
+    chains = [1]
+    for pre in lower[1:]:
+        chains.append(sum(k * chains[c] for c, k in pre))
+    return {
+        "subreps": len(lat.subs),
+        "strict inclusions": sum(b.bit_count() for b in below) - len(below),
+        "classes": len(members),
+        "chains": chains[-1],
+        "best square": str(best.square),
+        "enum s": round(t1 - t0, 3),
+        "masks s": round(t2 - t1, 3),
+        "dag s": round(t3 - t2, 3),
+        "search s": round(t4 - t3, 3),
+        "peak rss MB": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def main(names):
+    for name in names or RUNGS:
+        out = subprocess.run(
+            [sys.executable, __file__, "--child", name],
+            check=True, capture_output=True, text=True,
+        ).stdout
+        print(f"{name:17} {out.strip()}", flush=True)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(measure(sys.argv[2])))
+    else:
+        main(sys.argv[1:])

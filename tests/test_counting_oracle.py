@@ -155,26 +155,28 @@ STRICT_CHAINS = {
 
 
 def strict_chain_counts(q, field, dims):
-    """The chains 0 < U1 < ... < M that the Kempf search's inclusion DAG
-    holds (the lower lists of kempf._chain_index_sets), by the sequence of
-    dimension vectors of U1, ..., Uk, summed over every rep of the family;
-    and the sum of the exact chain counts that EnumerationBudgetError
-    reports when each lattice's budget is one below its count."""
+    """The chains 0 < U1 < ... < M that the Kempf search counts on the
+    quotient of the inclusion DAG (kempf._chain_index_sets), by the
+    sequence of dimension vectors of U1, ..., Uk, summed over every rep
+    of the family: chains of classes, each (class, count) edge counted
+    count times; and the sum of the exact chain counts that
+    EnumerationBudgetError reports when each lattice's budget is one
+    below its count."""
     found = Counter()
     reported = 0
     for m in every_rep(q, field, dims):
         lat = SubrepLattice(m)
-        _subs, lower, top = kempf._chain_index_sets(lat)
-        # ending[j]: the chains from 0 to j, by the dimension vectors of
-        # their nodes after 0, j's included
+        _members, lower, first = kempf._chain_index_sets(lat)
+        # ending[c]: the chains from 0 to a member of class c, by the
+        # dimension vectors of their nodes after 0, c's included
         ending = [Counter({(): 1})]
-        for j in range(1, top + 1):
+        for pre, j in zip(lower[1:], first[1:]):
             here = Counter()
-            for i in lower[j]:
+            for i, k in pre:
                 for seq, n in ending[i].items():
-                    here[seq + (lat.dims[j],)] += n
+                    here[seq + (lat.dims[j],)] += k * n
             ending.append(here)
-        chains = {seq[:-1]: n for seq, n in ending[top].items()}
+        chains = {seq[:-1]: n for seq, n in ending[-1].items()}
         found.update(chains)
         lat.budget = sum(chains.values()) - 1
         try:

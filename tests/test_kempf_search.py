@@ -1,6 +1,8 @@
 """The Kempf search carries each PAV block stack's score square in
-integers as it interns the stack; it must give the answers and tie
-errors of the search keyed on whole label sequences, the
+integers as it interns the stack, and runs on the exact quotient of the
+inclusion DAG, each class edge weighted by its count; with its winner
+lifted to nodes, it must give the answers and tie errors of the search
+keyed on whole label sequences over the pairwise DAG, the
 one-chain-at-a-time Fraction walk's answers, and the HN filtration, and
 each carried square must be the one _chain_score gives."""
 
@@ -18,6 +20,7 @@ from quiverstab import (
     Matrix,
     PrimeField,
     Quiver,
+    EnumerationBudgetError,
     Representation,
     StabilityParams,
     SubrepLattice,
@@ -34,13 +37,16 @@ from quiverstab.cli import EXIT_BUDGET, EXIT_OK, main, parse_problem
 from conftest import A3, F2, F3, params_for, random_rep
 from oracles import (
     ascending_chains,
+    chain_dag,
     chain_score_by_fractions,
     kempf_by_chains,
     refinement_domination_violations,
     refinements_by_fractions,
     scored_chains,
     sequence_search,
+    strictly_below,
 )
+from rungs import rung
 from test_acceptance import main_theorem_problems
 from test_enumeration import SHAPES, random_maps
 
@@ -120,42 +126,68 @@ def test_search_equals_chain_walk(problems):
     assert unstable > 0
 
 
+def quotient_of(lower, labels):
+    """(below, quotient) of a hand-built DAG rooted at node 0, given by
+    its predecessor lists and keyed on its labels: below[j] is the mask
+    of j and its predecessors, as kempf._quotient reads it."""
+    below = [sum(1 << i for i in pre) | 1 << j for j, pre in enumerate(lower)]
+    return below, kempf._quotient(below, labels)
+
+
+def quotient_search(lower, labels):
+    """The search on the quotient of a hand-built DAG, lifted to nodes."""
+    below, quotient = quotient_of(lower, labels)
+    return kempf._quotient_search(below, quotient, labels)
+
+
 def test_search_returns_the_single_winning_chain():
-    # below the root 0, nodes 1 and 2 share the label (1, 1), but only
-    # node 1 lies below the top node 3, so one chain carries the winning
-    # sequence
+    # below the root 0, nodes 1 and 2 share the label (1, 1) and form one
+    # class, but only node 1 lies below the top node 3, so one chain
+    # carries the winning sequence and the lift picks node 1
     lower = [[], [0], [0], [0, 1]]
     labels = [(0, 0), (1, 1), (1, 1), (2, 0)]
-    assert kempf._kempf_search(lower, labels) == (
-        ExactScore(1, 8), ((0, 1, 3), (-1, 1))
-    )
+    _below, (members, qlower, _first) = quotient_of(lower, labels)
+    assert members == [0b1, 0b110, 0b1000]
+    assert qlower[2] == ((0, 1), (1, 1))
+    assert quotient_search(lower, labels) == (ExactScore(1, 8), ((0, 1, 3), (-1, 1)))
 
 
 def test_tie_between_chains_with_one_sequence_is_raised():
-    # both nodes 1 and 2 carry the winning sequence ((1, 1), (2, 0))
+    # both nodes 1 and 2 carry the winning sequence ((1, 1), (2, 0)); they
+    # form one class, whose one edge into node 3 has count 2, so only the
+    # weight of that edge sees the tie
     lower = [[], [0], [0], [0, 1, 2]]
     labels = [(0, 0), (1, 1), (1, 1), (2, 0)]
+    below, quotient = quotient_of(lower, labels)
+    members, qlower, _first = quotient
+    assert members == [0b1, 0b110, 0b1000]
+    assert qlower[2] == ((0, 1), (1, 2))
     with pytest.raises(TheoremContradictionError, match="^2 chains"):
-        kempf._kempf_search(lower, labels)
+        kempf._quotient_search(below, quotient, labels)
 
 
-def search_outcome(search, lower, labels):
+def search_outcome(search, *args):
     """(best, winner) of a search, or the message of the tie it raised."""
     try:
-        return search(lower, labels)
+        return search(*args)
     except TheoremContradictionError as exc:
         return f"raised: {exc}"
 
 
 def assert_searches_agree(lower, labels):
-    assert search_outcome(kempf._kempf_search, lower, labels) == search_outcome(
+    assert search_outcome(quotient_search, lower, labels) == search_outcome(
         sequence_search, lower, labels
     )
 
 
-def lattice_dag(lat, params):
-    """(lower, labels) of the search on the lattice."""
-    return kempf._chain_index_sets(lat)[1], lat.labels(params)
+def assert_lattice_searches_agree(lat, params):
+    """The quotient search on the lattice, lifted to lattice indices,
+    against the sequence search on the pairwise DAG of chain_dag."""
+    _subs, lower, labels, _full = chain_dag(lat, params)
+    quotient = kempf._chain_index_sets(lat)
+    assert search_outcome(
+        kempf._quotient_search, lat._below, quotient, lat.labels(params)
+    ) == search_outcome(sequence_search, lower, labels)
 
 
 def random_params(rng, q):
@@ -172,7 +204,7 @@ def test_state_search_equals_sequence_search_on_shapes(shape):
     # the reps of test_enumeration.test_join_equals_product
     for density in (0.0, 0.3, 0.3, 0.6, 0.6, 1.0, 1.0):
         lat = SubrepLattice(random_maps(rng, quiver_, field, dims, density))
-        assert_searches_agree(*lattice_dag(lat, random_params(prng, quiver_)))
+        assert_lattice_searches_agree(lat, random_params(prng, quiver_))
 
 
 # 1- and 2-Kronecker, A3, D4, loop plus arrow, oriented 2-cycle
@@ -194,7 +226,7 @@ def test_state_search_equals_sequence_search_on_random_reps():
         m = random_rep(rng, q, rng.choice((F2, F3)), max_dims)
         if m.is_zero():
             continue
-        assert_searches_agree(*lattice_dag(SubrepLattice(m), random_params(rng, q)))
+        assert_lattice_searches_agree(SubrepLattice(m), random_params(rng, q))
         sampled += 1
 
 
@@ -217,6 +249,14 @@ HAND_BUILT = {
     "two-chains-one-sequence": (
         [[], [0], [0], [0, 1, 2]],
         [(0, 0), (1, 1), (1, 1), (2, 0)],
+    ),
+    # nodes 1 and 2 form one class; nodes 3 and 4 share a label and the
+    # set of their predecessor classes, but 4 lies above both members of
+    # that class and 3 above one, so they are two classes, and three
+    # chains carry the sequence ((1, 1), (2, 1), (3, 0))
+    "one-set-two-multisets": (
+        [[], [0], [0], [0, 1], [0, 1, 2], [0, 1, 2, 3, 4]],
+        [(0, 0), (1, 1), (1, 1), (2, 1), (2, 1), (3, 0)],
     ),
 }
 
@@ -290,7 +330,7 @@ def test_sequences_that_pool_alike_are_scored_once(monkeypatch):
     score_chain = kempf._chain_score
     monkeypatch.setattr(kempf, "_chain_score", chain_score)
     lower, labels = HAND_BUILT["two-sequences-one-state"]
-    best, winner = kempf._kempf_search(lower, labels)
+    best, winner = quotient_search(lower, labels)
     assert (best, winner) == (ExactScore(1, Fraction(27, 2)), ((0, 4, 5), (-1, 2)))
     assert scored == [(labels[4], labels[5])]
 
@@ -301,7 +341,36 @@ def test_state_search_equals_sequence_search_on_an_a3_rung():
     rows = [tuple(rng.randrange(2) for _c in range(3)) for _r in range(6)]
     maps = (Matrix(F2, 3, 3, tuple(rows[:3])), Matrix(F2, 3, 3, tuple(rows[3:])))
     m = Representation(A3, F2, dict.fromkeys(A3.vertices, 3), maps)
-    assert_searches_agree(*lattice_dag(SubrepLattice(m), params_for(A3, (2, 0, -2))))
+    assert_lattice_searches_agree(SubrepLattice(m), params_for(A3, (2, 0, -2)))
+
+
+def chain_count(lower):
+    """The chains from node 0 to the last node, each (predecessor, count)
+    edge standing for count edges."""
+    chains = [1]
+    for pre in lower[1:]:
+        chains.append(sum(k * chains[i] for i, k in pre))
+    return chains[-1]
+
+
+def test_quotient_keeps_the_search_on_an_a3_rung():
+    # A3 (4,3,3) over F2 from tests/rungs.py: 1,079 subreps in 96 classes;
+    # the search and the chain count on the classes equal those on the
+    # unquotiented DAG, read off the masks with every count k = 1
+    m, params = rung("A3 (4,3,3)/F2")
+    lat = SubrepLattice(m, budget=10**30)
+    members, lower, first = quotient = kempf._chain_index_sets(lat)
+    assert len(members) == 96
+    nodes = [[(i, 1) for i in strictly_below(lat, j)] for j in range(len(lat.subs))]
+    labels = lat.labels(params)
+    assert kempf._quotient_search(lat._below, quotient, labels) == kempf._kempf_search(
+        nodes, labels
+    )
+    assert chain_count(lower) == chain_count(nodes) == 79547696
+    lat.budget = 79547695
+    with pytest.raises(EnumerationBudgetError) as exc:
+        kempf._chain_index_sets(lat)
+    assert exc.value.count == 79547696
 
 
 def test_chain_budget_exits_4(capsys):

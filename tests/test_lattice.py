@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverstab import (
     EnumerationBudgetError,
@@ -22,6 +25,7 @@ from quiverstab.cli import parse_problem
 
 from conftest import A3, F2, F3, params_for, random_rep
 from oracles import (
+    bits_by_bin,
     chain_dag,
     hn_by_quotients,
     hn_report_by_quotients,
@@ -137,15 +141,68 @@ def test_labels_reject_other_vertices():
         lat.labels(StabilityParams({"a": 1}, {"a": 1}))
 
 
+def quotient_cases():
+    """Reps of the enumeration shapes, and one with seven simple summands
+    at seven vertices, whose 128 subreps are 128 classes: there the
+    later nodes with few predecessors walk their set bits."""
+    yield random_rep(random.Random(5), A3, F3, (2, 2, 2))
+    for q, field, dims in SHAPES.values():
+        yield random_maps(random.Random(6), q, field, dims, 0.3)
+    q = Quiver(tuple("abcdefg"), ())
+    yield Representation(q, F2, dict.fromkeys(q.vertices, 1), ())
+
+
 def test_chain_dag_read_off_masks(monkeypatch):
+    # the quotient is read off the masks with no pairwise call: each
+    # node's strict predecessors in chain_dag, grouped by class, give its
+    # class's (class, count) predecessors, the members of those classes
+    # below the node are chain_dag's list, and no two classes share a
+    # dimension vector and predecessors; some nodes count their
+    # predecessors by walking their set bits, the others by one AND per class
     def pairwise(*_args):
         raise AssertionError("the DAG made a pairwise containment call")
 
-    lat = SubrepLattice(random_rep(random.Random(5), A3, F3, (2, 2, 2)))
-    params = StabilityParams({v: 0 for v in A3.vertices}, {v: 1 for v in A3.vertices})
-    subs, lower, _labels, full = chain_dag(lat, params)
-    monkeypatch.setattr(SubrepLattice, "contains", pairwise)
-    assert kempf._chain_index_sets(lat) == (subs, lower, full)
+    def counted_bits(mask):
+        walks.append(mask)
+        return bits(mask)
+
+    bits = kempf._bits
+    walked = nodes = 0
+    for m in quotient_cases():
+        lat = SubrepLattice(m)
+        params = params_for(m.quiver, [0] * len(m.quiver.vertices))
+        _subs, lower, _labels, _full = chain_dag(lat, params)
+        walks = []
+        monkeypatch.setattr(SubrepLattice, "contains", pairwise)
+        monkeypatch.setattr(kempf, "_bits", counted_bits)
+        members, qlower, first = kempf._chain_index_sets(lat)
+        monkeypatch.undo()
+        walked += len(walks)
+        nodes += len(lower)
+        of = {j: c for c, mask in enumerate(members) for j in bits_by_bin(mask)}
+        assert sorted(of) == list(range(len(lower)))
+        assert first == [bits_by_bin(mask)[0] for mask in members] == sorted(first)
+        for j, pre in enumerate(lower):
+            c = of[j]
+            assert lat.dims[j] == lat.dims[first[c]]
+            assert tuple(sorted(Counter(of[i] for i in pre).items())) == qlower[c]
+            assert sorted(
+                i for d, _k in qlower[c] for i in bits_by_bin(members[d] & lat._below[j])
+            ) == pre
+        assert len({(lat.dims[j], pre) for j, pre in zip(first, qlower)}) == len(members)
+    assert len(members) == len(lower) == 128
+    assert 0 < walked < nodes
+
+
+def test_bits_of_zero_one_and_single_high_bits():
+    for mask in (0, 1, 1 << 7, 1 << 8, 1 << 63, 1 << 64, 1 << 19_999, (1 << 20_000) - 1):
+        assert quiver._bits(mask) == bits_by_bin(mask)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 20_000).flatmap(lambda n: st.integers(0, (1 << n) - 1)))
+def test_bits_equal_the_bin_walk(mask):
+    assert quiver._bits(mask) == bits_by_bin(mask)
 
 
 def no_subspace_lists(*_args, **_kwargs):
