@@ -177,21 +177,12 @@ def _score_payload(score: kempf.ExactScore) -> dict:
 
 
 def _filtration_payload(f: qv.Filtration, params: qv.StabilityParams) -> dict:
-    steps = []
-    for s in f.steps:
-        steps.append(
-            {
-                v: [list(row) for row in s.spaces[v].basis]
-                for v in f.parent.quiver.vertices
-            }
-        )
-    qslopes = [frac_str(qv.slope(d, params)) for d in f.quotient_dims()]
+    order = f.parent.quiver.vertices
+    steps = [{v: [list(row) for row in s.spaces[v].basis] for v in order} for s in f.steps]
     return {
         "steps": steps,
-        "step_dims": [
-            {v: d[v] for v in f.parent.quiver.vertices} for d in f.step_dims()
-        ],
-        "quotient_slopes": qslopes,
+        "step_dims": [{v: d[v] for v in order} for d in f.step_dims()],
+        "quotient_slopes": [frac_str(qv.slope(d, params)) for d in f.quotient_dims()],
     }
 
 

@@ -196,35 +196,48 @@ def _bits(mask: int) -> list:
     return [8 * k + i for k in compress(count(), data) for i in _BYTE_BITS[data[k]]]
 
 
-def _point_masks(targets, points: set, p: int) -> dict:
-    """For each of the given points, the bit mask of the positions i of
-    the (i, subspace) targets whose subspace contains it.  Each target
-    lists its own points or tests the given ones, whichever are fewer, so
-    the work is close to the point-subspace incidences that exist."""
-    masks = dict.fromkeys(points, 0)
-    for i, t in targets:
-        if (p**t.dim - 1) // (p - 1) < len(points):
-            hits = [pt for pt in t.points() if pt in masks]
-        else:
-            hits = [pt for pt in points if t.contains_vector(pt)]
-        for pt in hits:
-            masks[pt] |= 1 << i
-    return masks
+class _Shape:
+    """A vertex shape, a dimension d over F_p and its loop matrices: the
+    subspaces of F_p^d that the loops send into themselves, in canonical
+    order, and the bit mask of those that contain each point asked for
+    so far (None, the zero vector, lies in all).  Each subspace lists its
+    own points or tests the ones asked for, whichever are fewer, so the
+    work is close to the point-subspace incidences that exist."""
+
+    def __init__(self, d: int, field: PrimeField, loops: tuple):
+        self.subspaces = tuple(enumerate_subspaces(d, field, maps=loops))
+        self.p = field.p
+        self._masks = {None: (1 << len(self.subspaces)) - 1}
+
+    def masks(self, points: set) -> dict:
+        """The point masks, filled first for the given points it lacks."""
+        missing = dict.fromkeys(points - self._masks.keys(), 0)
+        if missing:
+            for i, t in enumerate(self.subspaces):
+                if (self.p**t.dim - 1) // (self.p - 1) < len(missing):
+                    hits = [pt for pt in t.points() if pt in missing]
+                else:
+                    hits = [pt for pt in missing if t.contains_vector(pt)]
+                for pt in hits:
+                    missing[pt] |= 1 << i
+            self._masks.update(missing)
+        return self._masks
 
 
-def _arrow_masks(image: dict, sources: list, memo: dict, everything: int) -> list:
-    """For each subspace a in sources, the bit mask of the targets that
-    contain the image of a: the AND of the masks in memo of the images of
-    its basis rows.  image maps a row to its normalized image, None for 0."""
-    out = []
+# (d, p) -> the _Shape of a vertex with no loops, shared by every problem
+_LOOP_FREE = {}
+
+
+def _arrow_masks(image: dict, sources: list, memo: dict, everything: int):
+    """For each subspace a in sources, in turn, the bit mask of the
+    targets that contain the image of a: the AND, within everything, of
+    the masks in memo of the images of its basis rows.  image maps a row
+    to its normalized image, None for 0."""
     for a in sources:
         mask = everything
         for row in a.basis:
-            pt = image[row]
-            if pt is not None:
-                mask &= memo[pt]
-        out.append(mask)
-    return out
+            mask &= memo[image[row]]
+        yield mask
 
 
 def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
@@ -241,15 +254,16 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     Each vertex's list holds only the subspaces its loops send into
     themselves (enumerate_subspaces tests the loops while it generates),
     and vertices of one shape, equal dimension and loop matrices, share
-    one list and one memo of point masks.  Each other arrow u -> w gives
+    one _Shape: its list and its point masks.  A loop-free shape depends
+    only on (d, p), so one per process serves every problem; a looped one
+    is built for this enumeration.  Each other arrow u -> w gives
     every subspace a at u the bit mask of the subspaces at w that
     contain its image, transposed once if w comes first in quiver order.
     A join over the vertices in quiver order then visits only consistent
     assignments: the choices at a vertex are the AND of its arrows' masks
     at the choices made at the vertices already placed.  The list it
-    returns also carries the lists, the point memos and each subrep's
-    list positions (_Found), from which SubrepLattice builds its
-    containment table.
+    returns also carries the shapes and each subrep's list positions
+    (_Found), from which SubrepLattice builds its containment table.
     """
     order = m.quiver.vertices
     p = m.field.p
@@ -270,12 +284,15 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
             loops[pos[src]].append(mat)
         else:
             arrows.append((pos[src], pos[tgt], mat))
-    shapes = [(m.dims[v], tuple(maps)) for v, maps in zip(order, loops)]
-    built = {
-        (d, maps): enumerate_subspaces(d, m.field, maps=maps)
-        for d, maps in dict.fromkeys(shapes)
-    }
-    lists = [built[shape] for shape in shapes]
+    looped = {}  # this problem's looped shapes, by (dimension, loop matrices)
+    shapes = []
+    for v, maps in zip(order, map(tuple, loops)):
+        d = m.dims[v]
+        table, key = (looped, (d, maps)) if maps else (_LOOP_FREE, (d, p))
+        if key not in table:
+            table[key] = _Shape(d, m.field, maps)
+        shapes.append(table[key])
+    lists = [shape.subspaces for shape in shapes]
     # per shape of w: (u, w, normalized image of each distinct basis row
     # at u) of each arrow u -> w
     into = {}
@@ -284,19 +301,15 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
         image = {row: _point(mat.apply_to(row), p) for row in rows}
         into.setdefault(shapes[w], []).append((u, w, image))
     # per vertex k: (masks, placed vertex) of each arrow between k and a
-    # vertex placed earlier; one point memo per shape, over the images of
+    # vertex placed earlier, off the shape's point masks of the images of
     # every arrow into that shape
     earlier = [[] for _ in order]
-    memos = {}
     for shape, images in into.items():
-        points = {pt for _u, _w, image in images for pt in image.values()}
-        points.discard(None)
-        memo = memos[shape] = _point_masks(enumerate(built[shape]), points, p)
-        everything = (1 << len(built[shape])) - 1
+        memo = shape.masks({pt for _u, _w, image in images for pt in image.values()})
         for u, w, image in images:
-            masks = _arrow_masks(image, lists[u], memo, everything)
+            masks = list(_arrow_masks(image, lists[u], memo, memo[None]))
             if u > w:  # for each c at w, the sources at u whose image c contains
-                masks, sources = [0] * len(built[shape]), masks
+                masks, sources = [0] * len(shape.subspaces), masks
                 for a, mask in enumerate(sources):
                     for c in _bits(mask):
                         masks[c] |= 1 << a
@@ -325,17 +338,14 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     out.sort(key=itemgetter(0))
     found = _Found(s for _key, s in out)
     found.keys = [key for key, _s in out]
-    found.lists = lists
-    found.memos = [memos.get(shape, {}) for shape in shapes]
+    found.shapes = shapes
     return found
 
 
 class _Found(list):
     """The subreps enumerate_subreps returns, with what it indexed on the
     way: keys[i], the dimension tuple and the list position at each
-    vertex of the i-th subrep; lists[k], the subspace list at vertex k;
-    and memos[k], the point masks over lists[k] of its shape ({} if no
-    arrow enters it)."""
+    vertex of the i-th subrep, and shapes[k], the _Shape of vertex k."""
 
 
 class SubrepLattice:
@@ -360,29 +370,26 @@ class SubrepLattice:
         """_below[j]: bit mask of the indices i with subs[i] inside subs[j].
 
         Built per vertex over the list positions of the subspaces the
-        subreps use there, which enumeration hands over with the list
-        and its point masks.  RREF basis rows are normalized points, so
-        b lies inside a iff a contains every basis row of b; a row's mask
-        is enumeration's where it made one, else one made here over the
-        positions used.
+        subreps use there, which enumeration hands over with the vertex
+        shapes.  RREF basis rows are normalized points, so b lies inside
+        a iff a contains every basis row of b: the arrow masks of the
+        identity over the subspaces used, the shape filling the point
+        masks of the rows it lacks.
         """
         found = self.__dict__.pop("_found")
         masks = [-1] * len(self.subs)
-        for k, (spaces, memo) in enumerate(zip(found.lists, found.memos)):
+        for k, shape in enumerate(found.shapes):
             at = [positions[k] for _dims, positions in found.keys]
             members = {}  # position used at k -> mask of the subreps using it
             for i, b in enumerate(at):
                 members[b] = members.get(b, 0) | 1 << i
-            used = [(b, spaces[b]) for b in members]
-            rows = {row for _b, s in used for row in s.basis}
-            made = _point_masks(used, rows - memo.keys(), self.rep.field.p)
-            everything = sum(1 << b for b in members)
-            inside = [0] * len(spaces)
-            for b, s in used:
-                above = everything
-                for row in s.basis:
-                    above &= memo[row] if row in memo else made[row]
-                for a in _bits(above):
+            used = [shape.subspaces[b] for b in members]
+            rows = {row for s in used for row in s.basis}
+            memo, everything = shape.masks(rows), sum(1 << b for b in members)
+            above = _arrow_masks(dict(zip(rows, rows)), used, memo, everything)
+            inside = [0] * len(shape.subspaces)
+            for b, mask in zip(members, above):  # one mask held at a time
+                for a in _bits(mask):
                     inside[a] |= members[b]
             masks = [mask & inside[b] for mask, b in zip(masks, at)]
         return masks

@@ -11,6 +11,7 @@ from quiverstab import (
     Representation,
     StabilityParams,
     SubrepLattice,
+    quiver,
 )
 
 F2 = PrimeField(2)
@@ -56,6 +57,15 @@ def random_rep(rng, quiver, field, max_dims):
 
 def theta_grid(nvertices, lo=-2, hi=2):
     return itertools.product(range(lo, hi + 1), repeat=nvertices)
+
+
+@pytest.fixture
+def empty_shapes(monkeypatch):
+    """An empty table of loop-free vertex shapes for one test, the table
+    of the tests before it put back after; returns the empty table."""
+    table = {}
+    monkeypatch.setattr(quiver, "_LOOP_FREE", table)
+    return table
 
 
 @pytest.fixture(scope="session")

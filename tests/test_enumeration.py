@@ -130,10 +130,11 @@ def test_kronecker_1_3_over_f97():
     assert keys(subs) == keys(subreps_by_product(m))
 
 
-def test_kronecker_1_3_over_f97_tests_each_target_once(monkeypatch):
+def test_kronecker_1_3_over_f97_tests_each_target_once(monkeypatch, empty_shapes):
     """One image point (|Q| = 1): no target has fewer points than that
-    but the zero one, so the memo lists no points and makes at most one
-    membership test per target."""
+    but the zero one, so the shape lists no points and makes at most one
+    membership test per target; enumerating again, the shape has the
+    point's mask and lists and tests nothing."""
     calls = {"tests": 0, "listed": 0}
     contains_vector, points = Subspace.contains_vector, Subspace.points
 
@@ -155,11 +156,16 @@ def test_kronecker_1_3_over_f97_tests_each_target_once(monkeypatch):
     assert len(enumerate_subreps(m)) == 19116
     assert 0 < calls["tests"] <= 19116
     assert calls["listed"] == 0
+    calls.update(tests=0, listed=0)
+    assert len(enumerate_subreps(m)) == 19116
+    assert calls == {"tests": 0, "listed": 0}
 
 
-def test_one_list_per_vertex_shape(monkeypatch):
+def test_one_list_per_vertex_shape(monkeypatch, empty_shapes):
     """Vertices share a subspace list iff they have the same dimension
-    and the same loop matrices; sharing changes no subrep."""
+    and the same loop matrices; sharing changes no subrep.  The list of
+    a loop-free shape is kept for the next problem, that of a looped
+    shape is not."""
     built = []
 
     def counted(n, field, k=None, maps=()):
@@ -170,17 +176,22 @@ def test_one_list_per_vertex_shape(monkeypatch):
     shift = Matrix.from_rows(F3, [[0, 1], [0, 0]])
     swap = Matrix.from_rows(F3, [[0, 1], [1, 0]])
     arrow = Matrix.from_rows(F3, [[1, 2], [0, 1]])
+    # (quiver, maps, lists built on an empty table, looped lists built again)
     cases = [
-        (CYCLE2, (arrow, arrow), 1),
-        (LOOP_BEFORE_ARROW, (shift, arrow), 2),
-        (TWO_LOOPED, (shift, swap, arrow), 2),
-        (TWO_LOOPED, (shift, shift, arrow), 1),
+        (CYCLE2, (arrow, arrow), 1, 0),
+        (LOOP_BEFORE_ARROW, (shift, arrow), 2, 1),
+        (TWO_LOOPED, (shift, swap, arrow), 2, 2),
+        (TWO_LOOPED, (shift, shift, arrow), 1, 1),
     ]
-    for q, maps, lists in cases:
+    for q, maps, lists, looped in cases:
         m = Representation(q, F3, {"a": 2, "b": 2}, maps)
+        empty_shapes.clear()
         built.clear()
         assert keys(enumerate_subreps(m)) == keys(subreps_by_product(m))
         assert len(built) == lists
+        built.clear()
+        assert keys(enumerate_subreps(m)) == keys(subreps_by_product(m))
+        assert len(built) == looped and all(loops for _n, loops in built)
 
 
 @pytest.mark.parametrize("h, field, dims", [(1, F3, (2, 2)), (2, F3, (2, 2)),
