@@ -45,12 +45,7 @@ from .quiver import (
     sub_contains,
     theta_of,
 )
-from .kempf import (
-    ExactScore,
-    ZERO_SCORE,
-    kempf_filtration,
-    kempf_semistability,
-)
+from .kempf import kempf_filtration, kempf_semistability
 from .kronecker import (
     EquivalenceReport,
     equivalence_check,

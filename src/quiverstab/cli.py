@@ -172,8 +172,8 @@ def frac_str(x) -> str:
     return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
-def _score_payload(score: kempf.ExactScore) -> dict:
-    return {"sign": score.sign, "square": frac_str(score.square)}
+def _score_payload(square: Fraction) -> dict:
+    return {"sign": int(square > 0), "square": frac_str(square)}
 
 
 def _filtration_payload(f: qv.Filtration, params: qv.StabilityParams) -> dict:

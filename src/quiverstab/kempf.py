@@ -25,13 +25,13 @@ down, the one member of each class below the subrep above it.
 Each stack carries its score square from the stack below it, so the
 stacks reached at M are compared in one pass that both searches read;
 the winner alone is pooled again, by _chain_score, as a cross-check and
-for its Gamma (_gamma).  Scores are held and compared as integers, so
-comparisons and ties are exact.
+for its Gamma (_gamma).  Score squares are held and compared as
+integer pairs, so comparisons and ties are exact; the best one is handed
+back as a Fraction, 0 when no chain scores above 0.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -55,59 +55,6 @@ from .quiver import (
 )
 
 
-def _cross(op):
-    """op on the cross-multiplied integers of two scores."""
-    return lambda a, b: (
-        op(a._num * b._den, b._num * a._den)
-        if isinstance(b, ExactScore) else NotImplemented
-    )
-
-
-class ExactScore:
-    """The real number sign * sqrt(square), held as the integers sign *
-    (numerator of square) and its denominator, not always in lowest terms.
-    Scores compare by cross-multiplying them: no comparison builds a Fraction.
-    """
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, sign: int, square):
-        square = Fraction(square)
-        if sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or 1")
-        if square < 0:
-            raise ValueError("square must be non-negative")
-        if (sign == 0) != (square == 0):
-            raise ValueError("sign is zero exactly when the square is zero")
-        self._num, self._den = sign * square.numerator, square.denominator
-
-    @classmethod
-    def _positive(cls, num: int, den: int) -> "ExactScore":
-        """+sqrt(num / den) for integers num, den > 0, unchecked."""
-        score = object.__new__(cls)
-        score._num, score._den = num, den
-        return score
-
-    sign = property(lambda self: (self._num > 0) - (self._num < 0))
-    square = property(lambda self: Fraction(abs(self._num), self._den))
-    __eq__, __lt__, __le__, __gt__, __ge__ = map(
-        _cross, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
-    )
-
-    def is_positive(self) -> bool:
-        return self._num > 0
-
-    def __hash__(self):
-        g = gcd(self._num, self._den)
-        return hash((self._num // g, self._den // g))
-
-    def __repr__(self):
-        return f"ExactScore(sign={self.sign}, square={self.square!r})"
-
-
-ZERO_SCORE = ExactScore(0, Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # chain search
 
@@ -128,11 +75,11 @@ def _square_with(square, top):
 
 
 def _chain_score(chain_dims, tm, sm):
-    """Pooled blocks (W, S, number of steps) and score sqrt(sum S^2 / W)
-    of a chain given cumulative (sigma, theta) pairs of its steps, ending
-    at (sm, tm).  A block carries W = sum b_i and S = sum S_i (see the
-    module docstring); two blocks merge while S/W does not increase, so
-    the block means strictly increase.
+    """Pooled blocks (W, S, number of steps) and score square
+    sum S^2 / W, a Fraction, of a chain given cumulative (sigma, theta)
+    pairs of its steps, ending at (sm, tm).  A block carries W = sum b_i
+    and S = sum S_i (see the module docstring); two blocks merge while S/W
+    does not increase, so the block means strictly increase.
     """
     blocks = []
     prev_s, prev_t = 0, 0
@@ -146,7 +93,7 @@ def _chain_score(chain_dims, tm, sm):
             w, x, n = w + w1, x + x1, n + n1
         blocks.append((w, x, n))
     square = reduce(_square_with, blocks, (0, 1))
-    return blocks, ExactScore._positive(*square) if square[0] else ZERO_SCORE
+    return blocks, Fraction(*square)
 
 
 def _gamma(blocks):
@@ -252,13 +199,14 @@ def _kempf_search(lower, labels):
     chains' last label, (W, (tm W - S) / sm) summed over its blocks, and
     its score square, carried from the stack below as it is interned.
 
-    Returns (best score, winner); if the best score is positive, winner
-    is (node indices from 0, gamma) of the one chain with strictly
-    increasing weights at that score, else None.  A state at that score
-    with one step per block fixes its label sequence, the last labels down
-    its stack; the chains carrying each such sequence are counted, and any
-    sum but 1 is raised, as is a winner that _chain_score, which gives
-    gamma's blocks, scores other than its carried square.
+    Returns (best score square, winner), the square a Fraction; if it is
+    positive, winner is (node indices from 0, gamma) of the one chain with
+    strictly increasing weights at that square, else None.  A state at
+    that square with one step per block fixes its label sequence, the last
+    labels down its stack; the chains carrying each such sequence are
+    counted, and any sum but 1 is raised, as is a winner that
+    _chain_score, which gives gamma's blocks, scores other than its
+    carried square.
     """
     sm, tm = labels[-1]
     # by state id, 0 being the empty stack: the id under the top block,
@@ -293,7 +241,7 @@ def _kempf_search(lower, labels):
         if n * den == num * d:
             at_best.append(sid)
     if not num:
-        return ZERO_SCORE, None
+        return Fraction(0), None
     strict = []  # (state id, label sequence), one step per block
     for sid in at_best:
         seq, s = [], sid
@@ -310,7 +258,7 @@ def _kempf_search(lower, labels):
         )
     sid, seq = strict[0]
     blocks, best = _chain_score(seq, tm, sm)
-    if best != ExactScore._positive(num, den):
+    if best != Fraction(num, den):
         raise TheoremContradictionError("winner's score differs from its carried score")
     # the one chain carrying the winner's sequence, followed down to the
     # root by its prefix states: one block per step, so no block pooled
@@ -341,9 +289,10 @@ def kempf_filtration(lat: SubrepLattice, params: StabilityParams):
     chain ending at the whole representation.
 
     The chains are charged against the lattice's budget.  Returns
-    (filtration, gamma, score).  The winner must have strictly increasing
-    weights; a tie between two distinct such chains at the maximal score
-    contradicts uniqueness and is raised.
+    (filtration, gamma, score square), the square a positive Fraction.
+    The winner must have strictly increasing weights; a tie between two
+    distinct such chains at the maximal score contradicts uniqueness and
+    is raised.
     """
     _require_nonzero(lat)
     if is_semistable(lat, params):
@@ -365,8 +314,8 @@ def kempf_filtration(lat: SubrepLattice, params: StabilityParams):
 def kempf_semistability(lat: SubrepLattice, params: StabilityParams) -> bool:
     """Semistability via the numerical criterion: no chain admits
     non-decreasing weights with positive pairing, read off the best score
-    of _kempf_search, which also checks an unstable input for a tie."""
+    square of _kempf_search, which also checks an unstable input for a tie."""
     _require_nonzero(lat)
     quotient = _chain_index_sets(lat)
-    return not _quotient_search(lat._below, quotient, lat.labels(params))[0].is_positive()
+    return _quotient_search(lat._below, quotient, lat.labels(params))[0] <= 0
 

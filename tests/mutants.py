@@ -1,0 +1,113 @@
+"""Mutants of the library's sentinels that the Tier-1 tests must kill.
+
+    python tests/mutants.py
+
+Each entry of MUTANTS names a file under src/quiverstab/, a snippet that
+must occur in it exactly once, its replacement, and the test node ids
+that must fail once the replacement is made.  The script copies src/
+and tests/ to a temporary directory (perfbench/ is linked, for the tests
+that read its problem files), checks that every named node passes there
+unmutated, then applies each mutant in turn and runs its nodes with
+`pytest -x -q`.  It prints one line per mutant and exits 1 if a mutant
+survives, a snippet does not occur exactly once or a node fails
+unmutated, 0 otherwise.
+
+A refactor that moves or rewrites a snippet updates its entry; an entry
+is retired only with the code it mutates, and either is said in
+CHANGES.md.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file, snippet, replacement, kill node ids)
+MUTANTS = [
+    (
+        "kempf.py",
+        "    if best != Fraction(num, den):\n",
+        "    if False:\n",
+        ["tests/test_cli.py::TestExitCodes::"
+         "test_winner_score_off_its_carried_score_exits_contradiction"],
+    ),
+    (
+        "kempf.py",
+        "    if ties != 1:\n",
+        "    if ties < 1:\n",
+        ["tests/test_kempf_search.py::"
+         "test_tie_between_chains_with_one_sequence_is_raised"],
+    ),
+    (
+        "quiver.py",
+        "    if len(best) != 1:\n",
+        "    if False:\n",
+        ["tests/test_cli.py::TestExitCodes::test_label_tie_exits_contradiction[hn]"],
+    ),
+    (
+        "kempf.py",
+        "lat.labels(params))[0] <= 0\n",
+        "lat.labels(params))[0] >= 0\n",
+        ["tests/test_kempf.py::TestKempfSemistability::"
+         "test_agrees_with_slope_route_exhaustive"],
+    ),
+    (
+        "kempf.py",
+        "    if winner is None:\n        raise TheoremContradictionError(\n",
+        "    if False:\n        raise TheoremContradictionError(\n",
+        ["tests/test_kempf.py::TestKempfFiltration::"
+         "test_no_positive_score_is_a_contradiction"],
+    ),
+]
+
+
+def pytest(copy: Path, nodes) -> int:
+    """pytest -x -q on nodes in copy; its exit code."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *nodes],
+        cwd=copy,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(copy / "src")},
+    ).returncode
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(
+                ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        (copy / "perfbench").symlink_to(ROOT / "perfbench")
+        nodes = sorted({node for *_edit, kills in MUTANTS for node in kills})
+        if pytest(copy, nodes) != 0:
+            print("the kill nodes do not all pass unmutated")
+            return 1
+        for k, (name, snippet, replacement, kills) in enumerate(MUTANTS):
+            path = copy / "src" / "quiverstab" / name
+            text = path.read_text()
+            found = text.count(snippet)
+            if found != 1:
+                print(f"mutant {k} ({name}): snippet occurs {found} times")
+                bad += 1
+                continue
+            start = time.perf_counter()
+            path.write_text(text.replace(snippet, replacement))
+            # 1: a test failed; any other code is not a kill
+            killed = pytest(copy, kills) == 1
+            path.write_text(text)
+            print(f"mutant {k} ({name}): {'killed' if killed else 'SURVIVED'}"
+                  f" in {time.perf_counter() - start:.1f} s")
+            bad += not killed
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

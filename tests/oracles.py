@@ -56,8 +56,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from quiverstab import (
-    ZERO_SCORE,
-    ExactScore,
     Filtration,
     HNReport,
     InvalidSubrepresentationError,
@@ -518,13 +516,11 @@ def primitive_oracle(gamma):
 
 
 def score_by_fractions(gamma, b, v):
-    """(Gamma, v) / ||Gamma|| in the b-weighted inner product, as an
-    exact score; Gamma non-zero."""
-    pairing = sum(bi * gi * vi for bi, gi, vi in zip(b, gamma, v))
+    """The signed square of (Gamma, v) / ||Gamma|| in the b-weighted inner
+    product, which orders weights as their scores do; Gamma non-zero."""
+    pairing = Fraction(sum(bi * gi * vi for bi, gi, vi in zip(b, gamma, v)))
     norm_sq = sum(bi * gi * gi for bi, gi in zip(b, gamma))
-    if pairing == 0:
-        return ZERO_SCORE
-    return ExactScore(1 if pairing > 0 else -1, Fraction(pairing) ** 2 / norm_sq)
+    return pairing * abs(pairing) / norm_sq
 
 
 def graph_by_fractions(chain_dims, tm, sm):
@@ -553,11 +549,11 @@ def filtration_graph(f, params):
 def chain_score_by_fractions(chain_dims, tm, sm):
     """Envelope weights and score of a chain given cumulative (sigma,
     theta) pairs of its steps, ending at (sm, tm): the primitive
-    non-decreasing fit of v on its filtration graph, and its score."""
+    non-decreasing fit of v on its filtration graph, and its score square."""
     b, v = graph_by_fractions(chain_dims, tm, sm)
     gamma = primitive_oracle(pav_by_fractions(v, b))
     if all(x == 0 for x in gamma):
-        return gamma, ZERO_SCORE
+        return gamma, Fraction(0)
     return gamma, score_by_fractions(gamma, b, v)
 
 
@@ -565,7 +561,7 @@ def refinement_domination_violations(
     lat: SubrepLattice,
     f: Filtration,
     params: StabilityParams,
-    best_score: ExactScore,
+    best_score: Fraction,
 ):
     """Insert one extra subrepresentation between consecutive steps of
     the filtration f of lat.rep (or below the first) and check no refined
@@ -644,7 +640,7 @@ def sequence_search(lower, labels):
             best, strict = score, []
         if score == best and len(blocks) == len(seq):
             strict.append((seq, blocks))
-    if not best.is_positive():
+    if best <= 0:
         return best, None
     ties = sum(counts[-1][seq] for seq, _blocks in strict)
     if ties != 1:

@@ -86,7 +86,7 @@ def measure(name):
         "strict inclusions": sum(b.bit_count() for b in below) - len(below),
         "classes": len(members),
         "chains": chains[-1],
-        "best square": str(best.square),
+        "best square": str(best),
         "enum s": round(t1 - t0, 3),
         "masks s": round(t2 - t1, 3),
         "dag s": round(t3 - t2, 3),

@@ -17,7 +17,6 @@ from quiverstab import (
     Rank3Slopes,
     SplitBundle,
     SubrepLattice,
-    ZERO_SCORE,
     TheoremContradictionError,
     enumerate_subspaces,
     gaussian_binomial,
@@ -190,7 +189,7 @@ def test_criterion_3_envelope_vs_oracle():
         chain_v = tuple(sum(b) * x for x in v)
         flat = all(x == 0 for x in gamma)
         assert (kempf._gamma(blocks), score) == (
-            gamma, ZERO_SCORE if flat else score_by_fractions(gamma, b, chain_v)
+            gamma, Fraction(0) if flat else score_by_fractions(gamma, b, chain_v)
         )
         # tied means are pooled: one step per block iff gamma increases
         strict = all(x < y for x, y in zip(gamma, gamma[1:]))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -251,7 +252,7 @@ class TestExitCodes:
             num, den = report["score"]["square"].split("/")
             assert len(num) > 4300
             m, params = parse_problem(data)
-            square = kempf.kempf_filtration(qv.SubrepLattice(m), params)[2].square
+            square = kempf.kempf_filtration(qv.SubrepLattice(m), params)[2]
             assert (int(Decimal(num)), int(Decimal(den))) == (
                 square.numerator, square.denominator
             )
@@ -266,7 +267,7 @@ class TestExitCodes:
         # alpha_zero_problem is unstable, so a search whose every chain
         # scores zero contradicts the theorem
         monkeypatch.setattr(
-            kempf, "_kempf_search", lambda *_args: (kempf.ZERO_SCORE, None)
+            kempf, "_kempf_search", lambda *_args: (Fraction(0), None)
         )
         path = write_problem(tmp_path, alpha_zero_problem())
         assert main(["verify", path]) == EXIT_CONTRADICTION
@@ -280,7 +281,7 @@ class TestExitCodes:
         # stack carried through the search
         def doubled_score(seq, tm, sm):
             blocks, score = score_chain(seq, tm, sm)
-            return blocks, kempf.ExactScore(1, 4 * score.square)
+            return blocks, 4 * score
 
         score_chain = kempf._chain_score
         monkeypatch.setattr(kempf, "_chain_score", doubled_score)

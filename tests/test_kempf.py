@@ -6,11 +6,9 @@ from math import gcd
 import pytest
 
 from quiverstab import (
-    ExactScore,
     SemistableInputError,
     SubrepLattice,
     TheoremContradictionError,
-    ZERO_SCORE,
     hn_filtration,
     is_semistable,
     kempf,
@@ -108,84 +106,6 @@ def hn_chain_labels(m, params):
     return [labels[i] for i in lat.chain_of(hn_filtration(lat, params))[1:]]
 
 
-class TestExactScore:
-    def test_ordering(self):
-        a = ExactScore(1, Fraction(2))      # +sqrt(2)
-        b = ExactScore(1, Fraction(9, 4))   # +3/2
-        c = ExactScore(-1, Fraction(1))     # -1
-        assert c < ZERO_SCORE < a < b
-        assert b > a > ZERO_SCORE > c
-        assert a <= a and a >= a
-
-    def test_sign_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ExactScore(0, Fraction(1))
-        with pytest.raises(ValueError):
-            ExactScore(1, Fraction(0))
-        with pytest.raises(ValueError):
-            ExactScore(2, Fraction(1))
-        with pytest.raises(ValueError):
-            ExactScore(1, Fraction(-1))
-
-    def test_order_matches_real_numbers(self):
-        # sign * sqrt(square) compared via squares, cross-checked in floats
-        import math
-
-        rng = random.Random(40)
-        for _ in range(200):
-            scores = []
-            for _ in range(2):
-                sq = Fraction(rng.randint(0, 50), rng.randint(1, 9))
-                sign = 0 if sq == 0 else rng.choice((-1, 1))
-                scores.append(ExactScore(sign, sq if sign else Fraction(0)))
-            a, b = scores
-            fa = a.sign * math.sqrt(a.square)
-            fb = b.sign * math.sqrt(b.square)
-            if abs(fa - fb) > 1e-9:
-                assert (a < b) == (fa < fb)
-
-    def test_order_matches_fraction_oracle_exactly(self):
-        # sign * sqrt(square) is increasing in sign * square, so the
-        # oracle compares those Fractions; the squares repeat, so ties occur
-        rng = random.Random(42)
-        values = [
-            Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(60)
-        ]
-        scores = [ExactScore((v > 0) - (v < 0), abs(v)) for v in values]
-        ties = 0
-        for (a, va), (b, vb) in itertools.product(zip(scores, values), repeat=2):
-            assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (
-                va < vb, va <= vb, va == vb, va != vb, va >= vb, va > vb
-            )
-            ties += a is not b and va == vb
-        assert ties > 0
-
-    def test_equal_values_compare_and_hash_equal(self):
-        # _positive keeps the unreduced integers _chain_score hands it
-        half = [
-            ExactScore(1, Fraction(1, 2)),
-            ExactScore._positive(2, 4),
-            ExactScore._positive(7, 14),
-        ]
-        two = [ExactScore(1, 2), ExactScore(1, Fraction(2)), ExactScore._positive(8, 4)]
-        for group in (half, two):
-            for a, b in itertools.product(group, repeat=2):
-                assert a == b and not a != b and hash(a) == hash(b)
-                assert a <= b and a >= b and not a < b and not a > b
-        assert ExactScore._positive(2, 4).square == Fraction(1, 2)
-        assert half[1] < two[2] and len({*half, *two}) == 2
-        assert ExactScore(-1, Fraction(1, 2)) != half[0]
-        assert hash(ZERO_SCORE) == hash(ExactScore(0, 0))
-
-    def test_not_equal_to_other_types(self):
-        score = ExactScore(1, Fraction(1, 2))
-        for other in (None, (1, 2), (1, Fraction(1, 2)), Fraction(1, 2), 1):
-            assert not score == other and score != other
-        assert not ZERO_SCORE == 0 and not ZERO_SCORE == (0, 0)
-        with pytest.raises(TypeError):
-            score < (1, 2)
-
-
 class TestFiltrationGraph:
     def test_graph_of_alpha_zero(self):
         m = kronecker_rep(F2, (1, 1), [[0]])
@@ -206,7 +126,7 @@ class TestConvexEnvelope:
 
     def test_zero_sentinel_when_already_flat(self):
         # v is decreasing: fit pools to the global mean 0
-        assert envelope((1, 1), (1, -1)) == ((0, 0), ZERO_SCORE)
+        assert envelope((1, 1), (1, -1)) == ((0, 0), 0)
 
     def test_increasing_v_is_fixed_point(self):
         assert envelope((1, 1), (-1, 1))[0] == (-1, 1)
@@ -223,7 +143,7 @@ class TestConvexEnvelope:
             gamma, best = envelope(b, v)
             # the chain of envelope(b, v) has the graph (b, sum(b) v)
             v = tuple(sum(b) * x for x in v)
-            if best != ZERO_SCORE:
+            if best != 0:
                 assert best == score_by_fractions(gamma, b, v)
             for _ in range(20):
                 cand = sorted(
@@ -258,7 +178,7 @@ class TestScoreFunctions:
         m = kronecker_rep(F2, (1, 1), [[0]])
         params = params_for(m.quiver, (1, 0))
         b, v = filtration_graph(hn_filtration(SubrepLattice(m), params), params)
-        assert score_by_fractions((3, 3), b, v) == ZERO_SCORE
+        assert score_by_fractions((3, 3), b, v) == 0
 
 
 class TestOptimalWeights:
@@ -267,7 +187,7 @@ class TestOptimalWeights:
         params = params_for(m.quiver, (1, 0))
         blocks, score = kempf._chain_score(hn_chain_labels(m, params), 1, 2)
         assert kempf._gamma(blocks) == (-1, 1)
-        assert score == ExactScore(1, Fraction(2))
+        assert score == Fraction(2)
 
     def test_zero_sentinel_on_semistable_chain(self):
         m = kronecker_rep(F2, (1, 1), [[1]])
@@ -275,7 +195,7 @@ class TestOptimalWeights:
         full = SubrepLattice(m).labels(params)[-1]
         assert full == (2, 1)
         blocks, score = kempf._chain_score([full], 1, 2)
-        assert (kempf._gamma(blocks), score) == ((0,), ZERO_SCORE)
+        assert (kempf._gamma(blocks), score) == ((0,), Fraction(0))
 
 
 class TestKempfFiltration:
@@ -285,7 +205,8 @@ class TestKempfFiltration:
         f, gamma, score = kempf_filtration(SubrepLattice(m), params)
         assert f.step_dims() == [{"v0": 1, "v1": 0}, {"v0": 1, "v1": 1}]
         assert gamma == (Fraction(-1), Fraction(1))
-        assert score == ExactScore(1, Fraction(2))
+        # the score square, sqrt 2 being the score
+        assert isinstance(score, Fraction) and score == 2
 
     def test_semistable_input_rejected(self):
         m = kronecker_rep(F2, (1, 1), [[1]])
@@ -331,7 +252,7 @@ class TestKempfFiltration:
         monkeypatch.setattr(
             kempf,
             "_kempf_search",
-            lambda *_args: (ExactScore(1, Fraction(2)), ((0, 1, 3), (-1, 1))),
+            lambda *_args: (Fraction(2), ((0, 1, 3), (-1, 1))),
         )
         with pytest.raises(
             TheoremContradictionError, match="^winning chain has a non-convex graph$"
@@ -344,7 +265,7 @@ class TestKempfFiltration:
         lat = SubrepLattice(m)
         assert not is_semistable(lat, params)
         # a search whose every chain scores zero
-        monkeypatch.setattr(kempf, "_kempf_search", lambda *_args: (ZERO_SCORE, None))
+        monkeypatch.setattr(kempf, "_kempf_search", lambda *_args: (Fraction(0), None))
         with pytest.raises(
             TheoremContradictionError, match="admits no chain of positive score"
         ):

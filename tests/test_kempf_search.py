@@ -8,6 +8,7 @@ each carried square must be the one _chain_score gives."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverstab import (
-    ExactScore,
     Filtration,
     Matrix,
     PrimeField,
@@ -55,8 +55,8 @@ CHAIN_HEAVY = (
     / "perfbench" / "problems" / "chain-heavy" / "000-kron2-23-F7-open.json"
 )
 
-# chain scores are never negative
-BELOW_EVERY_SCORE = ExactScore(-1, 1)
+# chain score squares are never negative
+BELOW_EVERY_SCORE = Fraction(-1)
 
 # quiver families the theorem sweep does not cover, with maximum dims
 FAMILIES = (
@@ -102,7 +102,7 @@ def test_search_equals_chain_walk(problems):
             strict = all(a < b for a, b in zip(gamma, gamma[1:]))
             assert (len(blocks) == len(seq)) == strict
         assert kempf_semistability(lat, params) == (
-            not any(score.is_positive() for *_rest, score in scored)
+            not any(score > 0 for *_rest, score in scored)
         )
         # refining 0 < M gives every two-step chain 0 < N < M
         whole = Filtration(m, (lat.subs[-1],))
@@ -149,7 +149,7 @@ def test_search_returns_the_single_winning_chain():
     _below, (members, qlower, _first) = quotient_of(lower, labels)
     assert members == [0b1, 0b110, 0b1000]
     assert qlower[2] == ((0, 1), (1, 1))
-    assert quotient_search(lower, labels) == (ExactScore(1, 8), ((0, 1, 3), (-1, 1)))
+    assert quotient_search(lower, labels) == (Fraction(8), ((0, 1, 3), (-1, 1)))
 
 
 def test_tie_between_chains_with_one_sequence_is_raised():
@@ -285,15 +285,17 @@ def pushed_stack(seq, tm, sm):
 
 
 def assert_carried_square_is_the_chain_score(seq):
-    """Every prefix's carried square has _chain_score's blocks and its
-    integers; the whole chain's score is the Fraction oracle's."""
+    """Every prefix's carried square has _chain_score's blocks, the
+    integers _square_with folds from them and the value of its score
+    square; the whole chain's square is the Fraction oracle's."""
     sm, tm = seq[-1]
     for k in range(1, len(seq) + 1):
         stack = pushed_stack(seq[:k], tm, sm)
         blocks, score = kempf._chain_score(seq[:k], tm, sm)
         assert [top[:3] for top in stack] == blocks
         num, den = stack[-1][3]
-        assert (score._num, score._den) == ((num, den) if num else (0, 1))
+        assert reduce(kempf._square_with, blocks, (0, 1)) == (num, den)
+        assert score == Fraction(num, den)
     assert score == chain_score_by_fractions(seq, tm, sm)[1]
 
 
@@ -331,7 +333,7 @@ def test_sequences_that_pool_alike_are_scored_once(monkeypatch):
     monkeypatch.setattr(kempf, "_chain_score", chain_score)
     lower, labels = HAND_BUILT["two-sequences-one-state"]
     best, winner = quotient_search(lower, labels)
-    assert (best, winner) == (ExactScore(1, Fraction(27, 2)), ((0, 4, 5), (-1, 2)))
+    assert (best, winner) == (Fraction(27, 2), ((0, 4, 5), (-1, 2)))
     assert scored == [(labels[4], labels[5])]
 
 
