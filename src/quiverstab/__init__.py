@@ -19,11 +19,9 @@ from .linalg import (
     Matrix,
     PrimeField,
     Subspace,
-    apply,
     contains,
     enumerate_subspaces,
     gaussian_binomial,
-    rref,
 )
 from .quiver import (
     DEFAULT_BUDGET,

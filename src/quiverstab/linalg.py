@@ -57,27 +57,6 @@ class Matrix:
         return tuple(sum(map(mul, row, vec)) % p for row in self.rows)
 
 
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row echelon form; zero rows are kept at the bottom."""
-    p = m.field.p
-    rows = [list(r) for r in m.rows]
-    pivot_row = 0
-    for col in range(m.ncols):
-        if pivot_row >= m.nrows:
-            break
-        found = next((r for r in range(pivot_row, m.nrows) if rows[r][col] % p), None)
-        if found is None:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        inv = pow(rows[pivot_row][col], -1, p)
-        pivot = rows[pivot_row] = [(x * inv) % p for x in rows[pivot_row]]
-        for r in range(m.nrows):
-            if r != pivot_row and (factor := rows[r][col] % p):
-                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], pivot)]
-        pivot_row += 1
-    return Matrix(m.field, m.nrows, m.ncols, tuple(tuple(r) for r in rows))
-
-
 def _in_span(vec, pivots: tuple, columns: tuple, p: int) -> bool:
     """True iff vec lies in the span of the RREF rows with these pivots
     and these (j, column j) non-pivot columns.
@@ -137,11 +116,6 @@ class Subspace:
         )
         return s
 
-    @staticmethod
-    def from_spanning(field: PrimeField, ambient: int, vectors) -> "Subspace":
-        m = rref(Matrix.from_rows(field, vectors, ncols=ambient))
-        return Subspace(field, ambient, tuple(r for r in m.rows if any(r)))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -182,13 +156,6 @@ def contains(a: Subspace, b: Subspace) -> bool:
     if a.field != b.field or a.ambient != b.ambient:
         raise ValueError("subspaces live in different ambient spaces")
     return all(a.contains_vector(row) for row in b.basis)
-
-
-def apply(m: Matrix, s: Subspace) -> Subspace:
-    """Image of the subspace s under the linear map m."""
-    if m.ncols != s.ambient or m.field != s.field:
-        raise ValueError("matrix/subspace shape or field mismatch")
-    return Subspace.from_spanning(m.field, m.nrows, [m.apply_to(v) for v in s.basis])
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .linalg import (
     PrimeField,
-    apply,
     contains,
     enumerate_subspaces,
 )
@@ -155,17 +154,19 @@ def sub_contains(a: Subrepresentation, b: Subrepresentation) -> bool:
 
 
 def is_subrep(m: Representation, spaces: dict) -> bool:
-    """True iff the per-vertex subspaces are closed under every arrow map."""
+    """True iff the per-vertex subspaces are closed under every arrow map:
+    each arrow sends every basis row of its source space into its target's."""
     if set(spaces) != set(m.quiver.vertices):
         raise ValueError("spaces must be keyed by the quiver's vertices")
     for v in m.quiver.vertices:
         s = spaces[v]
         if s.field != m.field or s.ambient != m.dims[v]:
             raise ValueError(f"space at {v} has the wrong ambient or field")
-    for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps):
-        if not contains(spaces[tgt], apply(mat, spaces[src])):
-            return False
-    return True
+    return all(
+        spaces[tgt].contains_vector(mat.apply_to(row))
+        for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
+        for row in spaces[src].basis
+    )
 
 
 def _point(vec, p: int):

@@ -1,4 +1,5 @@
-"""Mutants of the library's sentinels that the Tier-1 tests must kill.
+"""Mutants of the library's sentinels, budget comparisons and closure and
+containment rules that the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -62,6 +63,30 @@ MUTANTS = [
         "    if False:\n        raise TheoremContradictionError(\n",
         ["tests/test_kempf.py::TestKempfFiltration::"
          "test_no_positive_score_is_a_contradiction"],
+    ),
+    (
+        "quiver.py",
+        "        for row in spaces[src].basis\n",
+        "        for row in spaces[src].basis[:1]\n",
+        ["tests/test_enumeration.py::test_is_subrep_equals_the_image_span_rule"],
+    ),
+    (
+        "quiver.py",
+        "            if count * cur > budget:\n",
+        "            if count * cur >= budget:\n",
+        ["tests/test_lattice.py::test_candidate_budget_is_exact_at_the_boundary"],
+    ),
+    (
+        "kempf.py",
+        "    if chains[-1] > lat.budget:\n",
+        "    if chains[-1] >= lat.budget:\n",
+        ["tests/test_kempf_search.py::test_chain_budget_exits_4"],
+    ),
+    (
+        "quiver.py",
+        "        for k, shape in enumerate(found.shapes):\n",
+        "        for k, shape in enumerate(found.shapes[:-1]):\n",
+        ["tests/test_lattice.py::test_quotient_verdicts_on_chains_that_are_not_hn[A3]"],
     ),
 ]
 

@@ -17,13 +17,17 @@ Reineke's closed form, from the quiver, the dimension vector, the
 stability parameters and q alone, knowing neither route.
 
 The library enumerates subrepresentations by a join over per-arrow
-closure masks.  The enumeration oracles filter the whole product of the
-per-vertex subspace lists instead.  The flag-counting oracles give, in
-closed form and summed over every representation, the number of subreps
-of each dimension vector, the number of nested pairs U1 <= U2 of each
-pair of dimension vectors, which checks the containment table, and the
-number of chains 0 < U1 < ... < M of each strictly increasing sequence of
-dimension vectors, which checks the inclusion DAG of the Kempf search.
+closure masks, and it decides closure, there and in is_subrep, by
+mapping each basis row of a source space into the target space.  The
+enumeration oracles filter the whole product of the per-vertex subspace
+lists instead, and subreps_by_product builds each arrow's image span by
+Gaussian elimination and tests that it lies in the target.  The
+flag-counting oracles give, in closed form and summed over every
+representation, the number of subreps of each dimension vector, the
+number of nested pairs U1 <= U2 of each pair of dimension vectors, which
+checks the containment table, and the number of chains 0 < U1 < ... < M
+of each strictly increasing sequence of dimension vectors, which checks
+the inclusion DAG of the Kempf search.
 
 The library's Kempf search runs on the exact quotient of the inclusion
 DAG: the subreps with one dimension vector and one multiset of
@@ -44,8 +48,9 @@ RREF basis row by row instead.
 The representation-level helpers (restriction, quotient, preimage, the
 seesaw check, the reparameterization of theta and the refinement
 domination check) serve only these oracles and the tests, so they live
-here and not in the library.  So do
-the matrix product, the zero and identity matrices, the sum of two
+here and not in the library.  So do Gaussian elimination (rref), the
+span of a list of vectors, the image of a subspace under a matrix, the
+matrix product, the zero and identity matrices, the sum of two
 subspaces, the zero and full subspaces and those of a representation,
 and the exact Galois number of subspaces of F_p^n, against which the
 enumeration's budget check is tested.
@@ -66,10 +71,9 @@ from quiverstab import (
     Subrepresentation,
     Subspace,
     TheoremContradictionError,
-    apply,
+    contains,
     enumerate_subspaces,
     is_semistable,
-    is_subrep,
     kempf,
     max_destabilizing,
     sigma_of,
@@ -104,11 +108,54 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, a.nrows, b.ncols, rows)
 
 
+def rref(m: Matrix) -> Matrix:
+    """Unique reduced row echelon form; zero rows are kept at the bottom."""
+    p = m.field.p
+    rows = [list(r) for r in m.rows]
+    pivot_row = 0
+    for col in range(m.ncols):
+        if pivot_row >= m.nrows:
+            break
+        found = next((r for r in range(pivot_row, m.nrows) if rows[r][col] % p), None)
+        if found is None:
+            continue
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        inv = pow(rows[pivot_row][col], -1, p)
+        pivot = rows[pivot_row] = [(x * inv) % p for x in rows[pivot_row]]
+        for r in range(m.nrows):
+            if r != pivot_row and (factor := rows[r][col] % p):
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], pivot)]
+        pivot_row += 1
+    return Matrix(m.field, m.nrows, m.ncols, tuple(tuple(r) for r in rows))
+
+
+def span(field, ambient: int, vectors) -> Subspace:
+    """The subspace of F_p^ambient spanned by vectors, by elimination."""
+    m = rref(Matrix.from_rows(field, vectors, ncols=ambient))
+    return Subspace(field, ambient, tuple(r for r in m.rows if any(r)))
+
+
+def apply(m: Matrix, s: Subspace) -> Subspace:
+    """Image of the subspace s under the linear map m."""
+    if m.ncols != s.ambient or m.field != s.field:
+        raise ValueError("matrix/subspace shape or field mismatch")
+    return span(m.field, m.nrows, [m.apply_to(v) for v in s.basis])
+
+
+def closed_by_images(m: Representation, spaces: dict) -> bool:
+    """True iff every arrow's image of the space at its source, built by
+    elimination, lies in the space at its target."""
+    return all(
+        contains(spaces[tgt], apply(mat, spaces[src]))
+        for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
+    )
+
+
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """a + b, spanned by the two bases together."""
     if a.field != b.field or a.ambient != b.ambient:
         raise ValueError("subspaces live in different ambient spaces")
-    return Subspace.from_spanning(a.field, a.ambient, list(a.basis) + list(b.basis))
+    return span(a.field, a.ambient, list(a.basis) + list(b.basis))
 
 
 def zero_matrix(field, nrows: int, ncols: int) -> Matrix:
@@ -261,13 +308,14 @@ def canonical_key(sub: Subrepresentation):
 
 def subreps_by_product(m):
     """Every subrepresentation of m in canonical order: the product of
-    the per-vertex subspace lists, each candidate checked by is_subrep."""
+    the per-vertex subspace lists, each candidate kept iff every arrow's
+    image span lies in the target space."""
     order = m.quiver.vertices
     lists = [enumerate_subspaces(m.dims[v], m.field) for v in order]
     out = []
     for combo in itertools.product(*lists):
         spaces = dict(zip(order, combo))
-        if is_subrep(m, spaces):
+        if closed_by_images(m, spaces):
             out.append(Subrepresentation._closed(m, spaces))
     out.sort(key=canonical_key)
     return out
@@ -386,9 +434,7 @@ def preimage_spaces(m: Representation, s: Subrepresentation, quot_spaces: dict) 
             for val, j in zip(row, nonpiv):
                 x[j] = val
             lifted.append(x)
-        out[v] = subspace_sum(
-            Subspace.from_spanning(m.field, dv, lifted), sv
-        )
+        out[v] = subspace_sum(span(m.field, dv, lifted), sv)
     return out
 
 

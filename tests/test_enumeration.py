@@ -1,7 +1,9 @@
 """Subrepresentations come from a join over per-arrow closure masks; they
 must be exactly those of the whole candidate product, in the same order."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,12 +16,15 @@ from quiverstab import (
     SubrepLattice,
     enumerate_subreps,
     enumerate_subspaces,
+    is_subrep,
     quiver,
 )
 
 from conftest import F2, F3
 from oracles import (
     canonical_key,
+    closed_by_images,
+    every_rep,
     submodules_by_product,
     subreps_by_product,
     zero_matrix,
@@ -118,6 +123,35 @@ def test_join_in_either_vertex_order(shape):
         m = random_maps(rng, quiver, field, dims, density)
         r = Representation(reversed_order, field, m.dims, m.arrow_maps)
         assert by_vertex(enumerate_subreps(r)) == by_vertex(enumerate_subreps(m))
+
+
+# id -> (quiver, field, dims in vertex order), every rep of each
+CLOSURE_FAMILIES = {
+    "loop-plus-arrow-21-F2": (LOOP_BEFORE_ARROW, F2, (2, 1)),
+    "cycle2-22-F2": (CYCLE2, F2, (2, 2)),
+    "kronecker2-12-F3": (Quiver.kronecker(2), F3, (1, 2)),
+    "triangle-201-F2": (TRIANGLE, F2, (2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "family", CLOSURE_FAMILIES.values(), ids=CLOSURE_FAMILIES.keys()
+)
+def test_is_subrep_equals_the_image_span_rule(family):
+    """On every tuple of the per-vertex subspace product, for every rep
+    of the family, is_subrep's rule (each basis row's image lies in the
+    target) gives the verdict of building each arrow's image span by
+    elimination and testing that it lies in the target."""
+    q, field, dims = family
+    lists = [enumerate_subspaces(d, field) for d in dims]
+    verdicts = Counter()
+    for m in every_rep(q, field, dims):
+        for combo in itertools.product(*lists):
+            spaces = dict(zip(q.vertices, combo))
+            verdict = is_subrep(m, spaces)
+            assert verdict == closed_by_images(m, spaces)
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_kronecker_1_3_over_f97():

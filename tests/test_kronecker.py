@@ -4,7 +4,6 @@ from quiverstab import (
     Matrix,
     Quiver,
     Representation,
-    Subspace,
     SubrepLattice,
     Subrepresentation,
     equivalence_check,
@@ -19,7 +18,7 @@ from quiverstab import (
 )
 
 from conftest import F2, F3, all_kronecker_reps, kronecker_rep
-from oracles import full_subspace, zero_matrix, zero_subspace
+from oracles import full_subspace, span, zero_matrix, zero_subspace
 
 
 def all_modules(field, dim_v, dim_w, h):
@@ -51,7 +50,7 @@ class TestModuleBasics:
 
     def test_is_submodule_brute_force(self):
         m = kronecker_rep(F2, (2, 2), [[1, 0, 0, 1]])
-        v = Subspace.from_spanning(F2, 2, [[1, 0]])
+        v = span(F2, 2, [[1, 0]])
         assert is_subrep(m, {"v0": v, "v1": v})
         assert not is_subrep(m, {"v0": v, "v1": zero_subspace(F2, 2)})
 

@@ -16,7 +16,6 @@ from quiverstab import (
     Subrepresentation,
     TheoremContradictionError,
     ZeroRepresentationError,
-    apply,
     check_hn_properties,
     enumerate_subreps,
     gaussian_binomial,
@@ -43,6 +42,7 @@ from conftest import (
     tie_two_lines,
 )
 from oracles import (
+    apply,
     canonical_key,
     full_spaces,
     full_subspace,
