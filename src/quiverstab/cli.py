@@ -61,6 +61,24 @@ def _expect(cond, msg):
         raise ProblemFormatError(msg)
 
 
+class _as_usage:
+    """Within it, an error of the given types is a usage error: a
+    ProblemFormatError with the given message, or else with the error's
+    own after the given prefix."""
+
+    __slots__ = ("message", "errors", "prefix")
+
+    def __init__(self, message=None, errors=ValueError, prefix=""):
+        self.message, self.errors, self.prefix = message, errors, prefix
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, _tb):
+        if kind is not None and issubclass(kind, self.errors):
+            raise ProblemFormatError(self.message or self.prefix + str(exc)) from exc
+
+
 def _is_int(x) -> bool:
     # JSON true/false load as bool, a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
@@ -83,10 +101,8 @@ def parse_problem(data: dict):
         _expect(key in data, f"missing top-level field '{key}'")
     fld = data["field"]
     _expect(isinstance(fld, dict) and "p" in fld, "field must be {'p': prime}")
-    try:
+    with _as_usage():
         field = PrimeField(fld["p"])
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
 
     q = data["quiver"]
     _expect(isinstance(q, dict), "quiver must be an object")
@@ -106,10 +122,8 @@ def parse_problem(data: dict):
             f"quiver.arrows[{i}] must be a [source, target] pair of vertex ids",
         )
         arrows.append((arr[0], arr[1]))
-    try:
+    with _as_usage():
         quiver = qv.Quiver(vertices, tuple(arrows))
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
 
     rep = data["representation"]
     _expect(isinstance(rep, dict), "representation must be an object")
@@ -156,12 +170,10 @@ def parse_problem(data: dict):
     sigma = stab.get("sigma")
     _vertex_integers(theta, vertices, "stability.theta")
     _vertex_integers(sigma, vertices, "stability.sigma")
-    try:
+    with _as_usage():
         params = qv.StabilityParams(
             {v: theta[v] for v in vertices}, {v: sigma[v] for v in vertices}
         )
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
     return representation, params
 
 
@@ -189,16 +201,6 @@ def _filtration_payload(f: qv.Filtration, params: qv.StabilityParams) -> dict:
 def _digest(data: dict) -> str:
     blob = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()
-
-
-def _make_report(command: str, input_data, result: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "input": input_data,
-        "digest": _digest(input_data),
-        "result": result,
-        "timing_ms": round((time.monotonic() - started) * 1000, 3),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +279,20 @@ def enumerate_result(data: dict, budget: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# inline-argument commands
+# inline-argument commands: each parameter is the flag of its name
 
 
 def _parse_fraction(text: str) -> Fraction:
-    try:
+    with _as_usage(f"bad rational {text!r}", (ValueError, ZeroDivisionError)):
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemFormatError(f"bad rational {text!r}") from exc
 
 
-def p1_result(blocks_text: str) -> dict:
-    blocks = []
-    try:
-        for part in blocks_text.split(","):
-            a, b = part.split(":")
-            blocks.append((int(a), int(b)))
-    except ValueError as exc:
-        raise ProblemFormatError(
-            "--blocks must look like 'deg:mult,deg:mult,...'"
-        ) from exc
-    try:
-        bundle = curves.SplitBundle(tuple(blocks))
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
+def p1_result(blocks: str) -> dict:
+    with _as_usage("--blocks must look like 'deg:mult,deg:mult,...'"):
+        pairs = [(int(a), int(b))
+                 for a, b in (p.split(":") for p in blocks.split(","))]
+    with _as_usage():
+        bundle = curves.SplitBundle(tuple(pairs))
     prefixes = curves.p1_hn(bundle)
     return {
         "slope": frac_str(curves.p1_slope(bundle)),
@@ -309,21 +301,13 @@ def p1_result(blocks_text: str) -> dict:
     }
 
 
-def rank2_result(cands_text: str, deg_e: int, s: int, tau_text: str) -> dict:
-    tau = _parse_fraction(tau_text)
-    cands = []
-    try:
-        for part in cands_text.split(","):
-            dl, el = part.split(":")
-            cands.append(curves.Rank2Candidate(int(dl), int(el)))
-    except ValueError as exc:
-        raise ProblemFormatError(
-            "--candidates must look like 'degL:epsL,degL:epsL,...'"
-        ) from exc
-    try:
+def rank2_result(candidates: str, deg_e: int, s: int, tau: str) -> dict:
+    tau = _parse_fraction(tau)
+    with _as_usage("--candidates must look like 'degL:epsL,degL:epsL,...'"):
+        cands = [curves.Rank2Candidate(int(dl), int(el))
+                 for dl, el in (p.split(":") for p in candidates.split(","))]
+    with _as_usage():
         res = curves.rank2_best(cands, deg_e, s, tau)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
     return {
         "best": {"deg_l": res.best.deg_l, "eps_l": res.best.eps_l},
         "value": frac_str(res.value),
@@ -331,20 +315,14 @@ def rank2_result(cands_text: str, deg_e: int, s: int, tau_text: str) -> dict:
     }
 
 
-def rank3_result(v_text: str, tau_text: str) -> dict:
-    tau = _parse_fraction(tau_text)
-    try:
-        v = tuple(int(x) for x in v_text.split(","))
-    except ValueError as exc:
-        raise ProblemFormatError("--v must be three comma-separated integers") from exc
-    try:
+def rank3_result(v: str, tau: str) -> dict:
+    tau = _parse_fraction(tau)
+    with _as_usage("--v must be three comma-separated integers"):
+        v = tuple(int(x) for x in v.split(","))
+    with _as_usage():
         slopes = curves.Rank3Slopes(v, tau)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from exc
-    try:
+    with _as_usage(errors=DegenerateInputError):
         case, gamma = curves.rank3_weights(slopes)
-    except DegenerateInputError as exc:
-        raise ProblemFormatError(str(exc)) from exc
     return {
         "case": case,
         "gamma": None if gamma is None else [frac_str(g) for g in gamma],
@@ -381,8 +359,13 @@ def _render_text(report: dict) -> str:
 
 
 def _load_problem_file(path: str) -> dict:
-    try:
+    # ValueError covers malformed JSON and bytes that are not UTF-8;
+    # RecursionError, arrays or objects nested too deep to decode
+    with _as_usage(errors=(OSError, ValueError, RecursionError),
+                   prefix=f"cannot read problem file {path}: "):
         if path == "-":
+            if sys.stdin is None:  # closed before the start (`<&-`)
+                raise OSError("stdin is closed")
             # decoded as UTF-8, like a file, whatever the locale; a stream
             # with no byte layer under it (io.StringIO) is text already
             raw = getattr(sys.stdin, "buffer", None)
@@ -390,10 +373,6 @@ def _load_problem_file(path: str) -> dict:
             return json.loads(text)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    # ValueError covers malformed JSON and bytes that are not UTF-8;
-    # RecursionError, arrays or objects nested too deep to decode
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ProblemFormatError(f"cannot read problem file {path}: {exc}") from exc
 
 
 def _budget(text: str) -> int:
@@ -416,17 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_file_cmd(name, helptext):
+    for name, helptext in (
+        ("hn", "Harder-Narasimhan filtration with property report"),
+        ("kempf", "maximally destabilizing weighted filtration"),
+        ("verify", "check the two filtrations coincide"),
+        ("semistable", "semistability via both routes"),
+        ("enumerate", "list subrepresentation dimension vectors"),
+    ):
         c = sub.add_parser(name, help=helptext)
         c.add_argument("problem", help="path to a JSON problem file, or - for stdin")
         c.add_argument("--budget", type=_budget, default=qv.DEFAULT_BUDGET)
-        return c
-
-    add_file_cmd("hn", "Harder-Narasimhan filtration with property report")
-    add_file_cmd("kempf", "maximally destabilizing weighted filtration")
-    add_file_cmd("verify", "check the two filtrations coincide")
-    add_file_cmd("semistable", "semistability via both routes")
-    add_file_cmd("enumerate", "list subrepresentation dimension vectors")
 
     p1 = sub.add_parser("p1", help="filtration of a split bundle on the line")
     p1.add_argument("--blocks", required=True, help="'deg:mult,deg:mult,...'")
@@ -443,38 +421,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _file_command(args, result_fn):
-    data = _load_problem_file(args.problem)
-    return data, result_fn(data, args.budget)
-
-
-# Command name -> handler(args) returning (input echoed in the report,
-# result payload).  The lambdas look the *_result functions up at call
-# time, so wrappers installed on this module (perfbench/tracing.py) see
-# every call.
-COMMANDS = {
-    "hn": lambda a: _file_command(a, hn_result),
-    "kempf": lambda a: _file_command(a, kempf_result),
-    "verify": lambda a: _file_command(a, verify_result),
-    "semistable": lambda a: _file_command(a, semistable_result),
-    "enumerate": lambda a: _file_command(a, enumerate_result),
-    "p1": lambda a: ({"blocks": a.blocks}, p1_result(a.blocks)),
-    "rank2": lambda a: (
-        {"candidates": a.candidates, "deg_e": a.deg_e, "s": a.s, "tau": a.tau},
-        rank2_result(a.candidates, a.deg_e, a.s, a.tau),
-    ),
-    "rank3": lambda a: ({"v": a.v, "tau": a.tau}, rank3_result(a.v, a.tau)),
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.monotonic()
+    flags = {k: v for k, v in vars(args).items() if k not in ("fmt", "command")}
+    # looked up at call time, so wrappers installed on this module
+    # (perfbench/tracing.py) see every call
+    run = globals()[f"{args.command}_result"]
     try:
-        input_data, result = COMMANDS[args.command](args)
+        if "problem" in flags:
+            data = _load_problem_file(flags["problem"])
+            result = run(data, flags["budget"])
+        else:
+            data, result = flags, run(**flags)
     except (ProblemFormatError, SemistableInputError, ZeroRepresentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -485,13 +447,19 @@ def main(argv=None) -> int:
         print(f"theorem contradiction: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
 
-    report = _make_report(args.command, input_data, result, started)
+    report = {
+        "command": args.command,
+        "input": data,
+        "digest": _digest(data),
+        "result": result,
+        "timing_ms": round((time.monotonic() - started) * 1000, 3),
+    }
     try:
-        if args.fmt == "json":
-            print(json.dumps(report, sort_keys=True))
-        else:
-            print(_render_text(report))
-        sys.stdout.flush()
+        # stdout is None when it was closed before the start (`>&-`)
+        if sys.stdout is not None:
+            print(json.dumps(report, sort_keys=True) if args.fmt == "json"
+                  else _render_text(report))
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone (`verify f.json | head -1`); the verdict
         # stands, and with stdout on the null device the flush at exit

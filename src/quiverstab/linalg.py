@@ -250,9 +250,9 @@ def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
     return out
 
 
-def enumerate_subspaces(n: int, field: PrimeField, k=None, maps=()):
-    """All subspaces of F_p^n of dimension k (all dimensions if k is None)
-    that every n x n matrix in maps sends into themselves.
+def enumerate_subspaces(n: int, field: PrimeField, maps=()):
+    """All subspaces of F_p^n that every n x n matrix in maps sends into
+    themselves.
 
     Canonical order: by dimension, then lexicographic on the flattened
     RREF basis entries.  Each subspace appears exactly once.  The maps
@@ -260,13 +260,11 @@ def enumerate_subspaces(n: int, field: PrimeField, k=None, maps=()):
     rows are generated where a column is free below row 0, each distinct
     row mapped once per map, and only the subspaces kept are built.
     """
-    if k is not None and not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     for m in maps:
         if m.field != field or m.nrows != n or m.ncols != n:
             raise ValueError(f"each map must be a {n}x{n} matrix over F_{field.p}")
     images = [_Images(m) for m in maps]
     out = []
-    for d in range(n + 1) if k is None else (k,):
+    for d in range(n + 1):
         out.extend(_subspaces_of_dim(n, field, d, images))
     return out

@@ -1,5 +1,6 @@
 """Mutants of the library's sentinels, budget comparisons and closure and
-containment rules that the Tier-1 tests must kill.
+containment rules, and of the CLI's usage-error guard and input echo,
+that the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -87,6 +88,19 @@ MUTANTS = [
         "        for k, shape in enumerate(found.shapes):\n",
         "        for k, shape in enumerate(found.shapes[:-1]):\n",
         ["tests/test_lattice.py::test_quotient_verdicts_on_chains_that_are_not_hn[A3]"],
+    ),
+    (
+        "cli.py",
+        "        if kind is not None and issubclass(kind, self.errors):\n",
+        "        if False:\n",
+        ["tests/test_cli.py::TestInlineCommands::test_bad_flags"],
+    ),
+    (
+        "cli.py",
+        "            data, result = flags, run(**flags)\n",
+        "            data, result = vars(args), run(**flags)\n",
+        ["tests/test_cli_pins.py::test_cli_output_matches_its_pin"
+         "[--format json p1 --blocks 2:1,0:1,-1:1]"],
     ),
 ]
 

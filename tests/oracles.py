@@ -54,6 +54,11 @@ matrix product, the zero and identity matrices, the sum of two
 subspaces, the zero and full subspaces and those of a representation,
 and the exact Galois number of subspaces of F_p^n, against which the
 enumeration's budget check is tested.
+
+The duality relation needs no oracle of either route: dual gives M* on
+the opposite quiver at -theta, and annihilator the annihilator of a
+subspace, with which each route's filtration of M* is predicted from
+its filtration of M.
 """
 
 import itertools
@@ -65,6 +70,7 @@ from quiverstab import (
     HNReport,
     InvalidSubrepresentationError,
     Matrix,
+    Quiver,
     Representation,
     StabilityParams,
     SubrepLattice,
@@ -349,6 +355,36 @@ def reparam_theta(params: StabilityParams, a: int, b: int) -> StabilityParams:
         raise ValueError("a must be a positive integer")
     theta = {v: a * params.theta[v] + b * params.sigma[v] for v in params.theta}
     return StabilityParams(theta, dict(params.sigma))
+
+
+def dual(m: Representation, params: StabilityParams):
+    """(M*, params*): M* lives on the opposite quiver, each map
+    transposed, and params* is -theta with the same sigma.  The
+    subreps of M* are the annihilators of the subreps of M."""
+    q = m.quiver
+    opposite = Quiver(q.vertices, tuple((tgt, src) for src, tgt in q.arrows))
+    maps = tuple(
+        Matrix(m.field, a.ncols, a.nrows,
+               tuple(zip(*a.rows)) if a.nrows else ((),) * a.ncols)
+        for a in m.arrow_maps
+    )
+    theta = {v: -t for v, t in params.theta.items()}
+    return (Representation(opposite, m.field, dict(m.dims), maps),
+            StabilityParams(theta, dict(params.sigma)))
+
+
+def annihilator(s: Subspace) -> Subspace:
+    """The x with x . u = 0 for every u in s: for each column j off the
+    pivots of s, e_j minus column j of the RREF basis, set at the pivots."""
+    vectors = []
+    for j in range(s.ambient):
+        if j not in s.pivots:
+            x = [0] * s.ambient
+            x[j] = 1
+            for row, pivot in zip(s.basis, s.pivots):
+                x[pivot] = -row[j] % s.field.p
+            vectors.append(x)
+    return span(s.field, s.ambient, vectors)
 
 
 def restrict(m: Representation, s: Subrepresentation):

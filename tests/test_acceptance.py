@@ -213,11 +213,10 @@ def test_criterion_5_subspace_counts():
     for p in (2, 3):
         field = PrimeField(p)
         for n in range(5):
+            subs = enumerate_subspaces(n, field)
             for k in range(n + 1):
-                assert len(enumerate_subspaces(n, field, k)) == (
-                    gaussian_binomial(n, k, p)
-                )
-    assert len(enumerate_subspaces(3, PrimeField(2), 1)) == 7
+                assert sum(s.dim == k for s in subs) == gaussian_binomial(n, k, p)
+    assert sum(s.dim == 1 for s in enumerate_subspaces(3, PrimeField(2))) == 7
     print("[PASS] criterion 5: subspace counts equal Gaussian binomials")
 
 

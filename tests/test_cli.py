@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quiverstab import kempf
+from quiverstab import cli, kempf
 from quiverstab import quiver as qv
 from quiverstab.cli import (
     EXIT_BUDGET,
@@ -532,6 +532,42 @@ class TestStreams:
         _out, err = proc.communicate(timeout=60)
         assert proc.returncode == EXIT_OK
         assert err == b""
+
+    def test_closed_stdin_is_an_unreadable_problem_file(self, monkeypatch, capsys):
+        # a stream closed before the start (`verify - <&-`) is None
+        monkeypatch.setattr(sys, "stdin", None)
+        assert main(["verify", "-"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: cannot read problem file -: stdin is closed\n"
+
+    @pytest.mark.parametrize(
+        "match, code", [(True, EXIT_OK), (False, EXIT_CONTRADICTION)]
+    )
+    def test_closed_stdout_writes_nothing_and_keeps_the_verdict(
+        self, tmp_path, monkeypatch, capsys, match, code
+    ):
+        # main looks verify_result up when it runs, so this stub is called
+        monkeypatch.setattr(cli, "verify_result", lambda data, budget: {"match": match})
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["verify", write_problem(tmp_path, alpha_zero_problem())]) == code
+        assert main(["p1", "--blocks", "1:1"]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "redirect, code, err",
+        [("<&-", EXIT_USAGE, b"error: cannot read problem file -: stdin is closed\n"),
+         (">&-", EXIT_OK, b"")],
+        ids=["stdin", "stdout"],
+    )
+    def test_closed_stream_in_a_shell(self, tmp_path, redirect, code, err):
+        path = write_problem(tmp_path, alpha_zero_problem())
+        run = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m quiverstab.cli verify "$1" {redirect}',
+             sys.executable, path if redirect == ">&-" else "-"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, timeout=60,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, b"", err)
 
 
 class TestVerifyResult:

@@ -202,9 +202,9 @@ def test_one_list_per_vertex_shape(monkeypatch, empty_shapes):
     shape is not."""
     built = []
 
-    def counted(n, field, k=None, maps=()):
+    def counted(n, field, maps=()):
         built.append((n, maps))
-        return enumerate_subspaces(n, field, k, maps)
+        return enumerate_subspaces(n, field, maps)
 
     monkeypatch.setattr(quiver, "enumerate_subspaces", counted)
     shift = Matrix.from_rows(F3, [[0, 1], [0, 0]])

@@ -269,13 +269,11 @@ class TestEnumeration:
                     gaussian_binomial(n, k, p) for k in range(n + 1)
                 )
                 for k in range(n + 1):
-                    assert len(enumerate_subspaces(n, field, k)) == (
-                        gaussian_binomial(n, k, p)
-                    )
+                    assert sum(s.dim == k for s in subs) == gaussian_binomial(n, k, p)
 
     def test_seven_lines_in_f2_cubed(self):
         assert gaussian_binomial(3, 1, 2) == 7
-        assert len(enumerate_subspaces(3, F2, 1)) == 7
+        assert sum(s.dim == 1 for s in enumerate_subspaces(3, F2)) == 7
 
     def test_known_value(self):
         assert gaussian_binomial(4, 2, 3) == 130
@@ -303,8 +301,8 @@ def invariant_by_filter(n, field, maps, k=None):
     """The subspaces that every map sends into themselves, filtered from
     the whole list by computing each image."""
     return [
-        s for s in enumerate_subspaces(n, field, k)
-        if all(contains(s, apply(m, s)) for m in maps)
+        s for s in enumerate_subspaces(n, field)
+        if (k is None or s.dim == k) and all(contains(s, apply(m, s)) for m in maps)
     ]
 
 
@@ -401,9 +399,8 @@ class TestInvariantEnumeration:
                     assert got == invariant_by_filter(n, field, maps)
         maps = (random_square(rng, field, 4, 0.3),)
         for k in range(5):
-            assert enumerate_subspaces(4, field, k, maps) == invariant_by_filter(
-                4, field, maps, k
-            )
+            got = [s for s in enumerate_subspaces(4, field, maps) if s.dim == k]
+            assert got == invariant_by_filter(4, field, maps, k)
 
     @pytest.mark.parametrize("field, n", [(F3, 5), (F5, 4)], ids=["F3^5", "F5^4"])
     def test_benchmark_shapes(self, field, n):
