@@ -421,6 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn(line: str):
+    """Write line to stderr; a stderr that cannot be written (closed with
+    `2>&-`) drops it, as argparse drops its own messages."""
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -438,13 +448,13 @@ def main(argv=None) -> int:
         else:
             data, result = flags, run(**flags)
     except (ProblemFormatError, SemistableInputError, ZeroRepresentationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EXIT_USAGE
     except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EXIT_BUDGET
     except TheoremContradictionError as exc:
-        print(f"theorem contradiction: {exc}", file=sys.stderr)
+        _warn(f"theorem contradiction: {exc}")
         return EXIT_CONTRADICTION
 
     report = {

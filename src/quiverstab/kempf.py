@@ -13,21 +13,21 @@ adjacent violators in integers, equal means too, so Gamma strictly
 increases exactly when each block is one step; _merges is the one merge
 rule and _square_with the one score formula.  Since sigma(M) and
 theta(M) are fixed, what a chain's prefix hands on to any continuation
-is its stack of pooled blocks, so the search runs over the chains from
-the zero subrep to M as a dynamic program on interned block stacks.
-The program reads a node's label and its predecessors' stacks, so it
-runs on the exact quotient of the inclusion DAG (_quotient): a class
+is its stack of pooled blocks (W, S), however many steps pooled into
+each, so the search is a dynamic program on interned (W, S) stacks.
+It runs on the exact quotient of the inclusion DAG (_quotient): a class
 holds the subreps with one dimension vector and one multiset of
 predecessor classes, and each class edge carries its count k, so the
 chains to a class number sum k chains[c'] and a tie is counted in
-chains.  The winner's chain of classes is lifted to subreps from M
-down, the one member of each class below the subrep above it.
-Each stack carries its score square from the stack below it, so the
-stacks reached at M are compared in one pass that both searches read;
-the winner alone is pooled again, by _chain_score, as a cross-check and
-for its Gamma (_gamma).  Score squares are held and compared as
-integer pairs, so comparisons and ties are exact; the best one is handed
-back as a Fraction, 0 when no chain scores above 0.
+chains, those carrying the label sequence of a stack at the best score
+square, the last labels down it.  The winner's chain of classes is
+lifted to subreps from M down, the one member of each class below the
+subrep above it.  Each stack carries its score square from the stack
+below it, so the stacks reached at M are compared in one pass; the
+winner alone is pooled again, by _chain_score, as a cross-check and for
+its Gamma (_gamma).  Score squares are held and compared as integer
+pairs, so comparisons and ties are exact; the best one is handed back
+as a Fraction, 0 when no chain scores above 0.
 """
 
 from __future__ import annotations
@@ -60,16 +60,16 @@ from .quiver import (
 
 
 def _merges(top, w, x):
-    """Whether the step (w, x) pools into the block top = (W, S, steps)
+    """Whether the step (w, x) pools into the block top = (W, S, ...)
     below it: its mean x/w is not above S/W (cross-multiplied, w, W > 0)."""
     return top[1] * w >= x * top[0]
 
 
 def _square_with(square, top):
     """The score square (num, den) of a block stack from that of the
-    stack under its top block (W, S, steps): den is the lcm of the stack's
+    stack under its top block (W, S, ...): den is the lcm of the stack's
     W and num = sum S^2 (den / W), so the score is sqrt(num / den)."""
-    (num, den), (w, x, _n) = square, top
+    (num, den), (w, x) = square, top[:2]
     wl = lcm(den, w)
     return num * (wl // den) + x * x * (wl // w), wl
 
@@ -85,9 +85,8 @@ def _chain_score(chain_dims, tm, sm):
     prev_s, prev_t = 0, 0
     for s, t in chain_dims:
         w = s - prev_s
-        x = tm * w - sm * (t - prev_t)
+        x, n = tm * w - sm * (t - prev_t), 1
         prev_s, prev_t = s, t
-        n = 1
         while blocks and _merges(blocks[-1], w, x):
             w1, x1, n1 = blocks.pop()
             w, x, n = w + w1, x + x1, n + n1
@@ -186,33 +185,35 @@ def _quotient_search(below, quotient, labels):
 
 def _kempf_search(lower, labels):
     """Exhaustive Kempf search over the chains from node 0 to the last
-    node of a DAG, lower[j] being the (predecessor, count) pairs of j,
-    each edge standing for count parallel edges, and labels[j] the
-    cumulative (sigma, theta) of j.
+    node of a transitively closed DAG, such as the inclusion DAG and its
+    quotient, lower[j] being the (predecessor, count) pairs of j, each
+    edge standing for count parallel edges, and labels[j] the cumulative
+    (sigma, theta) of j.
 
     A chain is searched as the PAV block stack of its prefix: the step
     from node i to node j depends only on labels[i] and labels[j], and
     what a prefix hands on to any continuation is its stack of blocks
-    (W, S, steps).  Each stack is interned as (below, W, S, steps), below
-    being the id of the stack under its top block, and states[j] holds
-    the ids of the stacks of the chains from 0 to j.  A stack fixes its
-    chains' last label, (W, (tm W - S) / sm) summed over its blocks, and
-    its score square, carried from the stack below as it is interned.
+    (W, S), however many steps pooled into each.  Each stack is interned
+    as (below, W, S), below being the id of the stack under its top
+    block, and states[j] holds the ids of the stacks of the chains from 0
+    to j.  A stack fixes its chains' last label, (W, (tm W - S) / sm)
+    summed over its blocks, and its score square, carried from the stack
+    below as it is interned.
 
     Returns (best score square, winner), the square a Fraction; if it is
     positive, winner is (node indices from 0, gamma) of the one chain with
-    strictly increasing weights at that square, else None.  A state at
-    that square with one step per block fixes its label sequence, the last
-    labels down its stack; the chains carrying each such sequence are
-    counted, and any sum but 1 is raised, as is a winner that
-    _chain_score, which gives gamma's blocks, scores other than its
+    strictly increasing weights at that square, else None.  The chains
+    with one step per block of a stack are those carrying its label
+    sequence, the last labels down the stack; they are counted for each
+    stack at that square, and any sum but 1 is raised, as is a winner
+    that _chain_score, which gives gamma's blocks, scores other than its
     carried square.
     """
     sm, tm = labels[-1]
     # by state id, 0 being the empty stack: the id under the top block,
     # the top block, the last label and the score square (num, den)
     below, tops, last, squares = [0], [None], [(0, 0)], [(0, 1)]
-    ids = {}  # (below, W, S, steps) -> state id
+    ids = {}  # (below, W, S) -> state id
     pushes = {}  # label of j -> {state id: state id after the step to j}
     states = [{0}]
     for j in range(1, len(lower)):
@@ -222,14 +223,14 @@ def _kempf_search(lower, labels):
         for sid in here - memo.keys():
             si, ti = last[sid]
             w = sj - si
-            x, n, base = tm * w - sm * (tj - ti), 1, sid
+            x, base = tm * w - sm * (tj - ti), sid
             while base and _merges(tops[base], w, x):
-                w1, x1, n1 = tops[base]
-                w, x, n, base = w + w1, x + x1, n + n1, below[base]
-            new = memo[sid] = ids.setdefault((base, w, x, n), len(tops))
+                w1, x1 = tops[base]
+                w, x, base = w + w1, x + x1, below[base]
+            new = memo[sid] = ids.setdefault((base, w, x), len(tops))
             if new == len(tops):
                 below.append(base)
-                tops.append((w, x, n))
+                tops.append((w, x))
                 last.append(lab)
                 squares.append(_square_with(squares[base], tops[-1]))
         states.append(set(map(memo.__getitem__, here)))
@@ -242,26 +243,25 @@ def _kempf_search(lower, labels):
             at_best.append(sid)
     if not num:
         return Fraction(0), None
-    strict = []  # (state id, label sequence), one step per block
+    carried = []  # (chains with one step per block, state id, label sequence)
     for sid in at_best:
-        seq, s = [], sid
-        while s and tops[s][2] == 1:
-            seq.append(last[s])
-            s = below[s]
-        if not s:
-            strict.append((sid, tuple(reversed(seq))))
-    ties = sum(_chains_carrying(lower, labels, seq) for _sid, seq in strict)
+        seq, s = (), sid
+        while s:
+            seq, s = (last[s],) + seq, below[s]
+        carried.append((_chains_carrying(lower, labels, seq), sid, seq))
+    ties = sum(n for n, _sid, _seq in carried)
     if ties != 1:
         raise TheoremContradictionError(
             f"{ties} chains with strictly increasing weights "
             f"tie at the maximal score"
         )
-    sid, seq = strict[0]
+    _n, sid, seq = max(carried)
     blocks, best = _chain_score(seq, tm, sm)
     if best != Fraction(num, den):
         raise TheoremContradictionError("winner's score differs from its carried score")
-    # the one chain carrying the winner's sequence, followed down to the
-    # root by its prefix states: one block per step, so no block pooled
+    # the one chain carrying the winner's sequence, one block per step:
+    # a chain's stack where a block starts is the stack below, held by a
+    # node that the DAG, transitively closed, lists below the block's end
     chain = [len(lower) - 1]
     while sid:
         sid = below[sid]

@@ -365,6 +365,7 @@ class SubrepLattice:
         self._found = enumerate_subreps(m, budget)  # until _below reads it
         self.subs = list(self._found)
         self.dims = [dims for dims, _at in self._found.keys]
+        self._labels = None, None  # ((sigma, theta) in vertex order, labels)
 
     @cached_property
     def _below(self) -> list:
@@ -400,13 +401,19 @@ class SubrepLattice:
         return self._below[j] >> i & 1 == 1
 
     def labels(self, params: StabilityParams) -> list:
-        """(sigma, theta) of every subrepresentation, in lattice order."""
+        """(sigma, theta) of every subrepresentation, in lattice order: the
+        one list kept, that of the last (sigma, theta) asked for, handed out
+        again, so callers do not change it."""
         order = self.rep.quiver.vertices
         if set(order) != set(params.theta):
             raise ValueError("dimension vector and parameters disagree on vertices")
-        sigma = [params.sigma[v] for v in order]
-        theta = [params.theta[v] for v in order]
-        return [(sum(map(mul, sigma, d)), sum(map(mul, theta, d))) for d in self.dims]
+        key = tuple(params.sigma[v] for v in order), tuple(params.theta[v] for v in order)
+        if self._labels[0] != key:
+            sigma, theta = key
+            self._labels = key, [
+                (sum(map(mul, sigma, d)), sum(map(mul, theta, d))) for d in self.dims
+            ]
+        return self._labels[1]
 
     def chain_of(self, f: "Filtration") -> list:
         """Lattice indices of 0 and of each step of the filtration f."""

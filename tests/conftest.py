@@ -83,11 +83,12 @@ def params_for(quiver, theta, sigma=None):
 
 def patch_labels(monkeypatch, edit):
     """Make SubrepLattice.labels pass its labels through edit(labels),
-    which changes them in place."""
+    which changes them in place: a copy, so the list the lattice keeps
+    stays as it was built."""
     labels_of = SubrepLattice.labels
 
     def patched(lat, params):
-        labels = labels_of(lat, params)
+        labels = list(labels_of(lat, params))
         edit(labels)
         return labels
 

@@ -1,6 +1,6 @@
-"""Mutants of the library's sentinels, budget comparisons and closure and
-containment rules, and of the CLI's usage-error guard and input echo,
-that the Tier-1 tests must kill.
+"""Mutants of the library's sentinels, budget comparisons, closure and
+containment rules and Kempf winner's lift, and of the CLI's usage-error
+guard and input echo, that the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -44,6 +44,19 @@ MUTANTS = [
         "    if ties < 1:\n",
         ["tests/test_kempf_search.py::"
          "test_tie_between_chains_with_one_sequence_is_raised"],
+    ),
+    (
+        "kempf.py",
+        "        carried.append((_chains_carrying(lower, labels, seq), sid, seq))\n",
+        "        carried.append((1, sid, seq))\n",
+        ["tests/test_kempf_search.py::"
+         "test_tie_between_chains_with_one_sequence_is_raised"],
+    ),
+    (
+        "kempf.py",
+        "        chain.append(next(i for i, _k in lower[chain[-1]] if sid in states[i]))\n",
+        "        chain.append(next(i for i, _k in lower[chain[-1]]))\n",
+        ["tests/test_kempf_search.py::test_search_returns_the_single_winning_chain"],
     ),
     (
         "quiver.py",

@@ -58,7 +58,9 @@ enumeration's budget check is tested.
 The duality relation needs no oracle of either route: dual gives M* on
 the opposite quiver at -theta, and annihilator the annihilator of a
 subspace, with which each route's filtration of M* is predicted from
-its filtration of M.
+its filtration of M.  Nor does the direct-sum relation: direct_sum gives
+M (+) N, whose filtration type each route must give as the slope-ordered
+merge of those of M and N.
 """
 
 import itertools
@@ -371,6 +373,19 @@ def dual(m: Representation, params: StabilityParams):
     theta = {v: -t for v, t in params.theta.items()}
     return (Representation(opposite, m.field, dict(m.dims), maps),
             StabilityParams(theta, dict(params.sigma)))
+
+
+def direct_sum(m: Representation, n: Representation) -> Representation:
+    """M (+) N on their common quiver and field: dimensions add at each
+    vertex, and each map is block diagonal, M's block first."""
+    dims = {v: m.dims[v] + n.dims[v] for v in m.quiver.vertices}
+    maps = tuple(
+        Matrix(m.field, a.nrows + b.nrows, a.ncols + b.ncols,
+               tuple(row + (0,) * b.ncols for row in a.rows)
+               + tuple((0,) * a.ncols + row for row in b.rows))
+        for a, b in zip(m.arrow_maps, n.arrow_maps)
+    )
+    return Representation(m.quiver, m.field, dims, maps)
 
 
 def annihilator(s: Subspace) -> Subspace:

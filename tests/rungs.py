@@ -1,5 +1,6 @@
 """Time each stage of the Kempf route on the rungs of ROADMAP's baseline
-table, with the chain budget lifted.
+table, with the chain budget lifted, and check each rung's chain count
+and best score square against its pin.
 
     python tests/rungs.py [rung ...]
 
@@ -13,7 +14,8 @@ classes of the quotient of the inclusion DAG, the chains from 0 to M and
 the best score, then the seconds spent on enumeration, the containment
 masks, the quotient (with the chain count) and the search.  It prints
 timings, so it is not part of the test suite; the five rungs take about
-15 s.
+15 s.  It exits 1 if a rung's chains or best square differ from PINS,
+0 otherwise.
 """
 
 import json
@@ -47,6 +49,15 @@ RUNGS = {
     "A3 (4,4,3)/F2": (A3, 2, (4, 4, 3), 1, (2, 0, -2)),
     "A3 (4,4,4)/F2": (A3, 2, (4, 4, 4), 1, (2, 0, -2)),
     "Kron (1,3)/F97": (Quiver.kronecker(1), 97, (1, 3), 3, (1, -1)),
+}
+
+# name -> (chains from 0 to M, best score square)
+PINS = {
+    "A3 (4,3,3)/F2": (79547696, "1160"),
+    "D4 (2,2,2,4)/F2": (51698672, "80/3"),
+    "A3 (4,4,3)/F2": (3797852992, "1892"),
+    "A3 (4,4,4)/F2": (57315509208, "2016"),
+    "Kron (1,3)/F97": (1921004, "16"),
 }
 
 
@@ -95,17 +106,24 @@ def measure(name):
     }
 
 
-def main(names):
+def main(names) -> int:
+    bad = 0
     for name in names or RUNGS:
         out = subprocess.run(
             [sys.executable, __file__, "--child", name],
             check=True, capture_output=True, text=True,
         ).stdout
-        print(f"{name:17} {out.strip()}", flush=True)
+        got = json.loads(out)
+        pinned = (got["chains"], got["best square"]) == PINS[name]
+        print(f"{name:17} {out.strip()}{'' if pinned else '  MISMATCH'}", flush=True)
+        bad += not pinned
+    if bad:
+        print(f"{bad} rung(s) differ from their pinned chains and best square")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         print(json.dumps(measure(sys.argv[2])))
     else:
-        main(sys.argv[1:])
+        sys.exit(main(sys.argv[1:]))

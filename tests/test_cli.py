@@ -569,6 +569,23 @@ class TestStreams:
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, b"", err)
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["p1", "--blocks", "nope"], EXIT_USAGE),
+         (["verify", "PROBLEM", "--budget", "1"], EXIT_BUDGET)],
+        ids=["usage", "budget"],
+    )
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, args, code):
+        # the error line is dropped, as argparse drops its own
+        path = write_problem(tmp_path, alpha_zero_problem())
+        run = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m quiverstab.cli "$@" 2>&-', sys.executable,
+             *(path if a == "PROBLEM" else a for a in args)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, timeout=60,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, b"", b"")
+
 
 class TestVerifyResult:
     def test_alpha_zero_match(self):

@@ -233,8 +233,9 @@ def test_state_search_equals_sequence_search_on_random_reps():
 # (lower, labels) of hand-built DAGs rooted at node 0
 HAND_BUILT = {
     # the chains 0 < 1 < 3 and 0 < 2 < 3 pool their two steps into one
-    # block (2, 0, 2 steps), so five sequences at node 5 make four
-    # states; the winner 0 < 4 < 5 has one step per block
+    # block (2, 0), and every chain to node 5 but 0 < 4 < 5 pools into
+    # the one block (3, 0), so five sequences at node 5 make two states;
+    # the winner 0 < 4 < 5 has one step per block
     "two-sequences-one-state": (
         [[], [0], [0], [0, 1, 2], [0], [0, 3, 4]],
         [(0, 0), (1, 0), (1, -1), (2, 0), (2, 1), (3, 0)],

@@ -1,5 +1,7 @@
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from quiverstab import (
     linalg,
     quiver,
 )
-from quiverstab.cli import parse_problem
+from quiverstab.cli import parse_problem, verify_result
 
 from conftest import A3, F2, F3, params_for, random_rep
 from oracles import (
@@ -37,6 +39,11 @@ from test_acceptance import main_theorem_problems
 from test_enumeration import D4_IN, SHAPES, random_maps
 
 F97 = PrimeField(97)
+
+UNSTABLE = (
+    Path(__file__).resolve().parent.parent
+    / "perfbench" / "problems" / "chain-heavy" / "001-kron2-23-F5-unstable.json"
+)
 
 
 def test_lattice_hn_equals_quotient_recursion():
@@ -139,6 +146,33 @@ def test_labels_reject_other_vertices():
     lat = SubrepLattice(random_rep(random.Random(4), A3, F3, (1, 1, 1)))
     with pytest.raises(ValueError, match="disagree on vertices"):
         lat.labels(StabilityParams({"a": 1}, {"a": 1}))
+
+
+def test_labels_keep_one_list(monkeypatch):
+    # one entry: theta, theta', theta builds three lists, each right, and
+    # asking again for the last (sigma, theta) hands out the same list
+    data = json.loads(UNSTABLE.read_text())
+    m, theta = parse_problem(data)
+    lat = SubrepLattice(m)
+    other = StabilityParams({v: -t for v, t in theta.theta.items()}, theta.sigma)
+    built = [lat.labels(p) for p in (theta, other, theta)]
+    for labels, p in zip(built, (theta, other, theta)):
+        assert labels == labels_of(lat.subs, p)
+    assert len({id(labels) for labels in built}) == 3
+    assert lat.labels(parse_problem(data)[1]) is built[2]
+    # one unstable verify builds one list, read by both routes
+    handed = []
+    labels_of_lattice = SubrepLattice.labels
+
+    def spy(lat, params):
+        handed.append(labels_of_lattice(lat, params))
+        return handed[-1]
+
+    monkeypatch.setattr(SubrepLattice, "labels", spy)
+    result = verify_result(data, 10**6)
+    assert (result["semistable"], result["match"]) == (False, True)
+    assert len(handed) > 1
+    assert len({id(labels) for labels in handed}) == 1
 
 
 def quotient_cases():
