@@ -18,10 +18,10 @@ only declared vertices, and matrices only arrow indices.
 
 Exit codes: 0 success / verified, 2 usage or schema error (including a
 zero-dimensional representation, a problem file that is not UTF-8 or is
-nested too deep to decode, a --budget below 1 and a degenerate rank3
-input), 3 theorem contradiction (including a verify mismatch), 4
-enumeration budget exceeded (by the candidate subspace tuples or by the
-chains of the Kempf search).
+nested too deep to decode, a --budget below 1, a degenerate rank3 input
+and an unwritable report, though a closed pipe keeps the verdict), 3
+theorem contradiction (including a verify mismatch), 4 budget exceeded
+(by the candidate subspace tuples or the chains of the Kempf search).
 """
 
 from __future__ import annotations
@@ -231,21 +231,21 @@ def kempf_result(data: dict, budget: int) -> dict:
         f, gamma, score = kempf.kempf_filtration(lat, params)
     except SemistableInputError:
         return {"semistable": True}
-    payload = _filtration_payload(f, params)
-    payload["semistable"] = False
-    payload["gamma"] = [frac_str(g) for g in gamma]
-    payload["score"] = _score_payload(score)
-    return payload
+    return {**_filtration_payload(f, params), "semistable": False,
+            "gamma": [frac_str(g) for g in gamma], "score": _score_payload(score)}
 
 
 def verify_result(data: dict, budget: int) -> dict:
     """Both routes; 'match' is False exactly when the theorem fails."""
     lat, params = _lattice_problem(data, budget)
+    if qv.is_semistable(lat, params):
+        return {"semistable": True, "match": kempf.kempf_semistability(lat, params)}
     try:
         kf, gamma, score = kempf.kempf_filtration(lat, params)
-    except SemistableInputError:
-        agree = kempf.kempf_semistability(lat, params)
-        return {"semistable": True, "match": agree}
+    except SemistableInputError as exc:
+        raise TheoremContradictionError(
+            "the slope route finds the input unstable, but the Kempf search "
+            "finds no chain scoring above 0") from exc
     hn = qv.hn_filtration(lat, params)
     match = [a.spaces for a in hn.steps] == [b.spaces for b in kf.steps]
     return {
@@ -447,7 +447,7 @@ def main(argv=None) -> int:
             result = run(data, flags["budget"])
         else:
             data, result = flags, run(**flags)
-    except (ProblemFormatError, SemistableInputError, ZeroRepresentationError) as exc:
+    except (ProblemFormatError, ZeroRepresentationError) as exc:
         _warn(f"error: {exc}")
         return EXIT_USAGE
     except EnumerationBudgetError as exc:
@@ -470,13 +470,16 @@ def main(argv=None) -> int:
             print(json.dumps(report, sort_keys=True) if args.fmt == "json"
                   else _render_text(report))
             sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone (`verify f.json | head -1`); the verdict
-        # stands, and with stdout on the null device the flush at exit
-        # cannot raise again
+    except OSError as exc:
+        # a gone reader (`verify f.json | head -1`) leaves the verdict,
+        # any other failure (`>/dev/full`) is a usage error; with stdout on
+        # the null device the flush at exit cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            _warn(f"error: cannot write the report: {exc}")
+            return EXIT_USAGE
     if args.command == "verify" and not result["match"]:
         return EXIT_CONTRADICTION
     return EXIT_OK

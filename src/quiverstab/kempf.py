@@ -48,7 +48,7 @@ from .quiver import (
     StabilityParams,
     SubrepLattice,
     enumerate_subreps,  # unused here; perfbench/tracing.py wraps this binding
-    is_semistable,
+    is_semistable,  # unused here; perfbench/tracing.py wraps this binding
     slope,
     _bits,
     _require_nonzero,
@@ -284,9 +284,9 @@ def _chains_carrying(lower, labels, seq):
 
 
 def kempf_filtration(lat: SubrepLattice, params: StabilityParams):
-    """Maximally destabilizing weighted filtration of an unstable
-    representation, by exhaustive scoring of every strictly increasing
-    chain ending at the whole representation.
+    """Maximally destabilizing weighted filtration, by exhaustive scoring
+    of every strictly increasing chain ending at the whole representation;
+    SemistableInputError when none scores above 0, the input semistable.
 
     The chains are charged against the lattice's budget.  Returns
     (filtration, gamma, score square), the square a positive Fraction.
@@ -295,13 +295,9 @@ def kempf_filtration(lat: SubrepLattice, params: StabilityParams):
     is raised.
     """
     _require_nonzero(lat)
-    if is_semistable(lat, params):
-        raise SemistableInputError("the representation is semistable")
     best, winner = _quotient_search(lat._below, _chain_index_sets(lat), lat.labels(params))
     if winner is None:
-        raise TheoremContradictionError(
-            "unstable input admits no chain of positive score"
-        )
+        raise SemistableInputError("no chain scores above 0")
     chain, gamma = winner
     filtration = Filtration(lat.rep, tuple(lat.subs[i] for i in chain[1:]))
     # v_i = theta(M) - sigma(M) slope_i increases iff the slopes decrease

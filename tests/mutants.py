@@ -1,6 +1,7 @@
 """Mutants of the library's sentinels, budget comparisons, closure and
-containment rules and Kempf winner's lift, and of the CLI's usage-error
-guard and input echo, that the Tier-1 tests must kill.
+containment rules, Kempf winner's lift and Kempf semistability verdict,
+and of the CLI's usage-error guard, input echo and verify's reading of
+the two routes' verdicts, that the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -72,11 +73,18 @@ MUTANTS = [
          "test_agrees_with_slope_route_exhaustive"],
     ),
     (
+        "cli.py",
+        "    except SemistableInputError as exc:\n        raise TheoremContradictionError(\n",
+        "    except SemistableInputError as exc:\n"
+        "        return {\"semistable\": True, \"match\": False}\n"
+        "        raise TheoremContradictionError(\n",
+        ["tests/test_cli.py::TestExitCodes::test_no_positive_score_exits_contradiction"],
+    ),
+    (
         "kempf.py",
-        "    if winner is None:\n        raise TheoremContradictionError(\n",
-        "    if False:\n        raise TheoremContradictionError(\n",
-        ["tests/test_kempf.py::TestKempfFiltration::"
-         "test_no_positive_score_is_a_contradiction"],
+        "    if winner is None:\n        raise SemistableInputError(",
+        "    if False:\n        raise SemistableInputError(",
+        ["tests/test_kempf.py::TestKempfFiltration::test_semistable_input_rejected"],
     ),
     (
         "quiver.py",

@@ -60,7 +60,10 @@ the opposite quiver at -theta, and annihilator the annihilator of a
 subspace, with which each route's filtration of M* is predicted from
 its filtration of M.  Nor does the direct-sum relation: direct_sum gives
 M (+) N, whose filtration type each route must give as the slope-ordered
-merge of those of M and N.
+merge of those of M and N.  Nor does the change-of-basis relation: act
+gives g . M for g in the product of GL(d_v), with inverse over F_p built
+on rref, and each route's filtration of g . M is g applied to its
+filtration of M.
 """
 
 import itertools
@@ -386,6 +389,27 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
         for a, b in zip(m.arrow_maps, n.arrow_maps)
     )
     return Representation(m.quiver, m.field, dims, maps)
+
+
+def inverse(a: Matrix) -> Matrix:
+    """The inverse of a square matrix over F_p, read off the RREF of
+    [a | I]; a singular matrix raises ValueError."""
+    n, p = a.nrows, a.field.p
+    eye = identity_matrix(a.field, n).rows
+    both = rref(Matrix(a.field, n, 2 * n, tuple(r + e for r, e in zip(a.rows, eye))))
+    if tuple(r[:n] for r in both.rows) != eye:
+        raise ValueError("the matrix is singular")
+    return Matrix(a.field, n, n, tuple(tuple(x % p for x in r[n:]) for r in both.rows))
+
+
+def act(g: dict, m: Representation) -> Representation:
+    """g . M for g in the product of GL(d_v), g[v] the matrix at vertex
+    v: each arrow's map A from s to t becomes g[t] A g[s]^-1."""
+    maps = tuple(
+        matmul(matmul(g[tgt], a), inverse(g[src]))
+        for (src, tgt), a in zip(m.quiver.arrows, m.arrow_maps)
+    )
+    return Representation(m.quiver, m.field, dict(m.dims), maps)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -1,21 +1,26 @@
 """Time each stage of the Kempf route on the rungs of ROADMAP's baseline
-table, with the chain budget lifted, and check each rung's chain count
-and best score square against its pin.
+table and on their duals, with the chain budget lifted, and check each
+one's chain count and best score square against the rung's pin.
 
     python tests/rungs.py [rung ...]
 
 The rungs are seeded random representations, sigma = 1: maps drawn
 entry by entry, arrow by arrow and row by row, from random.Random(1)
 over F2 and random.Random(3) over F97; theta is (2, 0, -2) on A3,
-(1, 1, 1, -1) on D4 with the sink last and (1, -1) on Kronecker.  Each
-rung runs in a child process of its own, so the peak RSS printed is that
-rung's.  Per rung it prints the subreps, the strict inclusions, the
-classes of the quotient of the inclusion DAG, the chains from 0 to M and
-the best score, then the seconds spent on enumeration, the containment
-masks, the quotient (with the chain count) and the search.  It prints
-timings, so it is not part of the test suite; the five rungs take about
-15 s.  It exits 1 if a rung's chains or best square differ from PINS,
-0 otherwise.
+(1, 1, 1, -1) on D4 with the sink last and (1, -1) on Kronecker.  The
+dual of a rung, M* on the opposite quiver at -theta (oracles.dual), has
+the annihilators of M's subreps for its subreps, so it must meet the
+same chain count and best score square; its arrows point against vertex
+order, so enumeration runs its transposed-mask path at a size no
+brute-force oracle reaches.  Each rung and each dual runs in a child
+process of its own, so the peak RSS printed is its own.  Per run it
+prints the subreps, the strict inclusions, the classes of the quotient
+of the inclusion DAG, the chains from 0 to M and the best score, then
+the seconds spent on enumeration, the containment masks, the quotient
+(with the chain count) and the search.  It prints timings, so it is not
+part of the test suite; the five rungs and their duals take about 10 s.
+It exits 1 if a rung's or its dual's chains or best square differ from
+PINS, 0 otherwise.
 """
 
 import json
@@ -27,6 +32,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# oracles imports from tests/, this script's directory, first on sys.path
 
 from quiverstab import (  # noqa: E402
     Matrix,
@@ -37,6 +43,7 @@ from quiverstab import (  # noqa: E402
     SubrepLattice,
     kempf,
 )
+from oracles import dual  # noqa: E402
 
 UNBOUNDED = 10**30
 A3 = Quiver(("v0", "v1", "v2"), (("v0", "v1"), ("v1", "v2")))
@@ -76,9 +83,11 @@ def rung(name):
     return Representation(q, field, d, maps), params
 
 
-def measure(name):
-    """The counts and stage times of one rung, as a dict."""
+def measure(name, dualised):
+    """The counts and stage times of one rung, or of its dual, as a dict."""
     m, params = rung(name)
+    if dualised:
+        m, params = dual(m, params)
     t0 = time.perf_counter()
     lat = SubrepLattice(m, UNBOUNDED)
     t1 = time.perf_counter()
@@ -109,21 +118,23 @@ def measure(name):
 def main(names) -> int:
     bad = 0
     for name in names or RUNGS:
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", name],
-            check=True, capture_output=True, text=True,
-        ).stdout
-        got = json.loads(out)
-        pinned = (got["chains"], got["best square"]) == PINS[name]
-        print(f"{name:17} {out.strip()}{'' if pinned else '  MISMATCH'}", flush=True)
-        bad += not pinned
+        for side in ("", "dual"):
+            out = subprocess.run(
+                [sys.executable, __file__, "--child", name, side],
+                check=True, capture_output=True, text=True,
+            ).stdout
+            got = json.loads(out)
+            pinned = (got["chains"], got["best square"]) == PINS[name]
+            print(f"{name:17} {side:4} {out.strip()}{'' if pinned else '  MISMATCH'}",
+                  flush=True)
+            bad += not pinned
     if bad:
-        print(f"{bad} rung(s) differ from their pinned chains and best square")
+        print(f"{bad} run(s) differ from their rung's pinned chains and best square")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        print(json.dumps(measure(sys.argv[2])))
+        print(json.dumps(measure(sys.argv[2], sys.argv[3] == "dual")))
     else:
         sys.exit(main(sys.argv[1:]))

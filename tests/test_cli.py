@@ -273,6 +273,7 @@ class TestExitCodes:
         assert main(["verify", path]) == EXIT_CONTRADICTION
         err = capsys.readouterr().err
         assert err.startswith("theorem contradiction: ") and "Traceback" not in err
+        assert "finds no chain scoring above 0" in err
 
     def test_winner_score_off_its_carried_score_exits_contradiction(
         self, tmp_path, monkeypatch, capsys
@@ -311,6 +312,18 @@ class TestExitCodes:
         path = write_problem(tmp_path, semistable_problem())
         assert main(["kempf", path]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["kempf", "verify"])
+    def test_semistable_input_is_charged_its_chains(self, tmp_path, capsys, command):
+        # F2^3 with no arrow is semistable; its 16 subspaces fit a budget
+        # of 20 but its 36 chains from 0 to the whole do not, and the Kempf
+        # search, which alone decides the kempf verdict, counts them all
+        path = write_problem(tmp_path, arrow_free_problem(2, 3))
+        assert main([command, path, "--budget", "36"]) == EXIT_OK
+        assert "semistable: True" in capsys.readouterr().out
+        assert main([command, path, "--budget", "20"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err == "error: enumeration would visit 36 chains, budget is 20\n"
+
     @pytest.mark.parametrize(
         "command, path, value",
         EXIT_USAGE_CASES.values(),
@@ -347,17 +360,25 @@ class TestSharedLattice:
     def test_one_semistability_scan_per_command(
         self, tmp_path, monkeypatch, capsys, command, make_problem
     ):
-        calls = []
-        is_semistable = qv.is_semistable
+        # each route decides semistability once for itself, whatever the
+        # verdict: the slope route by its scan, the Kempf route by one
+        # search on one quotient; kempf runs the Kempf route alone
+        calls = {"slope": 0, "kempf": 0}
 
-        def counted(lat, params):
-            calls.append(lat)
-            return is_semistable(lat, params)
+        def counted(route, fn):
+            def call(*args):
+                calls[route] += 1
+                return fn(*args)
+            return call
 
-        monkeypatch.setattr(qv, "is_semistable", counted)
-        monkeypatch.setattr(kempf, "is_semistable", counted)
+        scan = counted("slope", qv.is_semistable)
+        monkeypatch.setattr(qv, "is_semistable", scan)
+        monkeypatch.setattr(kempf, "is_semistable", scan)
+        monkeypatch.setattr(
+            kempf, "_chain_index_sets", counted("kempf", kempf._chain_index_sets)
+        )
         assert main([command, write_problem(tmp_path, make_problem())]) == EXIT_OK
-        assert len(calls) == 1
+        assert calls == {"slope": int(command == "verify"), "kempf": 1}
 
 
 class TestJsonReports:
@@ -568,6 +589,22 @@ class TestStreams:
             capture_output=True, timeout=60,
         )
         assert (run.returncode, run.stdout, run.stderr) == (code, b"", err)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["p1", "verify"])
+    def test_unwritable_report_exits_usage(self, tmp_path, command):
+        # every write to /dev/full fails with ENOSPC: one error line, no
+        # traceback, and exit 2 even where the verdict was a match
+        args = ["verify", write_problem(tmp_path, alpha_zero_problem())]
+        run = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m quiverstab.cli "$@" >/dev/full', sys.executable,
+             *(args if command == "verify" else ["p1", "--blocks", "1:1"])],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (EXIT_USAGE, b"")
+        assert run.stderr.startswith(b"error: cannot write the report: [Errno 28] ")
+        assert run.stderr.count(b"\n") == 1
 
     @pytest.mark.parametrize(
         "args, code",

@@ -15,6 +15,7 @@ from quiverstab import (
     kempf_filtration,
     kempf_semistability,
 )
+from quiverstab.cli import verify_result
 
 from conftest import A3, F2, F3, all_kronecker_reps, kronecker_rep, params_for, random_rep
 from oracles import (
@@ -264,12 +265,22 @@ class TestKempfFiltration:
         params = params_for(m.quiver, (1, 0))
         lat = SubrepLattice(m)
         assert not is_semistable(lat, params)
-        # a search whose every chain scores zero
+        # a search whose every chain scores zero: the Kempf route alone
+        # calls the input semistable, and only verify, which reads both
+        # routes' verdicts, finds the contradiction
         monkeypatch.setattr(kempf, "_kempf_search", lambda *_args: (Fraction(0), None))
-        with pytest.raises(
-            TheoremContradictionError, match="admits no chain of positive score"
-        ):
+        with pytest.raises(SemistableInputError, match="no chain scores above 0"):
             kempf_filtration(lat, params)
+        data = {
+            "field": {"p": 2},
+            "quiver": {"vertices": ["v0", "v1"], "arrows": [["v0", "v1"]]},
+            "representation": {"dims": {"v0": 1, "v1": 1}, "matrices": {"0": [[0]]}},
+            "stability": {"theta": {"v0": 1, "v1": 0}, "sigma": {"v0": 1, "v1": 1}},
+        }
+        with pytest.raises(
+            TheoremContradictionError, match="finds no chain scoring above 0"
+        ):
+            verify_result(data, 10**6)
 
     def test_refinement_domination(self):
         rng = random.Random(47)
