@@ -129,40 +129,27 @@ def parse_problem(data: dict):
     _expect(isinstance(rep, dict), "representation must be an object")
     dims = rep.get("dims")
     _vertex_integers(dims, vertices, "representation.dims")
-    for v in vertices:
-        _expect(dims[v] >= 0, f"representation.dims['{v}'] must be non-negative")
     matrices = rep.get("matrices", {})
     _expect(isinstance(matrices, dict), "representation.matrices must be an object")
     unknown = sorted(set(matrices) - {str(i) for i in range(len(arrows))})
     _expect(not unknown, f"representation.matrices has no arrow {unknown[:1]}")
     arrow_maps = []
-    for i, (src, tgt) in enumerate(arrows):
+    for i, (src, _tgt) in enumerate(arrows):
         raw = matrices.get(str(i))
-        _expect(
-            raw is not None,
-            f"representation.matrices missing arrow index '{i}'",
-        )
-        nrows, ncols = dims[tgt], dims[src]
-        _expect(
-            isinstance(raw, list) and len(raw) == nrows,
-            f"matrix {i} must have {nrows} rows",
-        )
-        for row in raw:
-            _expect(
-                isinstance(row, list) and len(row) == ncols,
-                f"matrix {i} rows must have {ncols} entries",
+        _expect(raw is not None, f"representation.matrices missing arrow index '{i}'")
+        _expect(isinstance(raw, list) and all(isinstance(row, list) for row in raw),
+                f"matrix {i} must be a list of rows")
+        _expect(all(_is_int(x) for row in raw for x in row),
+                f"matrix {i} entries must be integers")
+        # shapes and signs are Matrix's and Representation's to check
+        with _as_usage(prefix=f"matrix {i}: "):
+            arrow_maps.append(
+                Matrix.from_rows(field, raw, len(raw[0]) if raw else dims[src])
             )
-            _expect(
-                all(_is_int(x) for x in row),
-                f"matrix {i} entries must be integers",
-            )
-        arrow_maps.append(
-            Matrix(field, nrows, ncols,
-                   tuple(tuple(x % field.p for x in row) for row in raw))
+    with _as_usage():
+        representation = qv.Representation(
+            quiver, field, {v: dims[v] for v in vertices}, tuple(arrow_maps)
         )
-    representation = qv.Representation(
-        quiver, field, {v: dims[v] for v in vertices}, tuple(arrow_maps)
-    )
 
     stab = data["stability"]
     _expect(isinstance(stab, dict), "stability must be an object")

@@ -55,7 +55,7 @@ def p1_hn(e: SplitBundle):
 def rank2_value(deg_l: int, deg_e: int, s: int, eps_l: int, tau: Fraction) -> Fraction:
     """2 deg L - deg E + tau (s - 2 eps(L)), exact."""
     if not 0 <= eps_l <= s:
-        raise ValueError("need 0 <= eps_l <= s")
+        raise ValueError("need 0 <= eps <= s")
     if s < 1:
         raise ValueError("s must be a positive integer")
     return 2 * deg_l - deg_e + Fraction(tau) * (s - 2 * eps_l)
@@ -97,12 +97,9 @@ def rank2_best(candidates, deg_e: int, s: int, tau: Fraction) -> Rank2Result:
 
 
 def covering_value(c0_dot_d: int, e: int, s: int, eps_d: int, tau: Fraction) -> Fraction:
-    """-2 C0.D - e + tau (s - 2 eps(D)); positive means unstable."""
-    if not 0 <= eps_d <= s:
-        raise ValueError("need 0 <= eps_d <= s")
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    return -2 * c0_dot_d - e + Fraction(tau) * (s - 2 * eps_d)
+    """-2 C0.D - e + tau (s - 2 eps(D)), the rank-2 value of deg L = -C0.D;
+    positive means unstable."""
+    return rank2_value(-c0_dot_d, e, s, eps_d, tau)
 
 
 @dataclass(frozen=True)
@@ -138,18 +135,16 @@ def rank3_weights(s: Rank3Slopes):
     Gamma_3 = 1; ("(2,2)", Gamma) when v1 + v3 - 4 tau >= 0, using the
     second; ("neither", None) in the ambiguous regime where the method
     does not pick a side.  The two conditions are mutually exclusive.
+    Both are read off the candidate vectors x and y: x1 + x3 = v1 + v3 +
+    2 tau, x3 = v3 + tau, y1 + y3 = v1 + v3 - 4 tau and y3 = v3 - 2 tau.
     """
-    v1, v2, v3 = (Fraction(x) for x in s.v)
-    tau = Fraction(s.tau)
     x, y = rank3_case_vectors(s)
-    if v1 + v3 + 2 * tau <= 0:
-        denom = v3 + tau
-        if denom == 0:
-            raise DegenerateInputError("v3 + tau = 0: cannot normalize")
-        return "(1,3)", tuple(c / denom for c in x)
-    if v1 + v3 - 4 * tau >= 0:
-        denom = v3 - 2 * tau
-        if denom == 0:
-            raise DegenerateInputError("v3 - 2 tau = 0: cannot normalize")
-        return "(2,2)", tuple(c / denom for c in y)
-    return "neither", None
+    if x[0] + x[2] <= 0:
+        case, vec, label = "(1,3)", x, "v3 + tau"
+    elif y[0] + y[2] >= 0:
+        case, vec, label = "(2,2)", y, "v3 - 2 tau"
+    else:
+        return "neither", None
+    if vec[2] == 0:
+        raise DegenerateInputError(f"{label} = 0: cannot normalize")
+    return case, tuple(c / vec[2] for c in vec)

@@ -51,7 +51,6 @@ from .quiver import (
     is_semistable,  # unused here; perfbench/tracing.py wraps this binding
     slope,
     _bits,
-    _require_nonzero,
 )
 
 
@@ -294,8 +293,8 @@ def kempf_filtration(lat: SubrepLattice, params: StabilityParams):
     distinct such chains at the maximal score contradicts uniqueness and
     is raised.
     """
-    _require_nonzero(lat)
-    best, winner = _quotient_search(lat._below, _chain_index_sets(lat), lat.labels(params))
+    labels = lat.labels(params)  # first, so the zero representation is refused
+    best, winner = _quotient_search(lat._below, _chain_index_sets(lat), labels)
     if winner is None:
         raise SemistableInputError("no chain scores above 0")
     chain, gamma = winner
@@ -311,7 +310,6 @@ def kempf_semistability(lat: SubrepLattice, params: StabilityParams) -> bool:
     """Semistability via the numerical criterion: no chain admits
     non-decreasing weights with positive pairing, read off the best score
     square of _kempf_search, which also checks an unstable input for a tie."""
-    _require_nonzero(lat)
-    quotient = _chain_index_sets(lat)
-    return _quotient_search(lat._below, quotient, lat.labels(params))[0] <= 0
+    labels = lat.labels(params)
+    return _quotient_search(lat._below, _chain_index_sets(lat), labels)[0] <= 0
 

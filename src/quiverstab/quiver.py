@@ -99,9 +99,9 @@ class Representation:
     def __post_init__(self):
         if set(self.dims) != set(self.quiver.vertices):
             raise ValueError("dims keys must match the quiver's vertices")
-        for d in self.dims.values():
+        for v, d in self.dims.items():
             if not isinstance(d, int) or d < 0:
-                raise ValueError("dimensions must be non-negative integers")
+                raise ValueError(f"dimension at {v} must be a non-negative integer")
         if len(self.arrow_maps) != len(self.quiver.arrows):
             raise ValueError("one matrix per arrow required")
         for (src, tgt), m in zip(self.quiver.arrows, self.arrow_maps):
@@ -403,12 +403,16 @@ class SubrepLattice:
     def labels(self, params: StabilityParams) -> list:
         """(sigma, theta) of every subrepresentation, in lattice order: the
         one list kept, that of the last (sigma, theta) asked for, handed out
-        again, so callers do not change it."""
+        again, so callers do not change it.  The zero representation has
+        no stability, and its labels raise ZeroRepresentationError."""
         order = self.rep.quiver.vertices
         if set(order) != set(params.theta):
             raise ValueError("dimension vector and parameters disagree on vertices")
         key = tuple(params.sigma[v] for v in order), tuple(params.theta[v] for v in order)
         if self._labels[0] != key:
+            if self.rep.is_zero():
+                raise ZeroRepresentationError(
+                    "operation undefined for the zero representation")
             sigma, theta = key
             self._labels = key, [
                 (sum(map(mul, sigma, d)), sum(map(mul, theta, d))) for d in self.dims
@@ -420,12 +424,6 @@ class SubrepLattice:
         if f.parent != self.rep:
             raise ValueError("the filtration is not of this representation")
         return [0] + [self.subs.index(s) for s in f.steps]
-
-
-def _require_nonzero(lat: SubrepLattice):
-    """Stability is undefined for the zero representation."""
-    if lat.rep.is_zero():
-        raise ZeroRepresentationError("operation undefined for the zero representation")
 
 
 def _interval_maxima(lat: SubrepLattice, labels: list, lo: int, hi: int) -> list:
@@ -470,7 +468,6 @@ def _max_destabilizing_above(lat: SubrepLattice, labels: list, lo: int) -> int:
 
 def is_semistable(lat: SubrepLattice, params: StabilityParams) -> bool:
     """True iff no subrepresentation has a slope above the whole's."""
-    _require_nonzero(lat)
     full = len(lat.subs) - 1
     return _interval_maxima(lat, lat.labels(params), 0, full) == [full]
 
@@ -479,7 +476,6 @@ def max_destabilizing(lat: SubrepLattice, params: StabilityParams) -> Subreprese
     """The unique non-zero subrepresentation of maximal slope and, among
     those, maximal sigma.  A tie contradicts uniqueness and is
     raised, never broken silently."""
-    _require_nonzero(lat)
     return lat.subs[_max_destabilizing_above(lat, lat.labels(params), 0)]
 
 
@@ -519,7 +515,6 @@ def hn_filtration(lat: SubrepLattice, params: StabilityParams) -> Filtration:
     lattice: M_1 is the maximal destabilizing subobject, and each next
     step is the maximal destabilizing subobject of M / M_{i-1}, read off
     the interval [M_{i-1}, M]."""
-    _require_nonzero(lat)
     labels = lat.labels(params)
     # the first step goes through the public name, which perfbench/tracing.py spans
     chain = [lat.subs.index(max_destabilizing(lat, params))]
@@ -545,11 +540,10 @@ def check_hn_properties(
     """Verify the two defining properties on a computed filtration f of
     lat.rep: strictly descending quotient slopes and semistable quotients,
     each quotient read off its interval in the lattice."""
-    _require_nonzero(lat)
+    labels = lat.labels(params)
     chain = lat.chain_of(f)
     slopes = [slope(d, params) for d in f.quotient_dims()]
     descending = all(a > b for a, b in zip(slopes, slopes[1:]))
-    labels = lat.labels(params)
     semis = [
         _interval_maxima(lat, labels, lo, hi) == [hi]
         for lo, hi in zip(chain, chain[1:])

@@ -1,7 +1,11 @@
 """Mutants of the library's sentinels, budget comparisons, closure and
 containment rules, Kempf winner's lift and Kempf semistability verdict,
-and of the CLI's usage-error guard, input echo and verify's reading of
-the two routes' verdicts, that the Tier-1 tests must kill.
+its two input rules (the zero representation, negative dimensions), the
+shared layers that the metamorphic relation tests guard (arrow
+transposition, point normalization, the PAV merge, the sigma tie-break
+and the containment table), and of the CLI's usage-error guard, input
+echo and verify's reading of the two routes' verdicts, that the Tier-1
+tests must kill.
 
     python tests/mutants.py
 
@@ -29,6 +33,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+DUALITY = "tests/test_duality.py::test_dual_filtrations_are_the_annihilators_reversed"
+DIRECT_SUM = "tests/test_direct_sum.py::test_direct_sum_type_is_the_slope_ordered_merge"
+CHANGE_OF_BASIS = "tests/test_change_of_basis.py::test_each_route_commutes_with_change_of_basis"
 
 # (file, snippet, replacement, kill node ids)
 MUTANTS = [
@@ -67,8 +75,8 @@ MUTANTS = [
     ),
     (
         "kempf.py",
-        "lat.labels(params))[0] <= 0\n",
-        "lat.labels(params))[0] >= 0\n",
+        "labels)[0] <= 0\n",
+        "labels)[0] >= 0\n",
         ["tests/test_kempf.py::TestKempfSemistability::"
          "test_agrees_with_slope_route_exhaustive"],
     ),
@@ -122,6 +130,52 @@ MUTANTS = [
         "            data, result = vars(args), run(**flags)\n",
         ["tests/test_cli_pins.py::test_cli_output_matches_its_pin"
          "[--format json p1 --blocks 2:1,0:1,-1:1]"],
+    ),
+    # the two input rules, each checked in one place
+    (
+        "quiver.py",
+        "            if self.rep.is_zero():\n",
+        "            if False:\n",
+        ["tests/test_cli.py::TestExitCodes::test_bad_input_exits_usage[zero-verify]"],
+    ),
+    (
+        "quiver.py",
+        " or d < 0:\n",
+        " or d < -1:\n",
+        ["tests/test_cli.py::TestExitCodes::test_bad_input_exits_usage[negative-dim]"],
+    ),
+    # shared layers that both routes read, killed by the metamorphic relations
+    (
+        "quiver.py",
+        "            if u > w:",
+        "            if u > w + 1:",
+        [DUALITY + "[A3-222-F2]"],
+    ),
+    (
+        "quiver.py",
+        "    lead = next((x for x in vec if x), 0)\n",
+        "    lead = next((x for x in reversed(vec) if x), 0)\n",
+        [DUALITY + "[kron2-12-F3]", CHANGE_OF_BASIS + "[kron2-12-F3]"],
+    ),
+    (
+        "kempf.py",
+        "    return top[1] * w >= x * top[0]\n",
+        "    return top[1] * w > x * top[0]\n",
+        [DUALITY + "[A3-222-F2]", DIRECT_SUM + "[A3-111-F2]",
+         CHANGE_OF_BASIS + "[A3-222-F2]"],
+    ),
+    (
+        "quiver.py",
+        " or s - best_s\n",
+        " or best_s - s\n",
+        [DUALITY + "[A3-222-F2]", DIRECT_SUM + "[A3-111-F2]",
+         CHANGE_OF_BASIS + "[A3-222-F2]"],
+    ),
+    (
+        "quiver.py",
+        "        for k, shape in enumerate(found.shapes):\n",
+        "        for k, shape in list(enumerate(found.shapes))[1:]:\n",
+        [DIRECT_SUM + "[A3-121-F2]"],
     ),
 ]
 

@@ -80,6 +80,15 @@ EXIT_USAGE_CASES = {
     "zero-kempf": ("kempf", ("representation",), ZERO_REPRESENTATION),
     "zero-hn": ("hn", ("representation",), ZERO_REPRESENTATION),
     "zero-semistable": ("semistable", ("representation",), ZERO_REPRESENTATION),
+    # the sign rule is Representation's only check here
+    "negative-dim": ("verify", ("representation",),
+                     {"dims": {"v0": -1, "v1": 0}, "matrices": {"0": []}}),
+    # shapes are Matrix's and Representation's, types parse_problem's
+    "no-rows": ("verify", ("representation", "matrices", "0"), []),
+    "long-row": ("verify", ("representation", "matrices", "0"), [[0, 0]]),
+    "ragged-rows": ("verify", ("representation", "matrices", "0"), [[0], [0, 1]]),
+    "row-not-a-list": ("verify", ("representation", "matrices", "0"), [0]),
+    "float-entry": ("verify", ("representation", "matrices", "0"), [[0.5]]),
 }
 
 
@@ -334,6 +343,7 @@ class TestExitCodes:
         assert main([command, problem]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1, err
 
 
 class TestSharedLattice:

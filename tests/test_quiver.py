@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverstab import kempf
 from quiverstab import (
     EnumerationBudgetError,
     Filtration,
@@ -214,8 +215,13 @@ class TestSemistability:
         is_semistable, max_destabilizing, hn_filtration,
         kempf_filtration, kempf_semistability,
     ], ids=lambda f: f.__name__)
-    def test_zero_lattice_raises_on_every_route(self, route):
+    def test_zero_lattice_raises_on_every_route(self, monkeypatch, route):
         # the zero rep has a lattice, its one subrep; each route refuses it
+        # where it reads the labels, before any Kempf work
+        def no_search(lat):
+            raise AssertionError("the Kempf quotient was built")
+
+        monkeypatch.setattr(kempf, "_chain_index_sets", no_search)
         m = kronecker_rep(F2, (0, 0), [[]])
         lat = SubrepLattice(m)
         assert len(lat.subs) == 1
