@@ -79,17 +79,14 @@ class _as_usage:
             raise ProblemFormatError(self.message or self.prefix + str(exc)) from exc
 
 
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _vertex_integers(obj, vertices, name):
     """obj must map exactly the declared vertices to integers."""
     _expect(isinstance(obj, dict), f"{name} must be an object")
     for v in vertices:
         _expect(v in obj, f"{name} missing vertex '{v}'")
-        _expect(_is_int(obj[v]), f"{name}['{v}'] must be an integer")
+        # JSON true/false load as bool, a subclass of int
+        _expect(isinstance(obj[v], int) and not isinstance(obj[v], bool),
+                f"{name}['{v}'] must be an integer")
     unknown = sorted(set(obj) - set(vertices))
     _expect(not unknown, f"{name} has unknown vertex {unknown[:1]}")
 
@@ -139,9 +136,7 @@ def parse_problem(data: dict):
         _expect(raw is not None, f"representation.matrices missing arrow index '{i}'")
         _expect(isinstance(raw, list) and all(isinstance(row, list) for row in raw),
                 f"matrix {i} must be a list of rows")
-        _expect(all(_is_int(x) for row in raw for x in row),
-                f"matrix {i} entries must be integers")
-        # shapes and signs are Matrix's and Representation's to check
+        # entries, shapes and signs are Matrix's and Representation's to check
         with _as_usage(prefix=f"matrix {i}: "):
             arrow_maps.append(
                 Matrix.from_rows(field, raw, len(raw[0]) if raw else dims[src])

@@ -42,6 +42,10 @@ class Matrix:
 
     @staticmethod
     def from_rows(field: PrimeField, rows, ncols=None) -> "Matrix":
+        rows = tuple(map(tuple, rows))
+        # checked before reducing: True % p is the int 1
+        if any(not isinstance(x, int) or isinstance(x, bool) for r in rows for x in r):
+            raise ValueError("entries must be integers")
         rows = tuple(tuple(x % field.p for x in r) for r in rows)
         if ncols is None:
             if not rows:
@@ -171,32 +175,69 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 class _Images(dict):
-    """m·row for each row looked up, computed once per distinct row."""
+    """m·row for each row looked up, once per distinct row, scaled so that
+    its first non-zero entry is 1 (None for 0): a subspace contains a
+    vector iff it contains it scaled, so loops and arrows read these alike."""
 
     def __init__(self, m: Matrix):
-        super().__init__()
-        self.m = m
+        self.rows, self.p = m.rows, m.field.p
 
     def __missing__(self, row):
-        image = self[row] = self.m.apply_to(row)
+        p = self.p
+        im = [sum(map(mul, r, row)) % p for r in self.rows]
+        lead = next(filter(None, im), 0)
+        if lead > 1:
+            inv = pow(lead, -1, p)
+            im = [x * inv % p for x in im]
+        self[row] = image = tuple(im) if lead else None
         return image
 
 
-def _row0_first(n: int, pivots: tuple, choices: list, images: list, p: int):
-    """The choices of the non-pivot columns for which every map sends
-    basis row 0 into the span: with row 0 fixed, its image im meets
-    _in_span's rule iff each column j meets im[j] == sum_i im[pivot_i] *
-    column[i] (mod p).  A column's choices come in blocks, one per row-0 entry."""
-    options = [(int(j == pivots[0]),) for j in range(n)]  # for each entry of row 0
-    blocks = {}
-    for col in choices:
-        j, size = col[0][0], len(col) // p or 1
-        blocks[j] = [col[e:e + size] for e in range(0, len(col), size)]
-        options[j] = range(len(blocks[j]))
-    for row0 in itertools.product(*options):
-        kept = [b[row0[j]] for j, b in blocks.items()]
-        for image in images:
-            im = image[row0]
+class _Pattern:
+    """An RREF pivot pattern of k-dimensional subspaces of F_p^n: pivots,
+    unit columns and the (j, column) choices of each non-pivot column j,
+    free in the rows whose pivot lies left of j; later = 1 iff a column is
+    free below row 0.  Where maps are tested it also holds the row-0 options
+    and blocks of _row0_first (later = 1) or each (point, choice) (k = 1)."""
+
+    def __init__(self, n: int, k: int, p: int, pivots: tuple, tested: bool):
+        self.pivots = pivots
+        # elsewhere (k = 1 too) fixing row 0 first costs more than it saves
+        self.later = later = int(k > 1 and n - pivots[1] > k - 1)
+        self.units = [None] * n
+        for i, q in enumerate(pivots):
+            self.units[q] = (0,) * i + (1,) + (0,) * (k - 1 - i)
+        self.choices, self.blocks = [], []
+        self.options = tested and later and [(int(j == pivots[0]),) for j in range(n)]
+        for j in range(n):
+            if j not in pivots:
+                free = j - len(self.choices)  # the pivots left of j
+                zeros = (0,) * (k - free)
+                col = [(j, head + zeros) for head in itertools.product(range(p), repeat=free)]
+                self.choices.append(col)
+                if self.options:
+                    size = len(col) // p or 1
+                    self.blocks.append((j, [col[e:e + size] for e in range(0, len(col), size)]))
+                    self.options[j] = range(len(self.blocks[-1][1]))
+        if tested and k == 1:  # the point: 0 left of the pivot, 1 at it, the choice after
+            tails = itertools.product(range(p), repeat=n - pivots[0] - 1)
+            self.lines = [((0,) * pivots[0] + (1,) + tail, choice) for tail, choice
+                          in zip(tails, itertools.product(*self.choices))]
+
+
+# (n, k, p) -> _Patterns, which depend on no map: one table for every loop
+_PATTERNS = {}
+
+
+def _row0_first(pattern: _Pattern, images: list, p: int):
+    """The choices for which every map sends basis row 0 into the span: with
+    row 0 fixed, its image im (unless None) meets _in_span's rule iff each
+    column j meets im[j] == sum_i im[pivot_i] * column[i] (mod p).  Each
+    column's choices come in blocks, one per row-0 entry."""
+    pivots, blocks = pattern.pivots, pattern.blocks
+    for row0 in itertools.product(*pattern.options):
+        kept = [b[row0[j]] for j, b in blocks]
+        for im in filter(None, [image[row0] for image in images]):
             coefs = [im[q] for q in pivots]
             kept = [
                 [(j, c) for j, c in col if (im[j] - sum(map(mul, c, coefs))) % p == 0]
@@ -209,41 +250,38 @@ def _row0_first(n: int, pivots: tuple, choices: list, images: list, p: int):
 
 def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
     """The dimension-k subspaces that every map of images sends into
-    themselves, generated via RREF pivot patterns.
-
-    A pattern fixes the pivot columns, which are unit columns.  Column j
-    off the pattern is free in the rows whose pivot lies left of j and 0
-    below them, so each subspace of the pattern is one choice of its
-    non-pivot columns.  A choice is kept iff the image of each of its
-    basis rows passes the membership rule of those columns; only kept
-    choices are built.  If a non-pivot column lies right of pivot 1, it
-    is free below row 0, and _row0_first skips the choices failing on row 0.
-    """
+    themselves: each is one choice of an RREF pattern's non-pivot columns,
+    kept iff each basis row's normalized image is None or passes the
+    membership rule of those columns, row 0 first where a column is free
+    below it.  For k = 1 a choice is a point x, kept iff each map sends x
+    to x or None."""
     p = field.p
+    key = n, k, p
+    patterns = _PATTERNS.get(key) or [
+        _Pattern(n, k, p, q, bool(images)) for q in itertools.combinations(range(n), k)
+    ]
+    if images:  # quiver._LOOP_FREE keeps the lists of loop-free shapes
+        _PATTERNS[key] = patterns
     out = []
-    for pivots in itertools.combinations(range(n), k):
-        columns = [None] * n
-        for i, q in enumerate(pivots):
-            columns[q] = tuple(int(r == i) for r in range(k))
-        choices = []
-        for j in range(n):
-            if j not in pivots:
-                free = sum(q < j for q in pivots)
-                zeros = (0,) * (k - free)
-                choices.append([
-                    (j, head + zeros)
-                    for head in itertools.product(range(p), repeat=free)
-                ])
-        # elsewhere (k = 1 too) fixing row 0 first costs more than it saves
-        later = int(bool(images) and k > 1 and n - pivots[1] > k - 1)
-        walk = _row0_first(n, pivots, choices, images, p) if later else None
-        for free_columns in walk or itertools.product(*choices):
+    for pat in patterns:
+        pivots = pat.pivots
+        if images and k == 1:
+            out += [
+                Subspace._from_pattern(field, n, (x,), pivots, choice)
+                for x, choice in pat.lines
+                if all(image[x] in (None, x) for image in images)
+            ]
+            continue
+        later = pat.later if images else 0
+        walk = _row0_first(pat, images, p) if later else None
+        columns = list(pat.units)
+        for free_columns in walk or itertools.product(*pat.choices):
             for j, c in free_columns:
                 columns[j] = c
             basis = tuple(zip(*columns))
             if not images or all(
-                _in_span(image[row], pivots, free_columns, p)
-                for image in images for row in basis[later:]
+                _in_span(im, pivots, free_columns, p)
+                for image in images for row in basis[later:] if (im := image[row])
             ):
                 out.append(Subspace._from_pattern(field, n, basis, pivots, free_columns))
     out.sort(key=Subspace.canonical_bytes)
@@ -256,10 +294,9 @@ def enumerate_subspaces(n: int, field: PrimeField, maps=()):
 
     Canonical order: by dimension, then lexicographic on the flattened
     RREF basis entries.  Each subspace appears exactly once.  The maps
-    are tested on each RREF pattern's basis rows, row 0 before the later
-    rows are generated where a column is free below row 0, each distinct
-    row mapped once per map, and only the subspaces kept are built.
-    """
+    are tested on the basis rows of RREF patterns built once per process
+    and (n, k, p) (_PATTERNS), each distinct row mapped and normalized
+    once per map (_Images), and only the subspaces kept are built."""
     for m in maps:
         if m.field != field or m.nrows != n or m.ncols != n:
             raise ValueError(f"each map must be a {n}x{n} matrix over F_{field.p}")

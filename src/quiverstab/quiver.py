@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import (
     PrimeField,
+    _Images,
     contains,
     enumerate_subspaces,
 )
@@ -169,15 +170,6 @@ def is_subrep(m: Representation, spaces: dict) -> bool:
     )
 
 
-def _point(vec, p: int):
-    """vec scaled so that its first non-zero entry is 1; None for 0."""
-    lead = next((x for x in vec if x), 0)
-    if not lead:
-        return None
-    inv = pow(lead, -1, p)
-    return tuple(x * inv % p for x in vec)
-
-
 def _byte_bits() -> list:
     """_BYTE_BITS[b]: the offsets of the set bits of the byte b, ascending;
     the entries for 2^i to 2^(i+1) - 1 are those below 2^i plus bit i."""
@@ -295,18 +287,18 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
         shapes.append(table[key])
     lists = [shape.subspaces for shape in shapes]
     # per shape of w: (u, w, normalized image of each distinct basis row
-    # at u) of each arrow u -> w
+    # at u) of each arrow u -> w, and the images of them all
     into = {}
     for u, w, mat in arrows:
-        rows = {row for s in lists[u] for row in s.basis}
-        image = {row: _point(mat.apply_to(row), p) for row in rows}
-        into.setdefault(shapes[w], []).append((u, w, image))
+        image, (images, points) = _Images(mat), into.setdefault(shapes[w], ([], set()))
+        points.update(image[row] for s in lists[u] for row in s.basis)
+        images.append((u, w, dict(image)))  # _arrow_masks reads a plain dict faster
     # per vertex k: (masks, placed vertex) of each arrow between k and a
     # vertex placed earlier, off the shape's point masks of the images of
     # every arrow into that shape
     earlier = [[] for _ in order]
-    for shape, images in into.items():
-        memo = shape.masks({pt for _u, _w, image in images for pt in image.values()})
+    for shape, (images, points) in into.items():
+        memo = shape.masks(points)
         for u, w, image in images:
             masks = list(_arrow_masks(image, lists[u], memo, memo[None]))
             if u > w:  # for each c at w, the sources at u whose image c contains

@@ -11,6 +11,7 @@ from quiverstab import (
     Representation,
     StabilityParams,
     SubrepLattice,
+    linalg,
     quiver,
 )
 
@@ -65,6 +66,15 @@ def empty_shapes(monkeypatch):
     of the tests before it put back after; returns the empty table."""
     table = {}
     monkeypatch.setattr(quiver, "_LOOP_FREE", table)
+    return table
+
+
+@pytest.fixture
+def empty_patterns(monkeypatch):
+    """An empty table of RREF patterns for one test, the table of the
+    tests before it put back after; returns the empty table."""
+    table = {}
+    monkeypatch.setattr(linalg, "_PATTERNS", table)
     return table
 
 

@@ -2,10 +2,11 @@
 containment rules, Kempf winner's lift and Kempf semistability verdict,
 its two input rules (the zero representation, negative dimensions), the
 shared layers that the metamorphic relation tests guard (arrow
-transposition, point normalization, the PAV merge, the sigma tie-break
-and the containment table), and of the CLI's usage-error guard, input
-echo and verify's reading of the two routes' verdicts, that the Tier-1
-tests must kill.
+transposition, image normalization, the PAV merge, the sigma tie-break
+and the containment table), the looped-vertex walk (the k = 1 rule, the
+row-0 filter, the pattern table's key), the Kempf search's pooling, and
+of the CLI's usage-error guard, input echo and verify's reading of the
+two routes' verdicts, that the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -37,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DUALITY = "tests/test_duality.py::test_dual_filtrations_are_the_annihilators_reversed"
 DIRECT_SUM = "tests/test_direct_sum.py::test_direct_sum_type_is_the_slope_ordered_merge"
 CHANGE_OF_BASIS = "tests/test_change_of_basis.py::test_each_route_commutes_with_change_of_basis"
+INVARIANT = "tests/test_linalg.py::TestInvariantEnumeration::"
 
 # (file, snippet, replacement, kill node ids)
 MUTANTS = [
@@ -152,10 +154,11 @@ MUTANTS = [
         [DUALITY + "[A3-222-F2]"],
     ),
     (
-        "quiver.py",
-        "    lead = next((x for x in vec if x), 0)\n",
-        "    lead = next((x for x in reversed(vec) if x), 0)\n",
-        [DUALITY + "[kron2-12-F3]", CHANGE_OF_BASIS + "[kron2-12-F3]"],
+        "linalg.py",
+        "        lead = next(filter(None, im), 0)\n",
+        "        lead = next(filter(None, reversed(im)), 0)\n",
+        [DUALITY + "[kron2-12-F3]", CHANGE_OF_BASIS + "[kron2-12-F3]",
+         "tests/test_enumeration.py::test_loops_and_arrows_share_one_normalized_image"],
     ),
     (
         "kempf.py",
@@ -176,6 +179,35 @@ MUTANTS = [
         "        for k, shape in enumerate(found.shapes):\n",
         "        for k, shape in list(enumerate(found.shapes))[1:]:\n",
         [DIRECT_SUM + "[A3-121-F2]"],
+    ),
+    # the looped-vertex walk: the k = 1 rule, the row-0 filter, the
+    # pattern table's key
+    (
+        "linalg.py",
+        "                if all(image[x] in (None, x) for image in images)\n",
+        "                if all(image[x] in (None, image[x]) for image in images)\n",
+        [INVARIANT + "test_special_maps[F2]"],
+    ),
+    (
+        "linalg.py",
+        "(im[j] - sum(map(mul, c, coefs))) % p == 0]",
+        "(im[j] - sum(map(mul, c, coefs))) == 0]",
+        [INVARIANT + "test_benchmark_shapes[F3^5]", INVARIANT + "test_random_maps[F5]"],
+    ),
+    (
+        "linalg.py",
+        "    key = n, k, p\n",
+        "    key = n, k\n",
+        [INVARIANT + "test_a_warm_table_changes_no_list"],
+    ),
+    # the Kempf search pooling no step into the stack below, so that every
+    # stack is read as one step per block
+    (
+        "kempf.py",
+        "            while base and _merges(tops[base], w, x):\n",
+        "            while False and _merges(tops[base], w, x):\n",
+        ["tests/test_kempf_search.py::"
+         "test_state_search_equals_sequence_search_on_shapes[cycle2]"],
     ),
 ]
 

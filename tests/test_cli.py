@@ -83,7 +83,7 @@ EXIT_USAGE_CASES = {
     # the sign rule is Representation's only check here
     "negative-dim": ("verify", ("representation",),
                      {"dims": {"v0": -1, "v1": 0}, "matrices": {"0": []}}),
-    # shapes are Matrix's and Representation's, types parse_problem's
+    # entries and shapes are Matrix's and Representation's, row types parse_problem's
     "no-rows": ("verify", ("representation", "matrices", "0"), []),
     "long-row": ("verify", ("representation", "matrices", "0"), [[0, 0]]),
     "ragged-rows": ("verify", ("representation", "matrices", "0"), [[0], [0, 1]]),

@@ -17,6 +17,7 @@ from quiverstab import (
     enumerate_subreps,
     enumerate_subspaces,
     is_subrep,
+    linalg,
     quiver,
 )
 
@@ -26,6 +27,7 @@ from oracles import (
     closed_by_images,
     every_rep,
     submodules_by_product,
+    span,
     subreps_by_product,
     zero_matrix,
 )
@@ -256,3 +258,62 @@ def test_quiver_longer_than_the_recursion_limit():
     subs = enumerate_subreps(m)
     assert len(subs) == 3  # 0, the second vertex alone, and m
     assert keys(subs) == keys(subreps_by_product(m))
+
+
+def counted_images(monkeypatch) -> tuple:
+    """Patch linalg._Images, which quiver shares, to record each instance
+    made and each (instance, row) it maps; returns (made, mapped)."""
+    made, mapped = [], Counter()
+    init, missing = linalg._Images.__init__, linalg._Images.__missing__
+
+    def counted_init(image, m):
+        made.append((m, image))
+        init(image, m)
+
+    def counted_missing(image, row):
+        mapped[id(image), row] += 1
+        return missing(image, row)
+
+    monkeypatch.setattr(linalg._Images, "__init__", counted_init)
+    monkeypatch.setattr(linalg._Images, "__missing__", counted_missing)
+    return made, mapped
+
+
+def test_each_row_is_mapped_once_per_map(monkeypatch, empty_patterns):
+    """enumerate_subspaces maps rows through one _Images per map, for all
+    dimensions and patterns, and multiplies each distinct row once."""
+    made, mapped = counted_images(monkeypatch)
+    rng = random.Random(25)
+    for field, n in ((F2, 4), (F3, 4), (F5, 3)):
+        for count in (1, 2):
+            maps = random_maps(rng, Quiver(("v",), (("v", "v"),) * count), field, (n,), 0.6)
+            made.clear()
+            mapped.clear()
+            got = enumerate_subspaces(n, field, maps.arrow_maps)
+            assert len(got) >= 2
+            assert [m for m, _image in made] == list(maps.arrow_maps)
+            assert set(mapped.values()) == {1}
+            assert len(mapped) == sum(len(image) for _m, image in made)
+
+
+def test_loops_and_arrows_share_one_normalized_image(monkeypatch):
+    """One matrix as the loop at a and as the arrow a -> b: both map rows
+    through _Images, and each row's image is m·row scaled so that its
+    first non-zero entry is 1, the basis row of the line it spans, or
+    None for 0."""
+    made, _mapped = counted_images(monkeypatch)
+    rng = random.Random(25)
+    for field in (F3, F5, F7):
+        for density in (0.3, 0.6, 1.0):
+            m = random_maps(rng, LOOP_BEFORE_ARROW, field, (2, 2), density)
+            m = Representation(m.quiver, field, m.dims, (m.arrow_maps[0],) * 2)
+            made.clear()
+            assert keys(enumerate_subreps(m)) == keys(subreps_by_product(m))
+            (loop, at_loop), (arrow, at_arrow) = made
+            assert loop is arrow is m.arrow_maps[0]
+            common = at_loop.keys() & at_arrow.keys()
+            assert common and all(at_loop[row] == at_arrow[row] for row in common)
+            for image in (at_loop, at_arrow):
+                for row, im in image.items():
+                    line = span(field, 2, [loop.apply_to(row)]).basis
+                    assert im == (line[0] if line else None)

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,9 @@ from quiverstab import (
     linalg,
 )
 
+from quiverstab.cli import parse_problem
+
+from ladder import rungs
 from oracles import (
     apply,
     full_subspace,
@@ -107,6 +113,16 @@ class TestMatrix:
             v = tuple(rng.randrange(5) for _ in range(3))
             col = Matrix(F5, 3, 1, tuple((x,) for x in v))
             assert m.apply_to(v) == tuple(r[0] for r in matmul(m, col).rows)
+
+    @pytest.mark.parametrize("entry", [1.5, True, False, "1", None])
+    def test_from_rows_refuses_entries_that_are_not_integers(self, entry):
+        """Checked before reducing mod p, where True % 3 would be the int 1
+        and 1.5 % 3 the float 1.5."""
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Matrix.from_rows(F3, [[0, entry]])
+
+    def test_from_rows_reduces_integers_mod_p(self):
+        assert Matrix.from_rows(F3, [[4, -1], [3, 2]]).rows == ((1, 2), (0, 2))
 
     def test_zero_dimensions(self):
         assert zero_matrix(F2, 0, 3).nrows == 0
@@ -320,6 +336,37 @@ def scalar(field, n):
     )
 
 
+PROBLEM_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "problems"
+
+
+def looped_cases() -> list:
+    """(n, field, loops) of each distinct loop set of every ladder rung and
+    of each looped vertex of every committed problem."""
+    cases = [
+        (n, field, maps)
+        for n, field, loop_sets in rungs().values() for maps in dict.fromkeys(loop_sets)
+    ]
+    for path in sorted(PROBLEM_DIR.glob("*/[0-9]*.json")):
+        m, _params = parse_problem(json.loads(path.read_text()))
+        for v in m.quiver.vertices:
+            loops = tuple(
+                mat for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
+                if src == tgt == v
+            )
+            if loops:
+                cases.append((m.dims[v], m.field, loops))
+    return cases
+
+
+def with_patterns(subspaces) -> list:
+    return [(s.basis, s.pivots, s._columns) for s in subspaces]
+
+
+def table_entries(table) -> dict:
+    """Each key of a pattern table with the attributes of its patterns."""
+    return {key: [vars(pattern) for pattern in patterns] for key, patterns in table.items()}
+
+
 def random_square(rng, field, n, density):
     return Matrix.from_rows(field, [
         [rng.randrange(1, field.p) if rng.random() < density else 0 for _ in range(n)]
@@ -423,8 +470,8 @@ class TestInvariantEnumeration:
 
     def test_row0_first_prunes_membership_tests(self, monkeypatch):
         """On the shift of F3^5, row 0 rejects most choices before they
-        are generated (testing every choice takes 3,087 membership
-        tests)."""
+        are generated, and lines and zero images take no membership test:
+        478 of them, where testing every choice takes 3,087."""
         calls = [0]
         in_span = linalg._in_span
 
@@ -434,7 +481,49 @@ class TestInvariantEnumeration:
 
         monkeypatch.setattr(linalg, "_in_span", counted)
         assert len(enumerate_subspaces(5, F3, maps=(shift(F3, 5),))) == 6
-        assert calls[0] <= 1000
+        assert calls[0] <= 500
+
+    def test_a_warm_table_changes_no_list(self, empty_patterns):
+        """Every ladder rung and the looped vertex of every committed
+        problem give the same subspaces, with the same pivots and columns,
+        on an empty pattern table and on one that other (n, p) and other
+        maps have filled."""
+        cases = looped_cases()
+        cold = []
+        for n, field, maps in cases:
+            empty_patterns.clear()
+            cold.append(with_patterns(enumerate_subspaces(n, field, maps)))
+        empty_patterns.clear()
+        order = list(range(len(cases)))
+        random.Random(25).shuffle(order)
+        for _pass in range(2):  # the first pass fills the table as it goes
+            for i in order:
+                n, field, maps = cases[i]
+                assert with_patterns(enumerate_subspaces(n, field, maps)) == cold[i]
+
+    def test_the_table_holds_nothing_of_the_maps(self, empty_patterns):
+        """Two looped calls on one (n, p) with different maps leave the
+        same keys and equal entries, and a call on the table that other
+        maps filled changes no entry."""
+        rng = random.Random(25)
+        for field, n in ((F2, 4), (F3, 5), (F5, 4)):
+            first = (random_square(rng, field, n, 0.5),)
+            second = (shift(field, n), zero_matrix(field, n, n))
+            tables = []
+            for maps in (first, second):
+                empty_patterns.clear()
+                enumerate_subspaces(n, field, maps)
+                tables.append(copy.deepcopy(table_entries(empty_patterns)))
+            assert tables[0] == tables[1]
+            assert set(tables[0]) == {(n, k, field.p) for k in range(n + 1)}
+            enumerate_subspaces(n, field, first)
+            assert table_entries(empty_patterns) == tables[0]
+
+    def test_loop_free_calls_fill_no_table(self, empty_patterns):
+        """A loop-free shape is listed once per process by quiver's
+        shape table, so its patterns are not kept."""
+        assert len(enumerate_subspaces(3, PrimeField(7))) == 2 + 2 * (7**2 + 7 + 1)
+        assert empty_patterns == {}
 
     def test_kept_subspaces_test_membership(self):
         """Each kept subspace carries its pattern's pivots and columns."""
