@@ -39,14 +39,16 @@ class Matrix:
             raise ValueError("row count mismatch")
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
+        p = self.field.p
+        if any(type(x) is not int for r in self.rows for x in r):  # a bool too
+            raise ValueError("entries must be integers")
+        if any(not 0 <= x < p for r in self.rows for x in r):
+            raise ValueError(f"entries must lie in 0..{p - 1}")
 
     @staticmethod
     def from_rows(field: PrimeField, rows, ncols=None) -> "Matrix":
-        rows = tuple(map(tuple, rows))
-        # checked before reducing: True % p is the int 1
-        if any(not isinstance(x, int) or isinstance(x, bool) for r in rows for x in r):
-            raise ValueError("entries must be integers")
-        rows = tuple(tuple(x % field.p for x in r) for r in rows)
+        """Reduces each int entry mod p; __post_init__ refuses the rest."""
+        rows = tuple(tuple(x % field.p if type(x) is int else x for x in r) for r in rows)
         if ncols is None:
             if not rows:
                 raise ValueError("ncols required for an empty row list")
@@ -197,10 +199,10 @@ class _Pattern:
     """An RREF pivot pattern of k-dimensional subspaces of F_p^n: pivots,
     unit columns and the (j, column) choices of each non-pivot column j,
     free in the rows whose pivot lies left of j; later = 1 iff a column is
-    free below row 0.  Where maps are tested it also holds the row-0 options
-    and blocks of _row0_first (later = 1) or each (point, choice) (k = 1)."""
+    free below row 0, and then the row-0 options and blocks of _row0_first;
+    for k = 1 each (point, choice)."""
 
-    def __init__(self, n: int, k: int, p: int, pivots: tuple, tested: bool):
+    def __init__(self, n: int, k: int, p: int, pivots: tuple):
         self.pivots = pivots
         # elsewhere (k = 1 too) fixing row 0 first costs more than it saves
         self.later = later = int(k > 1 and n - pivots[1] > k - 1)
@@ -208,24 +210,24 @@ class _Pattern:
         for i, q in enumerate(pivots):
             self.units[q] = (0,) * i + (1,) + (0,) * (k - 1 - i)
         self.choices, self.blocks = [], []
-        self.options = tested and later and [(int(j == pivots[0]),) for j in range(n)]
+        self.options = later and [(int(j == pivots[0]),) for j in range(n)]
         for j in range(n):
             if j not in pivots:
                 free = j - len(self.choices)  # the pivots left of j
                 zeros = (0,) * (k - free)
                 col = [(j, head + zeros) for head in itertools.product(range(p), repeat=free)]
                 self.choices.append(col)
-                if self.options:
+                if later:
                     size = len(col) // p or 1
                     self.blocks.append((j, [col[e:e + size] for e in range(0, len(col), size)]))
                     self.options[j] = range(len(self.blocks[-1][1]))
-        if tested and k == 1:  # the point: 0 left of the pivot, 1 at it, the choice after
+        if k == 1:  # the point: 0 left of the pivot, 1 at it, the choice after
             tails = itertools.product(range(p), repeat=n - pivots[0] - 1)
             self.lines = [((0,) * pivots[0] + (1,) + tail, choice) for tail, choice
                           in zip(tails, itertools.product(*self.choices))]
 
 
-# (n, k, p) -> _Patterns, which depend on no map: one table for every loop
+# (n, k, p) -> _Patterns, which depend on no map: one table for every vertex
 _PATTERNS = {}
 
 
@@ -257,25 +259,21 @@ def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
     to x or None."""
     p = field.p
     key = n, k, p
-    patterns = _PATTERNS.get(key) or [
-        _Pattern(n, k, p, q, bool(images)) for q in itertools.combinations(range(n), k)
-    ]
-    if images:  # quiver._LOOP_FREE keeps the lists of loop-free shapes
-        _PATTERNS[key] = patterns
+    if key not in _PATTERNS:
+        _PATTERNS[key] = [_Pattern(n, k, p, q) for q in itertools.combinations(range(n), k)]
     out = []
-    for pat in patterns:
+    for pat in _PATTERNS[key]:
         pivots = pat.pivots
-        if images and k == 1:
+        if k == 1:
             out += [
                 Subspace._from_pattern(field, n, (x,), pivots, choice)
                 for x, choice in pat.lines
                 if all(image[x] in (None, x) for image in images)
             ]
             continue
-        later = pat.later if images else 0
-        walk = _row0_first(pat, images, p) if later else None
-        columns = list(pat.units)
-        for free_columns in walk or itertools.product(*pat.choices):
+        later, columns = pat.later, list(pat.units)
+        walk = _row0_first(pat, images, p) if later else itertools.product(*pat.choices)
+        for free_columns in walk:
             for j, c in free_columns:
                 columns[j] = c
             basis = tuple(zip(*columns))

@@ -63,10 +63,10 @@ class StabilityParams:
         if set(self.theta) != set(self.sigma):
             raise ValueError("theta and sigma must share the vertex set")
         for v, s in self.sigma.items():
-            if not isinstance(s, int) or s < 1:
+            if type(s) is not int or s < 1:
                 raise ValueError(f"sigma must be a positive integer at {v}, got {s}")
         for v, t in self.theta.items():
-            if not isinstance(t, int):
+            if type(t) is not int:
                 raise ValueError(f"theta must be an integer at {v}, got {t}")
 
 
@@ -101,7 +101,7 @@ class Representation:
         if set(self.dims) != set(self.quiver.vertices):
             raise ValueError("dims keys must match the quiver's vertices")
         for v, d in self.dims.items():
-            if not isinstance(d, int) or d < 0:
+            if type(d) is not int or d < 0:
                 raise ValueError(f"dimension at {v} must be a non-negative integer")
         if len(self.arrow_maps) != len(self.quiver.arrows):
             raise ValueError("one matrix per arrow required")

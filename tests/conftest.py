@@ -56,10 +56,6 @@ def random_rep(rng, quiver, field, max_dims):
     return Representation(quiver, field, dims, tuple(maps))
 
 
-def theta_grid(nvertices, lo=-2, hi=2):
-    return itertools.product(range(lo, hi + 1), repeat=nvertices)
-
-
 @pytest.fixture
 def empty_shapes(monkeypatch):
     """An empty table of loop-free vertex shapes for one test, the table

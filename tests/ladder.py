@@ -7,8 +7,9 @@ seeded uniform random loops (every entry uniform in F_p) on F2^4, F3^3,
 F5^3, F3^4, F2^5, F3^5 and F5^4, and the identity, zero and shift loops
 and no loop at n = 5 over F3.  First each rung's first loop set is
 timed once on an empty table of RREF patterns (linalg._PATTERNS), the
-cold call.  Then a round calls enumerate_subspaces once on each loop set
-of every rung, rung after rung, on the table the calls before filled.
+cold call, which fills the table for its (n, p), the no-loop rung's as
+every other's.  Then a round calls enumerate_subspaces once on each loop
+set of every rung, rung after rung, on the table the calls before filled.
 The script prints, per rung, the cold call, the median over the rounds
 of the mean time per call, both in ms, and the subspaces kept per round.
 The last line is the same as one JSON object {rung: {"cold_ms": ...,

@@ -4,9 +4,10 @@ its two input rules (the zero representation, negative dimensions), the
 shared layers that the metamorphic relation tests guard (arrow
 transposition, image normalization, the PAV merge, the sigma tie-break
 and the containment table), the looped-vertex walk (the k = 1 rule, the
-row-0 filter, the pattern table's key), the Kempf search's pooling, and
-of the CLI's usage-error guard, input echo and verify's reading of the
-two routes' verdicts, that the Tier-1 tests must kill.
+row-0 filter, the pattern table's key), the Kempf search's pooling and
+its carried square, a subspace's points, and of the CLI's usage-error
+guard, input echo and verify's reading of the two routes' verdicts,
+that the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -15,10 +16,12 @@ must occur in it exactly once, its replacement, and the test node ids
 that must fail once the replacement is made.  The script copies src/
 and tests/ to a temporary directory (perfbench/ is linked, for the tests
 that read its problem files), checks that every named node passes there
-unmutated, then applies each mutant in turn and runs its nodes with
-`pytest -x -q`.  It prints one line per mutant and exits 1 if a mutant
-survives, a snippet does not occur exactly once or a node fails
-unmutated, 0 otherwise.
+unmutated, then applies each mutant in turn and runs each of its nodes
+alone with `pytest -q`.  A mutant is killed only when every one of its
+nodes fails on its own, so no node that never fails hides behind one
+that does.  It prints one line per mutant and exits 1 if a mutant
+survives any of its nodes, a snippet does not occur exactly once or a
+node fails unmutated, 0 otherwise.
 
 A refactor that moves or rewrites a snippet updates its entry; an entry
 is retired only with the code it mutates, and either is said in
@@ -157,7 +160,8 @@ MUTANTS = [
         "linalg.py",
         "        lead = next(filter(None, im), 0)\n",
         "        lead = next(filter(None, reversed(im)), 0)\n",
-        [DUALITY + "[kron2-12-F3]", CHANGE_OF_BASIS + "[kron2-12-F3]",
+        [DUALITY + "[kron2-12-F3]", DUALITY + "[loop-plus-arrow-21-F3]",
+         CHANGE_OF_BASIS + "[loop-plus-arrow-21-F3]",
          "tests/test_enumeration.py::test_loops_and_arrows_share_one_normalized_image"],
     ),
     (
@@ -209,13 +213,33 @@ MUTANTS = [
         ["tests/test_kempf_search.py::"
          "test_state_search_equals_sequence_search_on_shapes[cycle2]"],
     ),
+    # the Kempf search carrying the square of the state pushed from, not
+    # of the pooled base below the new top
+    (
+        "kempf.py",
+        "_square_with(squares[base], tops[-1])",
+        "_square_with(squares[sid], tops[-1])",
+        ["tests/test_kempf_search.py::"
+         "test_state_search_equals_sequence_search_on_shapes[d4-inwards]",
+         DUALITY + "[A3-222-F2]"],
+    ),
+    # a subspace's points without their c = p - 1 layer
+    (
+        "linalg.py",
+        "                    for c in range(1, p) for v in layer\n",
+        "                    for c in range(1, p - 1) for v in layer\n",
+        ["tests/test_linalg.py::TestSubspace::"
+         "test_membership_and_points_against_brute_force[F3]",
+         "tests/test_lattice.py::test_containment_equals_pairwise_oracle[line-into-space-f7]",
+         "tests/test_enumeration.py::test_join_equals_product[d4-inwards]"],
+    ),
 ]
 
 
 def pytest(copy: Path, nodes) -> int:
-    """pytest -x -q on nodes in copy; its exit code."""
+    """pytest -q on nodes in copy; its exit code."""
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *nodes],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
         cwd=copy,
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(copy / "src")},
@@ -247,11 +271,12 @@ def main() -> int:
             start = time.perf_counter()
             path.write_text(text.replace(snippet, replacement))
             # 1: a test failed; any other code is not a kill
-            killed = pytest(copy, kills) == 1
+            survived = [node for node in kills if pytest(copy, [node]) != 1]
             path.write_text(text)
-            print(f"mutant {k} ({name}): {'killed' if killed else 'SURVIVED'}"
-                  f" in {time.perf_counter() - start:.1f} s")
-            bad += not killed
+            print(f"mutant {k} ({name}): "
+                  + (f"SURVIVED {', '.join(survived)}" if survived else "killed")
+                  + f" in {time.perf_counter() - start:.1f} s")
+            bad += bool(survived)
     return 1 if bad else 0
 
 

@@ -37,6 +37,7 @@ FAMILIES = {
     "A3-222-F2": (A3, F2, (2, 2, 2)),
     "D4-1112-F2": (D4_IN, F2, (1, 1, 1, 2)),
     "loop-plus-arrow-21-F2": (LOOP_PLUS_ARROW, F2, (2, 1)),
+    "loop-plus-arrow-21-F3": (LOOP_PLUS_ARROW, F3, (2, 1)),
     "cycle2-22-F2": (CYCLE2, F2, (2, 2)),
     "kron2-12-F3": (Quiver.kronecker(2), F3, (1, 2)),
 }

@@ -116,10 +116,22 @@ class TestMatrix:
 
     @pytest.mark.parametrize("entry", [1.5, True, False, "1", None])
     def test_from_rows_refuses_entries_that_are_not_integers(self, entry):
-        """Checked before reducing mod p, where True % 3 would be the int 1
-        and 1.5 % 3 the float 1.5."""
+        """from_rows reduces only ints, where True % 3 would be the int 1
+        and 1.5 % 3 the float 1.5, and leaves the rest to Matrix to refuse."""
         with pytest.raises(ValueError, match="entries must be integers"):
             Matrix.from_rows(F3, [[0, entry]])
+
+    @pytest.mark.parametrize("entry", [1.5, True, False, "1", None])
+    def test_refuses_entries_that_are_not_integers(self, entry):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Matrix(F3, 1, 2, ((0, entry),))
+
+    @pytest.mark.parametrize("entry", [3, 5, -1])
+    def test_refuses_entries_outside_the_field(self, entry):
+        """A matrix built directly is not reduced: an entry must already
+        lie in 0..p-1, as from_rows leaves it."""
+        with pytest.raises(ValueError, match=r"entries must lie in 0\.\.2"):
+            Matrix(F3, 1, 2, ((0, entry),))
 
     def test_from_rows_reduces_integers_mod_p(self):
         assert Matrix.from_rows(F3, [[4, -1], [3, 2]]).rows == ((1, 2), (0, 2))
@@ -339,12 +351,13 @@ def scalar(field, n):
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "problems"
 
 
-def looped_cases() -> list:
+def vertex_cases() -> list:
     """(n, field, loops) of each distinct loop set of every ladder rung and
-    of each looped vertex of every committed problem."""
+    of each vertex of every committed problem, loops or none, and with no
+    loop on each of their (n, p)."""
     cases = [
         (n, field, maps)
-        for n, field, loop_sets in rungs().values() for maps in dict.fromkeys(loop_sets)
+        for n, field, loop_sets in rungs().values() for maps in loop_sets
     ]
     for path in sorted(PROBLEM_DIR.glob("*/[0-9]*.json")):
         m, _params = parse_problem(json.loads(path.read_text()))
@@ -353,9 +366,9 @@ def looped_cases() -> list:
                 mat for (src, tgt), mat in zip(m.quiver.arrows, m.arrow_maps)
                 if src == tgt == v
             )
-            if loops:
-                cases.append((m.dims[v], m.field, loops))
-    return cases
+            cases.append((m.dims[v], m.field, loops))
+    cases += [(n, field, ()) for n, field, _maps in cases]
+    return list(dict.fromkeys(cases))
 
 
 def with_patterns(subspaces) -> list:
@@ -484,11 +497,11 @@ class TestInvariantEnumeration:
         assert calls[0] <= 500
 
     def test_a_warm_table_changes_no_list(self, empty_patterns):
-        """Every ladder rung and the looped vertex of every committed
-        problem give the same subspaces, with the same pivots and columns,
-        on an empty pattern table and on one that other (n, p) and other
-        maps have filled."""
-        cases = looped_cases()
+        """Every ladder rung, every vertex of every committed problem and
+        loop-free vertices of the same (n, p) give the same subspaces, with
+        the same pivots and columns, on an empty pattern table and on one
+        that other (n, p), other maps and no maps have filled."""
+        cases = vertex_cases()
         cold = []
         for n, field, maps in cases:
             empty_patterns.clear()
@@ -519,11 +532,20 @@ class TestInvariantEnumeration:
             enumerate_subspaces(n, field, first)
             assert table_entries(empty_patterns) == tables[0]
 
-    def test_loop_free_calls_fill_no_table(self, empty_patterns):
-        """A loop-free shape is listed once per process by quiver's
-        shape table, so its patterns are not kept."""
-        assert len(enumerate_subspaces(3, PrimeField(7))) == 2 + 2 * (7**2 + 7 + 1)
-        assert empty_patterns == {}
+    def test_loop_free_calls_fill_the_same_table(self, empty_patterns):
+        """A loop-free call on (n, p) leaves the same keys and equal
+        entries as a looped call on it: one pattern path, with or
+        without maps."""
+        rng = random.Random(26)
+        for field, n in ((F2, 4), (F3, 5), (F5, 4), (F7, 3)):
+            tables = []
+            for maps in ((), (random_square(rng, field, n, 0.5),), ()):
+                empty_patterns.clear()
+                enumerate_subspaces(n, field, maps)
+                tables.append(copy.deepcopy(table_entries(empty_patterns)))
+            assert tables[0] == tables[1] == tables[2]
+            assert set(tables[0]) == {(n, k, field.p) for k in range(n + 1)}
+        assert len(enumerate_subspaces(3, F7)) == 2 + 2 * (7**2 + 7 + 1)
 
     def test_kept_subspaces_test_membership(self):
         """Each kept subspace carries its pattern's pivots and columns."""

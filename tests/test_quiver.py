@@ -76,6 +76,17 @@ class TestQuiverAndParams:
         with pytest.raises(ValueError):
             StabilityParams({"a": 1}, {"a": -1})
 
+    @pytest.mark.parametrize("theta, sigma", [
+        ({"v0": True, "v1": 0}, {"v0": 1, "v1": 1}),
+        ({"v0": 1, "v1": 0}, {"v0": True, "v1": 1}),
+        ({"v0": 1.0, "v1": 0}, {"v0": 1, "v1": 1}),
+        ({"v0": 1, "v1": 0}, {"v0": Fraction(1), "v1": 1}),
+    ], ids=["theta-bool", "sigma-bool", "theta-float", "sigma-fraction"])
+    def test_theta_and_sigma_must_be_integers(self, theta, sigma):
+        """A bool is an int to Python, but no integer here."""
+        with pytest.raises(ValueError, match="must be (a positive|an) integer"):
+            StabilityParams(theta, sigma)
+
     def test_slope_values(self):
         q = Quiver.kronecker(1)
         params = params_for(q, (1, 0))
@@ -94,6 +105,12 @@ class TestRepresentation:
         q = Quiver.kronecker(1)
         with pytest.raises(ValueError):
             Representation(q, F2, {"v0": 2, "v1": 1}, (zero_matrix(F2, 2, 2),))
+
+    @pytest.mark.parametrize("d", [True, False, 1.0, -1])
+    def test_dims_must_be_non_negative_integers(self, d):
+        q = Quiver.kronecker(1)
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            Representation(q, F2, {"v0": d, "v1": 1}, (zero_matrix(F2, 1, 1),))
 
     def test_restrict_of_full_is_isomorphic_to_parent(self):
         rng = random.Random(20)
