@@ -10,11 +10,13 @@ stability question is decided by exhaustive enumeration.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress, count
-from operator import itemgetter, mul
+from operator import attrgetter, getitem, mul
 
 from .errors import (
     EnumerationBudgetError,
@@ -199,6 +201,7 @@ class _Shape:
 
     def __init__(self, d: int, field: PrimeField, loops: tuple):
         self.subspaces = tuple(enumerate_subspaces(d, field, maps=loops))
+        self.dims = [t.dim for t in self.subspaces]
         self.p = field.p
         self._masks = {None: (1 << len(self.subspaces)) - 1}
 
@@ -254,9 +257,9 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     contain its image, transposed once if w comes first in quiver order.
     A join over the vertices in quiver order then visits only consistent
     assignments: the choices at a vertex are the AND of its arrows' masks
-    at the choices made at the vertices already placed.  The list it
-    returns also carries the shapes and each subrep's list positions
-    (_Found), from which SubrepLattice builds its containment table.
+    at the choices made at the vertices already placed.  It returns each
+    subrep as its key (_Found), from which SubrepLattice builds its
+    containment table and a subrep is built only when it is read.
     """
     order = m.quiver.vertices
     p = m.field.p
@@ -310,43 +313,73 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
             earlier[w].append((masks, u))
 
     chosen = [0] * len(order)  # chosen[j]: index into lists[j]
+    dims = [shape.dims for shape in shapes]
 
     # depth-first with an explicit stack of (k, choice at vertex k - 1),
     # so no quiver is too long for the recursion limit
-    out = []
+    keys = []
     stack = [(0, 0)]
     while stack:
         k, b = stack.pop()
         if k:
             chosen[k - 1] = b
         if k == len(order):
-            spaces = {v: lists[j][chosen[j]] for j, v in enumerate(order)}
-            key = tuple(s.dim for s in spaces.values()), tuple(chosen)
-            out.append((key, Subrepresentation._closed(m, spaces)))
+            keys.append((tuple(map(getitem, dims, chosen)), tuple(chosen)))
         else:
             allowed = (1 << len(lists[k])) - 1
             for masks, u in earlier[k]:
                 allowed &= masks[chosen[u]]
             stack.extend((k + 1, c) for c in _bits(allowed))
-    out.sort(key=itemgetter(0))
-    found = _Found(s for _key, s in out)
-    found.keys = [key for key, _s in out]
-    found.shapes = shapes
-    return found
+    keys.sort()
+    return _Found(m, shapes, keys)
 
 
-class _Found(list):
-    """The subreps enumerate_subreps returns, with what it indexed on the
-    way: keys[i], the dimension tuple and the list position at each
-    vertex of the i-th subrep, and shapes[k], the _Shape of vertex k."""
+class _Found(Sequence):
+    """The subreps of m in canonical order, kept as keys[i], the dimension
+    tuple and the list position at each vertex of the i-th, with shapes[k],
+    the _Shape of vertex k.  A subrep is built when it is first read and
+    kept, so later reads return that same object."""
+
+    def __init__(self, m: Representation, shapes: list, keys: list):
+        self.rep, self.shapes, self.keys = m, shapes, keys
+        self._built = [None] * len(keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        if self._built[i] is None:
+            at = zip(self.rep.quiver.vertices, self.shapes, self.keys[i][1])
+            spaces = {v: shape.subspaces[b] for v, shape, b in at}
+            self._built[i] = Subrepresentation._closed(self.rep, spaces)
+        return self._built[i]
+
+    def __eq__(self, other):
+        same_kind = isinstance(other, (_Found, list))
+        return list(self) == list(other) if same_kind else NotImplemented
+
+    def index(self, s: Subrepresentation) -> int:
+        """The index of s, by bisection in each shape's list (by dim, basis) and in keys."""
+        if s.parent == self.rep:
+            spaces = [s.spaces[v] for v in self.rep.quiver.vertices]
+            key = tuple(t.dim for t in spaces), tuple(
+                bisect_left(shape.subspaces, (t.dim, t.basis), key=attrgetter("dim", "basis"))
+                for shape, t in zip(self.shapes, spaces))
+            i = bisect_left(self.keys, key)
+            if i < len(self) and self[i] == s:
+                return i
+        raise ValueError("not a subrepresentation in this lattice")
 
 
 class SubrepLattice:
     """Every subrepresentation of one representation, enumerated once.
 
-    ``subs`` is in canonical order: 0 first, the whole representation
-    last, and each one after all those it strictly contains.  ``dims[i]``
-    is the dimension vector of ``subs[i]`` as a tuple in vertex order.
+    ``subs`` is a read-only sequence in canonical order: 0 first, the
+    whole representation last, and each one after all those it strictly
+    contains.  ``dims[i]`` is the dimension vector of ``subs[i]`` as a
+    tuple in vertex order; a subrep is built only when it is read.
     ``budget`` bounds the candidates enumerated here and the chains that
     the Kempf search reads off the lattice.
     """
@@ -354,9 +387,8 @@ class SubrepLattice:
     def __init__(self, m: Representation, budget: int = DEFAULT_BUDGET):
         self.rep = m
         self.budget = budget
-        self._found = enumerate_subreps(m, budget)  # until _below reads it
-        self.subs = list(self._found)
-        self.dims = [dims for dims, _at in self._found.keys]
+        self.subs = enumerate_subreps(m, budget)
+        self.dims = [dims for dims, _at in self.subs.keys]
         self._labels = None, None  # ((sigma, theta) in vertex order, labels)
 
     @cached_property
@@ -370,10 +402,9 @@ class SubrepLattice:
         identity over the subspaces used, the shape filling the point
         masks of the rows it lacks.
         """
-        found = self.__dict__.pop("_found")
         masks = [-1] * len(self.subs)
-        for k, shape in enumerate(found.shapes):
-            at = [positions[k] for _dims, positions in found.keys]
+        for k, shape in enumerate(self.subs.shapes):
+            at = [positions[k] for _dims, positions in self.subs.keys]
             members = {}  # position used at k -> mask of the subreps using it
             for i, b in enumerate(at):
                 members[b] = members.get(b, 0) | 1 << i

@@ -5,9 +5,10 @@ shared layers that the metamorphic relation tests guard (arrow
 transposition, image normalization, the PAV merge, the sigma tie-break
 and the containment table), the looped-vertex walk (the k = 1 rule, the
 row-0 filter, the pattern table's key), the Kempf search's pooling and
-its carried square, a subspace's points, and of the CLI's usage-error
-guard, input echo and verify's reading of the two routes' verdicts,
-that the Tier-1 tests must kill.
+its carried square, a subspace's points, the lattice's build of a subrep
+when it is read and its index, and of the CLI's usage-error guard, input
+echo and verify's reading of the two routes' verdicts, that the Tier-1
+tests must kill.
 
     python tests/mutants.py
 
@@ -42,6 +43,7 @@ DUALITY = "tests/test_duality.py::test_dual_filtrations_are_the_annihilators_rev
 DIRECT_SUM = "tests/test_direct_sum.py::test_direct_sum_type_is_the_slope_ordered_merge"
 CHANGE_OF_BASIS = "tests/test_change_of_basis.py::test_each_route_commutes_with_change_of_basis"
 INVARIANT = "tests/test_linalg.py::TestInvariantEnumeration::"
+LAZY_INDEX = "tests/test_lattice.py::test_index_finds_an_equal_subrep_built_apart"
 
 # (file, snippet, replacement, kill node ids)
 MUTANTS = [
@@ -119,8 +121,8 @@ MUTANTS = [
     ),
     (
         "quiver.py",
-        "        for k, shape in enumerate(found.shapes):\n",
-        "        for k, shape in enumerate(found.shapes[:-1]):\n",
+        "        for k, shape in enumerate(self.subs.shapes):\n",
+        "        for k, shape in enumerate(self.subs.shapes[:-1]):\n",
         ["tests/test_lattice.py::test_quotient_verdicts_on_chains_that_are_not_hn[A3]"],
     ),
     (
@@ -180,8 +182,8 @@ MUTANTS = [
     ),
     (
         "quiver.py",
-        "        for k, shape in enumerate(found.shapes):\n",
-        "        for k, shape in list(enumerate(found.shapes))[1:]:\n",
+        "        for k, shape in enumerate(self.subs.shapes):\n",
+        "        for k, shape in list(enumerate(self.subs.shapes))[1:]:\n",
         [DIRECT_SUM + "[A3-121-F2]"],
     ),
     # the looped-vertex walk: the k = 1 rule, the row-0 filter, the
@@ -231,7 +233,24 @@ MUTANTS = [
         ["tests/test_linalg.py::TestSubspace::"
          "test_membership_and_points_against_brute_force[F3]",
          "tests/test_lattice.py::test_containment_equals_pairwise_oracle[line-into-space-f7]",
+         "tests/test_enumeration.py::test_join_equals_product[d4-inwards]",
+         "tests/test_enumeration.py::test_join_equals_product[kron2-23-f7]"],
+    ),
+    # the lattice building the subrep it is asked for from its neighbour's key
+    (
+        "quiver.py",
+        "            at = zip(self.rep.quiver.vertices, self.shapes, self.keys[i][1])\n",
+        "            at = zip(self.rep.quiver.vertices, self.shapes, self.keys[i - 1][1])\n",
+        [LAZY_INDEX + "[d4-inwards]",
          "tests/test_enumeration.py::test_join_equals_product[d4-inwards]"],
+    ),
+    # index bisecting the keys one place short
+    (
+        "quiver.py",
+        "            i = bisect_left(self.keys, key)\n",
+        "            i = bisect_left(self.keys, key) - 1\n",
+        [LAZY_INDEX + "[cycle2]",
+         "tests/test_lattice.py::test_verify_builds_only_the_filtration_steps"],
     ),
 ]
 

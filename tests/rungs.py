@@ -18,7 +18,9 @@ prints the subreps, the strict inclusions, the classes of the quotient
 of the inclusion DAG, the chains from 0 to M and the best score, then
 the seconds spent on enumeration, the containment masks, the quotient
 (with the chain count) and the search.  It prints timings, so it is not
-part of the test suite; the five rungs and their duals take about 10 s.
+part of the test suite; the nine rungs and their duals take about 30 s,
+and A3 (5,5,5)/F2 and its dual each peak near 440 MB, the n^2
+containment masks, so CI runs three of the first five rungs by name.
 It exits 1 if a rung's or its dual's chains or best square differ from
 PINS, 0 otherwise.
 """
@@ -56,6 +58,10 @@ RUNGS = {
     "A3 (4,4,3)/F2": (A3, 2, (4, 4, 3), 1, (2, 0, -2)),
     "A3 (4,4,4)/F2": (A3, 2, (4, 4, 4), 1, (2, 0, -2)),
     "Kron (1,3)/F97": (Quiver.kronecker(1), 97, (1, 3), 3, (1, -1)),
+    "D4 (2,2,2,5)/F2": (D4, 2, (2, 2, 2, 5), 1, (1, 1, 1, -1)),
+    "A3 (5,4,4)/F2": (A3, 2, (5, 4, 4), 1, (2, 0, -2)),
+    "A3 (5,5,4)/F2": (A3, 2, (5, 5, 4), 1, (2, 0, -2)),
+    "A3 (5,5,5)/F2": (A3, 2, (5, 5, 5), 1, (2, 0, -2)),
 }
 
 # name -> (chains from 0 to M, best score square)
@@ -65,6 +71,10 @@ PINS = {
     "A3 (4,4,3)/F2": (3797852992, "1892"),
     "A3 (4,4,4)/F2": (57315509208, "2016"),
     "Kron (1,3)/F97": (1921004, "16"),
+    "D4 (2,2,2,5)/F2": (2374096288, "88/3"),
+    "A3 (5,4,4)/F2": (1400413004736, "1976"),
+    "A3 (5,5,4)/F2": (31898469627184, "1512"),
+    "A3 (5,5,5)/F2": (1269833077238784, "1350"),
 }
 
 

@@ -66,6 +66,9 @@ SHAPES = {
     "cycle2-f7": (CYCLE2, F7, (2, 2)),
     "loop-after-arrow-f5": (LOOP_AFTER_ARROW, F5, (3, 2)),
     "line-into-space-f7": (Quiver.kronecker(1), F7, (1, 3)),
+    # and planes, with 8 points each, list their own against up to 16
+    # images of the 8 points of F7^2 under two arrows
+    "kron2-23-f7": (Quiver.kronecker(2), F7, (2, 3)),
     # vertices of one dimension share a subspace list only when their
     # loops are equal: a looped and an unlooped vertex must not share,
     "loop-beside-plain": (LOOP_BEFORE_ARROW, F2, (3, 3)),
@@ -97,7 +100,9 @@ def keys(subs):
 
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
-def test_join_equals_product(shape):
+def test_join_equals_product(shape, empty_shapes):
+    # an empty shape table: each point mask is filled by this test's reps,
+    # not by whichever test ran before it
     quiver, field, dims = shape
     rng = random.Random(4)
     # density 0 gives the zero maps; sparse maps have large lattices

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverstab import (
+    DEFAULT_BUDGET,
     EnumerationBudgetError,
     Filtration,
     StabilityParams,
@@ -15,6 +16,8 @@ from quiverstab import (
     Quiver,
     Representation,
     SubrepLattice,
+    Subrepresentation,
+    Subspace,
     check_hn_properties,
     enumerate_subreps,
     hn_filtration,
@@ -23,7 +26,7 @@ from quiverstab import (
     linalg,
     quiver,
 )
-from quiverstab.cli import parse_problem, verify_result
+from quiverstab.cli import enumerate_result, parse_problem, verify_result
 
 from conftest import A3, F2, F3, params_for, random_rep
 from oracles import (
@@ -37,6 +40,7 @@ from oracles import (
 )
 from test_acceptance import main_theorem_problems
 from test_enumeration import D4_IN, SHAPES, random_maps
+from test_shape_table import PROBLEMS
 
 F97 = PrimeField(97)
 
@@ -276,3 +280,93 @@ def test_candidate_budget_is_exact_at_the_boundary(shape):
     with pytest.raises(EnumerationBudgetError) as exc:
         enumerate_subreps(m, budget=product - 1)
     assert product - 1 < exc.value.count <= product
+
+
+# -- the lattice builds a subrep only when it is read -------------------------
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A one-item list counting the Subrepresentations built from here on,
+    by the checked constructor or by the lattice's unchecked one."""
+    count = [0]
+    closed = Subrepresentation._closed.__func__
+    post_init = Subrepresentation.__post_init__
+
+    def counted_closed(cls, parent, spaces):
+        count[0] += 1
+        return closed(cls, parent, spaces)
+
+    def counted_post_init(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Subrepresentation, "_closed", classmethod(counted_closed))
+    monkeypatch.setattr(Subrepresentation, "__post_init__", counted_post_init)
+    return count
+
+
+def test_reading_the_lattice_builds_no_subrep(built):
+    # the count, dimension vectors, labels, containment, both semistability
+    # routes and the enumerate command read only the subreps' keys
+    for path in PROBLEMS:
+        data = json.loads(path.read_text())
+        m, params = parse_problem(data)
+        lat = SubrepLattice(m)
+        assert len(lat.subs) == len(lat.dims) == len(lat._below)
+        lat.labels(params)
+        assert is_semistable(lat, params) == kempf.kempf_semistability(lat, params)
+        assert enumerate_result(data, DEFAULT_BUDGET)["count"] == len(lat.subs)
+    assert built[0] == 0
+
+
+def test_verify_builds_only_the_filtration_steps(built):
+    # HN and Kempf read the same steps off the lattice, each built once
+    unstable = 0
+    for path in PROBLEMS:
+        built[0] = 0
+        report = verify_result(json.loads(path.read_text()), DEFAULT_BUDGET)
+        assert report["match"], path
+        steps = 0 if report["semistable"] else len(report["hn"]["steps"])
+        assert built[0] == steps, path
+        unstable += steps > 0
+    assert unstable
+
+
+def test_a_subrep_read_twice_is_one_object():
+    m = random_maps(random.Random(5), D4_IN, F2, (2, 1, 1, 3), 0.3)
+    subs = SubrepLattice(m).subs
+    n = len(subs)
+    for i in (0, 1, n // 2, n - 1):
+        assert subs[i] is subs[i] is subs[i - n]
+    assert all(a is b for a, b in zip(subs[1:n:2], list(subs)[1:n:2]))
+    with pytest.raises(IndexError):
+        subs[n]
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_index_finds_an_equal_subrep_built_apart(shape):
+    # index bisects each shape's list by (dim, basis) and then the keys;
+    # each subrep of a second enumeration, rebuilt by the checked
+    # constructor from fresh subspaces, is found at its own position
+    q, field, dims = shape
+    m = random_maps(random.Random(8), q, field, dims, 0.3)
+    lat = SubrepLattice(m)
+    for i, s in enumerate(enumerate_subreps(m)):
+        twin = Subrepresentation(
+            m, {v: Subspace(t.field, t.ambient, t.basis) for v, t in s.spaces.items()}
+        )
+        assert lat.subs.index(twin) == i
+
+
+def test_index_refuses_a_subrep_of_another_rep():
+    # the zero and the whole subrep of a rep with the same spaces and other
+    # maps are not in the lattice, though their spaces are
+    m, _params = parse_problem(json.loads(UNSTABLE.read_text()))
+    lat = SubrepLattice(m)
+    zero_maps = tuple(zero_matrix(m.field, a.nrows, a.ncols) for a in m.arrow_maps)
+    other = Representation(m.quiver, m.field, m.dims, zero_maps)
+    assert other != m
+    for s in (lat.subs[0], lat.subs[-1]):
+        with pytest.raises(ValueError):
+            lat.subs.index(Subrepresentation(other, dict(s.spaces)))
