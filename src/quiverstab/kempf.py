@@ -32,7 +32,6 @@ as a Fraction, 0 when no chain scores above 0.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, count
@@ -50,7 +49,6 @@ from .quiver import (
     enumerate_subreps,  # unused here; perfbench/tracing.py wraps this binding
     is_semistable,  # unused here; perfbench/tracing.py wraps this binding
     slope,
-    _bits,
 )
 
 
@@ -105,12 +103,6 @@ def _gamma(blocks):
     return tuple(y // g for y, (_w, _x, n) in zip(nums, blocks) for _ in range(n))
 
 
-# A walk over a node's set bits, with its count and sort, costs about as
-# much as 32 ANDs of its mask with class masks, on masks of a few words
-# (measured with Python 3.11) and of some thousands alike.
-_WALK = 32
-
-
 def _quotient(below, keys):
     """The exact quotient of a DAG for the Kempf search.  below[j] is
     the bit mask of node j and its predecessors, which all come before j.
@@ -118,32 +110,24 @@ def _quotient(below, keys):
     The class of j is keys[j] with the multiset of its predecessors'
     classes, as (class, count) pairs in class order, found in one pass
     in node order.  Node j counts its predecessors per class with one AND
-    of its mask per class so far, or, once those classes outnumber its
-    predecessors by _WALK or more, by walking its set bits.  The members
-    of a class carry the same search states and, an edge standing for
-    count edges, the same numbers of chains.  Returns (members, lower, first):
-    each class's bit mask of nodes, its (class, count) predecessors and
-    its first node, the classes numbered in the order of first nodes.
+    of its mask per class so far.  The members of a class carry the same
+    search states and, an edge standing for count edges, the same numbers
+    of chains.  Returns (members, lower, first): each class's bit mask of
+    nodes, its (class, count) predecessors and its first node, the
+    classes numbered in the order of first nodes.
     """
     members, lower, first = [], [], []
-    of = []  # of[j]: the class of node j
     classes = {}  # (key, classes, counts) -> class
     for j, mask in enumerate(below):
-        if len(members) < mask.bit_count() + _WALK:
-            counts = [(mask & inside).bit_count() for inside in members]
-            cs = tuple(compress(count(), counts))
-            ns = tuple(filter(None, counts))
-        else:
-            counted = Counter(map(of.__getitem__, _bits(mask)[:-1]))
-            cs = tuple(sorted(counted))
-            ns = tuple(map(counted.__getitem__, cs))
+        counts = [(mask & inside).bit_count() for inside in members]
+        cs = tuple(compress(count(), counts))
+        ns = tuple(filter(None, counts))
         c = classes.setdefault((keys[j], cs, ns), len(members))
         if c == len(members):
             members.append(0)
             lower.append(tuple(zip(cs, ns)))
             first.append(j)
         members[c] |= 1 << j
-        of.append(c)
     return members, lower, first
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import attrgetter, mul
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,6 @@ class Subspace:
             out.extend(layer)
         return out
 
-    def canonical_bytes(self) -> tuple:
-        """Flattened basis entries; the canonical sort/equality key."""
-        return tuple(itertools.chain.from_iterable(self.basis))
-
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is contained in a."""
@@ -256,7 +252,8 @@ def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
     kept iff each basis row's normalized image is None or passes the
     membership rule of those columns, row 0 first where a column is free
     below it.  For k = 1 a choice is a point x, kept iff each map sends x
-    to x or None."""
+    to x or None.  They are sorted by basis: every row has length n, so
+    the order of the row tuples is that of the flattened entries."""
     p = field.p
     key = n, k, p
     if key not in _PATTERNS:
@@ -282,7 +279,7 @@ def _subspaces_of_dim(n: int, field: PrimeField, k: int, images: list):
                 for image in images for row in basis[later:] if (im := image[row])
             ):
                 out.append(Subspace._from_pattern(field, n, basis, pivots, free_columns))
-    out.sort(key=Subspace.canonical_bytes)
+    out.sort(key=attrgetter("basis"))
     return out
 
 

@@ -4,8 +4,9 @@ its two input rules (the zero representation, negative dimensions), the
 shared layers that the metamorphic relation tests guard (arrow
 transposition, image normalization, the PAV merge, the sigma tie-break
 and the containment table), the looped-vertex walk (the k = 1 rule, the
-row-0 filter, the pattern table's key), the Kempf search's pooling and
-its carried square, a subspace's points, the lattice's build of a subrep
+row-0 filter, the pattern table's key, the order within one dimension),
+the Kempf search's pooling and its carried square, the quotient's
+per-class count, a subspace's points, the lattice's build of a subrep
 when it is read and its index, and of the CLI's usage-error guard, input
 echo and verify's reading of the two routes' verdicts, that the Tier-1
 tests must kill.
@@ -206,6 +207,13 @@ MUTANTS = [
         "    key = n, k\n",
         [INVARIANT + "test_a_warm_table_changes_no_list"],
     ),
+    # the order within one dimension read off the rows from the last one
+    (
+        "linalg.py",
+        '    out.sort(key=attrgetter("basis"))\n',
+        "    out.sort(key=lambda s: s.basis[::-1])\n",
+        ["tests/test_linalg.py::TestEnumeration::test_no_duplicates_and_sorted"],
+    ),
     # the Kempf search pooling no step into the stack below, so that every
     # stack is read as one step per block
     (
@@ -224,6 +232,14 @@ MUTANTS = [
         ["tests/test_kempf_search.py::"
          "test_state_search_equals_sequence_search_on_shapes[d4-inwards]",
          DUALITY + "[A3-222-F2]"],
+    ),
+    # the quotient counting a class edge once, however many members of
+    # the lower class lie below the node
+    (
+        "kempf.py",
+        "        counts = [(mask & inside).bit_count() for inside in members]\n",
+        "        counts = [min(1, (mask & inside).bit_count()) for inside in members]\n",
+        ["tests/test_lattice.py::test_chain_dag_read_off_masks"],
     ),
     # a subspace's points without their c = p - 1 layer
     (

@@ -313,7 +313,7 @@ def canonical_key(sub: Subrepresentation):
     order = sub.parent.quiver.vertices
     return (
         tuple(sub.spaces[v].dim for v in order),
-        tuple(sub.spaces[v].canonical_bytes() for v in order),
+        tuple(tuple(itertools.chain(*sub.spaces[v].basis)) for v in order),
     )
 
 

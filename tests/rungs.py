@@ -20,7 +20,7 @@ the seconds spent on enumeration, the containment masks, the quotient
 (with the chain count) and the search.  It prints timings, so it is not
 part of the test suite; the nine rungs and their duals take about 30 s,
 and A3 (5,5,5)/F2 and its dual each peak near 440 MB, the n^2
-containment masks, so CI runs three of the first five rungs by name.
+containment masks, so CI runs four of the first six rungs by name.
 It exits 1 if a rung's or its dual's chains or best square differ from
 PINS, 0 otherwise.
 """

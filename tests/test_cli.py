@@ -345,6 +345,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("value", [None, 1.5, True], ids=["null", "float", "bool"])
+    @pytest.mark.parametrize("section, key", [
+        ("representation", "dims"), ("stability", "theta"), ("stability", "sigma"),
+    ])
+    def test_non_integer_value_names_its_key(self, tmp_path, capsys, section, key, value):
+        # parse_problem checks each value before any constructor reads it:
+        # a null dim at v0 with no matrix rows would otherwise reach
+        # Matrix.from_rows as a missing ncols, and the error would blame
+        # matrix 0
+        data = problem_with(("representation",),
+                            {"dims": {"v0": 1, "v1": 0}, "matrices": {"0": []}})
+        data[section][key]["v0"] = value
+        assert main(["verify", write_problem(tmp_path, data)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {section}.{key}['v0'] must be an integer\n"
+
 
 class TestSharedLattice:
     @pytest.mark.parametrize(

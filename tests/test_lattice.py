@@ -1,5 +1,6 @@
 import json
 import random
+from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
 
@@ -182,7 +183,8 @@ def test_labels_keep_one_list(monkeypatch):
 def quotient_cases():
     """Reps of the enumeration shapes, and one with seven simple summands
     at seven vertices, whose 128 subreps are 128 classes: there the
-    later nodes with few predecessors walk their set bits."""
+    later nodes with few predecessors count them against many more
+    earlier classes."""
     yield random_rep(random.Random(5), A3, F3, (2, 2, 2))
     for q, field, dims in SHAPES.values():
         yield random_maps(random.Random(6), q, field, dims, 0.3)
@@ -195,28 +197,19 @@ def test_chain_dag_read_off_masks(monkeypatch):
     # node's strict predecessors in chain_dag, grouped by class, give its
     # class's (class, count) predecessors, the members of those classes
     # below the node are chain_dag's list, and no two classes share a
-    # dimension vector and predecessors; some nodes count their
-    # predecessors by walking their set bits, the others by one AND per class
+    # dimension vector and predecessors; some nodes have at least 32 more
+    # earlier classes than strict predecessors, each counted by one AND
     def pairwise(*_args):
         raise AssertionError("the DAG made a pairwise containment call")
 
-    def counted_bits(mask):
-        walks.append(mask)
-        return bits(mask)
-
-    bits = kempf._bits
-    walked = nodes = 0
+    wide = 0
     for m in quotient_cases():
         lat = SubrepLattice(m)
         params = params_for(m.quiver, [0] * len(m.quiver.vertices))
         _subs, lower, _labels, _full = chain_dag(lat, params)
-        walks = []
         monkeypatch.setattr(SubrepLattice, "contains", pairwise)
-        monkeypatch.setattr(kempf, "_bits", counted_bits)
         members, qlower, first = kempf._chain_index_sets(lat)
         monkeypatch.undo()
-        walked += len(walks)
-        nodes += len(lower)
         of = {j: c for c, mask in enumerate(members) for j in bits_by_bin(mask)}
         assert sorted(of) == list(range(len(lower)))
         assert first == [bits_by_bin(mask)[0] for mask in members] == sorted(first)
@@ -227,9 +220,10 @@ def test_chain_dag_read_off_masks(monkeypatch):
             assert sorted(
                 i for d, _k in qlower[c] for i in bits_by_bin(members[d] & lat._below[j])
             ) == pre
+            wide += bisect_left(first, j) >= len(pre) + 32
         assert len({(lat.dims[j], pre) for j, pre in zip(first, qlower)}) == len(members)
     assert len(members) == len(lower) == 128
-    assert 0 < walked < nodes
+    assert wide
 
 
 def test_bits_of_zero_one_and_single_high_bits():
