@@ -137,18 +137,16 @@ class Subspace:
         sits at the pivot of the first row with a non-zero coefficient
         and equals that coefficient.  So the members listed are the
         combinations of one row, with coefficient 1, and any of the rows
-        after it: (p^dim - 1) / (p - 1) of them, built a row at a time:
-        each later row extends the layer by v + c row, c = 1, ..., p - 1.
+        after it: (p^dim - 1) / (p - 1) of them.  Each later row extends
+        the layer by v + c row, c = 1, ..., p - 1, a coordinate at a time.
         """
         p = self.field.p
         out = []
         for i, row in enumerate(self.basis):
             layer = [row]
             for after in self.basis[i + 1:]:
-                layer += [
-                    tuple((a + c * b) % p for a, b in zip(v, after))
-                    for c in range(1, p) for v in layer
-                ]
+                layer += zip(*[[(a + c * b) % p for c in range(1, p) for a in col]
+                               for col, b in zip(zip(*layer), after)])
             out.extend(layer)
         return out
 

@@ -11,11 +11,12 @@ stability question is decided by exhaustive enumeration.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, filterfalse
 from operator import attrgetter, getitem, mul
 
 from .errors import (
@@ -195,28 +196,38 @@ class _Shape:
     """A vertex shape, a dimension d over F_p and its loop matrices: the
     subspaces of F_p^d that the loops send into themselves, in canonical
     order, and the bit mask of those that contain each point asked for
-    so far (None, the zero vector, lies in all).  Each subspace lists its
-    own points or tests the ones asked for, whichever are fewer, so the
-    work is close to the point-subspace incidences that exist."""
+    so far (None, the zero vector, lies in all).  A fill lists each
+    subspace not yet listed with fewer points than the fill lacks,
+    keeping its hits at points not asked for, and tests the rest: each
+    subspace is listed once at most, and each mask is built once."""
 
     def __init__(self, d: int, field: PrimeField, loops: tuple):
         self.subspaces = tuple(enumerate_subspaces(d, field, maps=loops))
         self.dims = [t.dim for t in self.subspaces]
         self.p = field.p
         self._masks = {None: (1 << len(self.subspaces)) - 1}
+        self._found, self._unlisted = defaultdict(list), range(len(self.subspaces))
 
     def masks(self, points: set) -> dict:
         """The point masks, filled first for the given points it lacks."""
-        missing = dict.fromkeys(points - self._masks.keys(), 0)
+        missing, found = points - self._masks.keys(), self._found
         if missing:
-            for i, t in enumerate(self.subspaces):
+            unlisted, self._unlisted = self._unlisted, []
+            for i in unlisted:
+                t = self.subspaces[i]
                 if (self.p**t.dim - 1) // (self.p - 1) < len(missing):
-                    hits = [pt for pt in t.points() if pt in missing]
+                    hits = filterfalse(self._masks.__contains__, t.points())
                 else:
-                    hits = [pt for pt in missing if t.contains_vector(pt)]
+                    self._unlisted.append(i)
+                    hits = filter(t.contains_vector, missing)
                 for pt in hits:
-                    missing[pt] |= 1 << i
-            self._masks.update(missing)
+                    found[pt].append(i)
+        for pt in missing:  # found[pt] holds all its hits now
+            mask = bytearray((len(self.dims) + 7) // 8)
+            for i in found.pop(pt, ()):
+                mask[i >> 3] |= 1 << (i & 7)
+            self._masks[pt] = int.from_bytes(mask, "little")
+        self._found = found or defaultdict(list)  # frees the slots of an emptied table
         return self._masks
 
 

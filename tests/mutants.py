@@ -45,6 +45,7 @@ DIRECT_SUM = "tests/test_direct_sum.py::test_direct_sum_type_is_the_slope_ordere
 CHANGE_OF_BASIS = "tests/test_change_of_basis.py::test_each_route_commutes_with_change_of_basis"
 INVARIANT = "tests/test_linalg.py::TestInvariantEnumeration::"
 LAZY_INDEX = "tests/test_lattice.py::test_index_finds_an_equal_subrep_built_apart"
+SHAPE_FILLS = "tests/test_shape_table.py::test_a_shape_lists_each_subspace_once"
 
 # (file, snippet, replacement, kill node ids)
 MUTANTS = [
@@ -244,13 +245,31 @@ MUTANTS = [
     # a subspace's points without their c = p - 1 layer
     (
         "linalg.py",
-        "                    for c in range(1, p) for v in layer\n",
-        "                    for c in range(1, p - 1) for v in layer\n",
+        "[(a + c * b) % p for c in range(1, p) for a in col]",
+        "[(a + c * b) % p for c in range(1, p - 1) for a in col]",
         ["tests/test_linalg.py::TestSubspace::"
          "test_membership_and_points_against_brute_force[F3]",
          "tests/test_lattice.py::test_containment_equals_pairwise_oracle[line-into-space-f7]",
          "tests/test_enumeration.py::test_join_equals_product[d4-inwards]",
          "tests/test_enumeration.py::test_join_equals_product[kron2-23-f7]"],
+    ),
+    # a later fill of a shape's point masks dropping the subspaces that an
+    # earlier fill listed
+    (
+        "quiver.py",
+        "        missing, found = points - self._masks.keys(), self._found\n",
+        "        missing, found = points - self._masks.keys(), self._found.clear() or self._found\n",
+        [SHAPE_FILLS + "[F7^3-kron2-23-f7]",
+         "tests/test_lattice.py::test_containment_equals_pairwise_oracle[kron2-23-f7]"],
+    ),
+    # a point's mask built from the listed subspaces only, without the
+    # subspaces tested against it
+    (
+        "quiver.py",
+        "                hits = filter(t.contains_vector, missing)\n",
+        "                hits = ()\n",
+        [SHAPE_FILLS + "[F3^4-looped-seeded]",
+         "tests/test_lattice.py::test_containment_equals_pairwise_oracle[kron2-23-f7]"],
     ),
     # the lattice building the subrep it is asked for from its neighbour's key
     (

@@ -16,11 +16,13 @@ brute-force oracle reaches.  Each rung and each dual runs in a child
 process of its own, so the peak RSS printed is its own.  Per run it
 prints the subreps, the strict inclusions, the classes of the quotient
 of the inclusion DAG, the chains from 0 to M and the best score, then
-the seconds spent on enumeration, the containment masks, the quotient
-(with the chain count) and the search.  It prints timings, so it is not
+the seconds spent on enumeration, the containment masks, the part of
+those spent in _Shape.masks filling point masks (the rest transposes
+the per-vertex arrow masks into subrep masks), the quotient (with the
+chain count) and the search.  It prints timings, so it is not
 part of the test suite; the nine rungs and their duals take about 30 s,
 and A3 (5,5,5)/F2 and its dual each peak near 440 MB, the n^2
-containment masks, so CI runs four of the first six rungs by name.
+containment masks, so CI runs five of the first six rungs by name.
 It exits 1 if a rung's or its dual's chains or best square differ from
 PINS, 0 otherwise.
 """
@@ -44,6 +46,7 @@ from quiverstab import (  # noqa: E402
     StabilityParams,
     SubrepLattice,
     kempf,
+    quiver,
 )
 from oracles import dual  # noqa: E402
 
@@ -101,8 +104,19 @@ def measure(name, dualised):
     t0 = time.perf_counter()
     lat = SubrepLattice(m, UNBOUNDED)
     t1 = time.perf_counter()
+    # the containment build's seconds in _Shape.masks, filling point masks
+    fill, masks = [0.0], quiver._Shape.masks
+
+    def timed(shape, points):
+        start = time.perf_counter()
+        out = masks(shape, points)
+        fill[0] += time.perf_counter() - start
+        return out
+
+    quiver._Shape.masks = timed
     below = lat._below
     t2 = time.perf_counter()
+    quiver._Shape.masks = masks
     members, lower, first = kempf._chain_index_sets(lat)
     t3 = time.perf_counter()
     labels = lat.labels(params)
@@ -119,6 +133,7 @@ def measure(name, dualised):
         "best square": str(best),
         "enum s": round(t1 - t0, 3),
         "masks s": round(t2 - t1, 3),
+        "fill s": round(fill[0], 3),
         "dag s": round(t3 - t2, 3),
         "search s": round(t4 - t3, 3),
         "peak rss MB": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

@@ -3,18 +3,42 @@ only on (dimension, prime), so one table per process shares them across
 problems.  A table warmed by other problems must change no lattice and
 no answer, and must keep no looped shape."""
 
+import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
-from quiverstab import PrimeField, SubrepLattice, enumerate_subspaces
+import pytest
+
+from quiverstab import (
+    Matrix,
+    PrimeField,
+    Quiver,
+    Representation,
+    Subspace,
+    SubrepLattice,
+    enumerate_subspaces,
+)
 from quiverstab.cli import parse_problem
+from quiverstab.linalg import _Images
 
 from test_enumeration import SHAPES, random_maps
 from test_kempf_search import assert_lattice_searches_agree, random_params
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "problems"
 PROBLEMS = sorted(p for p in PROBLEM_DIR.glob("*/*.json") if p.name != "expected.json")
+
+F3 = PrimeField(3)
+# id -> (dimension, field, loop matrices) of a vertex shape
+MASK_SHAPES = {
+    f"F{p}^3": (3, PrimeField(p), ()) for p in (2, 3, 5, 7)
+} | {
+    # diag(1, 1, 1, 2): the loop keeps the 56 sums of a subspace of the
+    # first three coordinates and one of the last
+    "F3^4-looped": (4, F3, (Matrix.from_rows(F3, [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]),)),
+}
 
 
 def lattice_of(path):
@@ -68,3 +92,51 @@ def test_sequence_search_agrees_on_a_warm_table(empty_shapes):
         for density in (0.0, 0.3, 0.6, 1.0):
             lat = SubrepLattice(random_maps(rng, quiver_, field, dims, density))
             assert_lattice_searches_agree(lat, random_params(prng, quiver_))
+
+
+@pytest.mark.parametrize("order", ["kron2-23-f7", "seeded"])
+@pytest.mark.parametrize("name", MASK_SHAPES)
+def test_a_shape_lists_each_subspace_once(monkeypatch, empty_shapes, name, order):
+    """Point masks asked for in several overlapping fills: each subspace
+    lists its points at most once in the shape's life, and every mask
+    returned is the brute-force mask, each subspace of the list tested.
+    The first fill is the normalized images of the basis rows of every
+    subspace of F_p^(d-1) under two random maps, as enumeration asks for
+    a 2-Kronecker target.  The kron2-23-f7 order then asks for every
+    basis row, as the containment table does, and for seeded samples of
+    the points; the seeded order asks for the samples first."""
+    d, field, loops = MASK_SHAPES[name]
+    listed = Counter()
+    points = Subspace.points
+
+    def counted(s):
+        listed[s] += 1
+        return points(s)
+
+    monkeypatch.setattr(Subspace, "points", counted)
+    m = Representation(Quiver(("v",), (("v", "v"),) * len(loops)), field, {"v": d}, loops)
+    shape = SubrepLattice(m).subs.shapes[0]
+    assert (empty_shapes.get((d, field.p)) is shape) == (not loops)
+    p, rng = field.p, random.Random(29 + 2 * field.p + len(loops))
+    maps = [
+        Matrix.from_rows(field, [[rng.randrange(p) for _c in range(d - 1)] for _r in range(d)])
+        for _arrow in range(2)
+    ]
+    images = {
+        _Images(mat)[row] for mat in maps for s in enumerate_subspaces(d - 1, field)
+        for row in s.basis
+    }
+    rows = {row for t in shape.subspaces for row in t.basis}
+    pool = [v for v in itertools.product(range(p), repeat=d) if next(filter(None, v), 0) == 1]
+    samples = [
+        set(rng.sample(pool, rng.randint(1, len(pool)))) for _draw in range(rng.randint(1, 3))
+    ]
+    fills = [images] + ([rows] + samples if order == "kron2-23-f7" else samples + [rows])
+    for asked in fills:
+        masks = shape.masks(asked)
+        for pt in asked:
+            assert masks[pt] == sum(
+                1 << i for i, t in enumerate(shape.subspaces)
+                if pt is None or t.contains_vector(pt)
+            ), (pt, asked)
+    assert listed and max(listed.values()) == 1
