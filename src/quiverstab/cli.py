@@ -36,7 +36,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from . import curves, kempf, quiver as qv
+from . import kempf, quiver as qv
 from .errors import (
     DegenerateInputError,
     EnumerationBudgetError,
@@ -270,6 +270,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def p1_result(blocks: str) -> dict:
+    # the curve commands import their calculators here, so verify and the
+    # other problem-file commands never load them
+    from . import curves
+
     with _as_usage("--blocks must look like 'deg:mult,deg:mult,...'"):
         pairs = [(int(a), int(b))
                  for a, b in (p.split(":") for p in blocks.split(","))]
@@ -284,6 +288,8 @@ def p1_result(blocks: str) -> dict:
 
 
 def rank2_result(candidates: str, deg_e: int, s: int, tau: str) -> dict:
+    from . import curves
+
     tau = _parse_fraction(tau)
     with _as_usage("--candidates must look like 'degL:epsL,degL:epsL,...'"):
         cands = [curves.Rank2Candidate(int(dl), int(el))
@@ -298,6 +304,8 @@ def rank2_result(candidates: str, deg_e: int, s: int, tau: str) -> dict:
 
 
 def rank3_result(v: str, tau: str) -> dict:
+    from . import curves
+
     tau = _parse_fraction(tau)
     with _as_usage("--v must be three comma-separated integers"):
         v = tuple(int(x) for x in v.split(","))

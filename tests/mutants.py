@@ -8,8 +8,8 @@ row-0 filter, the pattern table's key, the order within one dimension),
 the Kempf search's pooling and its carried square, the quotient's
 per-class count, a subspace's points, the lattice's build of a subrep
 when it is read and its index, and of the CLI's usage-error guard, input
-echo and verify's reading of the two routes' verdicts, that the Tier-1
-tests must kill.
+echo, verify's reading of the two routes' verdicts and verify's import
+path, that the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -286,6 +286,13 @@ MUTANTS = [
         "            i = bisect_left(self.keys, key) - 1\n",
         [LAZY_INDEX + "[cycle2]",
          "tests/test_lattice.py::test_verify_builds_only_the_filtration_steps"],
+    ),
+    # the CLI importing the curve calculators with itself, on verify's path
+    (
+        "cli.py",
+        "from . import kempf, quiver as qv\n",
+        "from . import curves, kempf, quiver as qv\n",
+        ["tests/test_cli.py::TestImports::test_verify_imports_only_what_it_runs"],
     ),
 ]
 

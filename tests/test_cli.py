@@ -116,7 +116,78 @@ with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["p1", "--blocks", "1:1"])
 assert once and len(built) == once, (once, len(built))
 """
+VERIFY_IMPORTS = """
+import contextlib, io, sys
+import quiverstab
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "quiverstab")
+
+verify = sorted(["quiverstab", "quiverstab.errors", "quiverstab.linalg",
+                 "quiverstab.quiver", "quiverstab.kempf", "quiverstab.cli"])
+from quiverstab import cli
+assert loaded() == verify, ("import", loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--format", "json", "verify", sys.argv[1]]) == 0
+assert loaded() == verify, ("verify", loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["p1", "--blocks", "1:1"]) == 0
+assert loaded() == sorted(verify + ["quiverstab.curves"]), ("p1", loaded())
+quiverstab.equivalence_check
+assert loaded() == sorted(verify + ["quiverstab.curves", "quiverstab.kronecker"]), \
+    ("equivalence_check", loaded())
+"""
+# the public names in vars(quiverstab) after a fresh import back when the
+# package imported every submodule at once, the submodules' own names
+# among them; each must still resolve to the same object
+PACKAGE_NAMES = (
+    "DEFAULT_BUDGET", "DegenerateInputError", "EnumerationBudgetError",
+    "EquivalenceReport", "Filtration", "HNReport",
+    "InvalidSubrepresentationError", "Matrix", "PrimeField", "Quiver",
+    "QuiverStabError", "Rank2Candidate", "Rank2Result", "Rank3Slopes",
+    "Representation", "SemistableInputError", "SplitBundle", "StabilityParams",
+    "SubrepLattice", "Subrepresentation", "Subspace",
+    "TheoremContradictionError", "ZeroRepresentationError",
+    "check_hn_properties", "contains", "covering_value", "curves",
+    "enumerate_subreps", "enumerate_subspaces", "equivalence_check", "errors",
+    "gaussian_binomial", "hn_filtration", "is_semistable",
+    "is_semistable_module", "is_subordinate", "is_subrep", "is_tight", "kempf",
+    "kempf_filtration", "kempf_semistability", "kronecker", "linalg",
+    "max_destabilizing", "module_stability_params", "p1_hn", "p1_slope",
+    "quiver", "rank2_best", "rank2_value", "rank3_case_vectors",
+    "rank3_weights", "sigma_of", "slope", "sub_contains", "theta_of",
+)
+PACKAGE_NAMES_RESOLVE = """
+import sys
+import quiverstab
+
+names = sys.argv[1:]
+try:
+    quiverstab.no_such_name
+except AttributeError as exc:
+    assert "'quiverstab'" in str(exc), str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+missing = set(names) - set(dir(quiverstab))
+assert not missing, ("dir", sorted(missing))
+star = {}
+exec("from quiverstab import *", star)
+missing = set(names) - set(star)
+assert not missing, ("star import", sorted(missing))
+submodules = [sys.modules[f"quiverstab.{m}"] for m in (
+    "errors", "linalg", "quiver", "kempf", "kronecker", "curves")]
+for name in names:
+    value = getattr(quiverstab, name)
+    assert star[name] is value, (name, "star import")
+    if value in submodules:
+        assert value is sys.modules[f"quiverstab.{name}"], name
+        continue
+    homes = [m for m in submodules if name in vars(m)]
+    assert homes and all(vars(m)[name] is value for m in homes), (name, homes)
+"""
 SRC = Path(__file__).resolve().parent.parent / "src"
+VERIFY_PROBLEM = (SRC.parent / "perfbench" / "problems" / "chain-heavy"
+                  / "001-kron2-23-F5-unstable.json")
 
 
 def arrow_free_problem(p, dim):
@@ -533,6 +604,26 @@ class TestParser:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert run.returncode == 0, run.stderr
+
+
+class TestImports:
+    """Each check runs in a fresh interpreter, which has imported nothing
+    of the package yet."""
+
+    @staticmethod
+    def run_fresh(script, *args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+
+    def test_verify_imports_only_what_it_runs(self):
+        self.run_fresh(VERIFY_IMPORTS, str(VERIFY_PROBLEM))
+
+    def test_package_names_resolve_to_their_home_objects(self):
+        self.run_fresh(PACKAGE_NAMES_RESOLVE, *PACKAGE_NAMES)
 
 
 def renamed_problem(v0, v1):
