@@ -230,11 +230,13 @@ def verify_result(data: dict, budget: int) -> dict:
             "finds no chain scoring above 0") from exc
     hn = qv.hn_filtration(lat, params)
     match = [a.spaces for a in hn.steps] == [b.spaces for b in kf.steps]
+    # equal steps render to equal payloads, so an agreed filtration renders once
+    hn_payload = _filtration_payload(hn, params)
     return {
         "semistable": False,
         "match": match,
-        "hn": _filtration_payload(hn, params),
-        "kempf": _filtration_payload(kf, params),
+        "hn": hn_payload,
+        "kempf": hn_payload if match else _filtration_payload(kf, params),
         "gamma": [frac_str(g) for g in gamma],
         "score": _score_payload(score),
     }
@@ -372,42 +374,56 @@ def _budget(text: str) -> int:
     return budget
 
 
+# each command and its one-line help; the first five read a problem file
+COMMANDS = {
+    "hn": "Harder-Narasimhan filtration with property report",
+    "kempf": "maximally destabilizing weighted filtration",
+    "verify": "check the two filtrations coincide",
+    "semistable": "semistability via both routes",
+    "enumerate": "list subrepresentation dimension vectors",
+    "p1": "filtration of a split bundle on the line",
+    "rank2": "rank-2 candidate maximizer",
+    "rank3": "rank-3 optimal weight triple",
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every main call, built on the first one."""
+    """The parser of every main call, built on the first one: it reads
+    --format and the command, and leaves the rest to the command's own."""
     parser = argparse.ArgumentParser(
         prog="quiverstab",
-        description="Slope stability and maximally destabilizing filtrations "
-        "for quiver representations over prime fields.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Slope stability and maximally destabilizing filtrations for\n"
+        "quiver representations over prime fields.",
+        epilog="commands:\n" + "".join(f"  {n:12}{h}\n" for n, h in COMMANDS.items())
+        + "\n'quiverstab <command> --help' lists the options of a command.",
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+    parser.add_argument("command", choices=COMMANDS, metavar="command")
+    # everything after the command, options included, is the command's
+    parser.add_argument("args", nargs=argparse.REMAINDER)
+    return parser
 
-    for name, helptext in (
-        ("hn", "Harder-Narasimhan filtration with property report"),
-        ("kempf", "maximally destabilizing weighted filtration"),
-        ("verify", "check the two filtrations coincide"),
-        ("semistable", "semistability via both routes"),
-        ("enumerate", "list subrepresentation dimension vectors"),
-    ):
-        c = sub.add_parser(name, help=helptext)
-        c.add_argument("problem", help="path to a JSON problem file, or - for stdin")
-        c.add_argument("--budget", type=_budget, default=qv.DEFAULT_BUDGET)
 
-    p1 = sub.add_parser("p1", help="filtration of a split bundle on the line")
-    p1.add_argument("--blocks", required=True, help="'deg:mult,deg:mult,...'")
-
-    r2 = sub.add_parser("rank2", help="rank-2 candidate maximizer")
-    r2.add_argument("--candidates", required=True, help="'degL:epsL,...'")
-    r2.add_argument("--deg-e", type=int, required=True)
-    r2.add_argument("--s", type=int, required=True)
-    r2.add_argument("--tau", required=True, help="rational like 1/3")
-
-    r3 = sub.add_parser("rank3", help="rank-3 optimal weight triple")
-    r3.add_argument("--v", required=True, help="three integers, e.g. '-5,1,4'")
-    r3.add_argument("--tau", required=True, help="positive rational like 1/3")
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command's arguments, built the first time it runs."""
+    parser = argparse.ArgumentParser(prog=f"quiverstab {name}", description=COMMANDS[name])
+    add = parser.add_argument
+    if name == "p1":
+        add("--blocks", required=True, help="'deg:mult,deg:mult,...'")
+    elif name == "rank2":
+        add("--candidates", required=True, help="'degL:epsL,...'")
+        add("--deg-e", type=int, required=True)
+        add("--s", type=int, required=True)
+        add("--tau", required=True, help="rational like 1/3")
+    elif name == "rank3":
+        add("--v", required=True, help="three integers, e.g. '-5,1,4'")
+        add("--tau", required=True, help="positive rational like 1/3")
+    else:
+        add("problem", help="path to a JSON problem file, or - for stdin")
+        add("--budget", type=_budget, default=qv.DEFAULT_BUDGET)
     return parser
 
 
@@ -424,10 +440,10 @@ def _warn(line: str):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        flags = vars(_command_parser(args.command).parse_args(args.args))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.monotonic()
-    flags = {k: v for k, v in vars(args).items() if k not in ("fmt", "command")}
     # looked up at call time, so wrappers installed on this module
     # (perfbench/tracing.py) see every call
     run = globals()[f"{args.command}_result"]

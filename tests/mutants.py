@@ -8,8 +8,8 @@ row-0 filter, the pattern table's key, the order within one dimension),
 the Kempf search's pooling and its carried square, the quotient's
 per-class count, a subspace's points, the lattice's build of a subrep
 when it is read and its index, and of the CLI's usage-error guard, input
-echo, verify's reading of the two routes' verdicts and verify's import
-path, that the Tier-1 tests must kill.
+echo, verify's reading of the two routes' verdicts, verify's payload of
+each route and verify's import path, that the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -293,6 +293,14 @@ MUTANTS = [
         "from . import kempf, quiver as qv\n",
         "from . import curves, kempf, quiver as qv\n",
         ["tests/test_cli.py::TestImports::test_verify_imports_only_what_it_runs"],
+    ),
+    # verify reporting the HN route's payload as the Kempf route's when
+    # the two disagree
+    (
+        "cli.py",
+        '        "kempf": hn_payload if match else _filtration_payload(kf, params),\n',
+        '        "kempf": hn_payload,\n',
+        ["tests/test_cli.py::TestExitCodes::test_mismatch_reports_each_route_own_filtration"],
     ),
 ]
 

@@ -98,10 +98,11 @@ UNREADABLE_FILES = {
     "nested-too-deep": b"[" * 100000,
 }
 
-# Run in a fresh interpreter: importing the CLI builds no parser, and
-# two main calls build it once between them.
+# Run in a fresh interpreter: importing the CLI builds no parser, the
+# first verify builds two (the top-level parser and verify's own), a
+# second verify none, and a later first p1 only its own.
 PARSER_BUILT_ONCE = """
-import argparse, contextlib, io
+import argparse, contextlib, io, sys
 built = []
 init = argparse.ArgumentParser.__init__
 def counting(self, *args, **kwargs):
@@ -110,11 +111,45 @@ def counting(self, *args, **kwargs):
 argparse.ArgumentParser.__init__ = counting
 from quiverstab import cli
 assert not built, "importing the CLI built a parser"
+verify, p1 = ["--format", "json", "verify", sys.argv[1]], ["p1", "--blocks", "1:1"]
 with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["p1", "--blocks", "1:1"])
-    once = len(built)
-    cli.main(["p1", "--blocks", "1:1"])
-assert once and len(built) == once, (once, len(built))
+    for argv, total in ((verify, 2), (verify, 2), (p1, 3), (p1, 3)):
+        assert cli.main(argv) == 0, argv
+        assert len(built) == total, (argv, len(built), total)
+"""
+# The help and usage-error contract of the parsers, in a fresh
+# interpreter; it needs no pytest, so it also runs as a plain script
+# under each Python of the CI matrix, whose argparse versions differ.
+CLI_CONTRACT = """
+import contextlib, io, re
+from quiverstab import cli
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+code, out, err = run("--help")
+assert (code, err) == (0, ""), (code, err)
+for name, text in (
+    ("hn", "Harder-Narasimhan filtration with property report"),
+    ("kempf", "maximally destabilizing weighted filtration"),
+    ("verify", "check the two filtrations coincide"),
+    ("semistable", "semistability via both routes"),
+    ("enumerate", "list subrepresentation dimension vectors"),
+    ("p1", "filtration of a split bundle on the line"),
+    ("rank2", "rank-2 candidate maximizer"),
+    ("rank3", "rank-3 optimal weight triple"),
+):
+    assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.M), (name, out)
+code, out, err = run("verify", "--help")
+assert (code, err) == (0, "") and "--budget" in out, (code, out, err)
+# a missing problem, an option after the command, an unknown command
+for argv in (["verify"], ["verify", "-", "--format", "json"], ["nonsense"]):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, ""), (argv, code, out)
+    assert err.startswith("usage: ") and "Traceback" not in err, (argv, err)
 """
 VERIFY_IMPORTS = """
 import contextlib, io, sys
@@ -372,6 +407,25 @@ class TestExitCodes:
         assert err.startswith("theorem contradiction: ") and "Traceback" not in err
         assert "carried score" in err
 
+    def test_mismatch_reports_each_route_own_filtration(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # an HN route that returns the one-step filtration disagrees with
+        # the Kempf route, whose payload must then be its own
+        data = alpha_zero_problem()
+        own = cli.kempf_result(data, qv.DEFAULT_BUDGET)
+        monkeypatch.setattr(
+            qv, "hn_filtration", lambda lat, _params: qv.Filtration(lat.rep, (lat.subs[-1],))
+        )
+        path = write_problem(tmp_path, data)
+        assert main(["--format", "json", "verify", path]) == EXIT_CONTRADICTION
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["match"] is False
+        assert result["hn"]["step_dims"] == [{"v0": 1, "v1": 1}]
+        assert len(own["steps"]) == 2
+        assert result["kempf"] == {k: own[k] for k in result["hn"]}
+        assert (result["gamma"], result["score"]) == (own["gamma"], own["score"])
+
     @pytest.mark.parametrize("command", ["hn", "verify"])
     def test_label_tie_exits_contradiction(
         self, tmp_path, monkeypatch, capsys, command
@@ -593,37 +647,37 @@ class TestInlineCommands:
         assert "Traceback" not in capsys.readouterr().err
 
 
+def run_fresh(script, *args):
+    """Run script in a fresh interpreter, which has imported nothing of
+    the package yet; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
     def test_import_builds_no_parser(self):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        run = subprocess.run(
-            [sys.executable, "-c", PARSER_BUILT_ONCE],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert run.returncode == 0, run.stderr
+        run_fresh(PARSER_BUILT_ONCE, str(VERIFY_PROBLEM))
+
+    def test_help_and_usage_errors(self):
+        run_fresh(CLI_CONTRACT)
 
 
 class TestImports:
     """Each check runs in a fresh interpreter, which has imported nothing
     of the package yet."""
 
-    @staticmethod
-    def run_fresh(script, *args):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        run = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert run.returncode == 0, run.stderr
-
     def test_verify_imports_only_what_it_runs(self):
-        self.run_fresh(VERIFY_IMPORTS, str(VERIFY_PROBLEM))
+        run_fresh(VERIFY_IMPORTS, str(VERIFY_PROBLEM))
 
     def test_package_names_resolve_to_their_home_objects(self):
-        self.run_fresh(PACKAGE_NAMES_RESOLVE, *PACKAGE_NAMES)
+        run_fresh(PACKAGE_NAMES_RESOLVE, *PACKAGE_NAMES)
 
 
 def renamed_problem(v0, v1):
