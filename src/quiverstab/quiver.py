@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress, count, filterfalse
+from itertools import compress, count
 from operator import attrgetter, getitem, mul
 
 from .errors import (
@@ -195,55 +195,44 @@ def _bits(mask: int) -> list:
 class _Shape:
     """A vertex shape, a dimension d over F_p and its loop matrices: the
     subspaces of F_p^d that the loops send into themselves, in canonical
-    order, and the bit mask of those that contain each point asked for
-    so far (None, the zero vector, lies in all).  A fill lists each
-    subspace not yet listed with fewer points than the fill lacks,
-    keeping its hits at points not asked for, and tests the rest: each
-    subspace is listed once at most, and each mask is built once."""
+    order, and the bit mask of those that contain each point of F_p^d
+    (None, the zero vector, lies in all), all built on the first read."""
 
     def __init__(self, d: int, field: PrimeField, loops: tuple):
         self.subspaces = tuple(enumerate_subspaces(d, field, maps=loops))
         self.dims = [t.dim for t in self.subspaces]
-        self.p = field.p
-        self._masks = {None: (1 << len(self.subspaces)) - 1}
-        self._found, self._unlisted = defaultdict(list), range(len(self.subspaces))
 
-    def masks(self, points: set) -> dict:
-        """The point masks, filled first for the given points it lacks."""
-        missing, found = points - self._masks.keys(), self._found
-        if missing:
-            unlisted, self._unlisted = self._unlisted, []
-            for i in unlisted:
-                t = self.subspaces[i]
-                if (self.p**t.dim - 1) // (self.p - 1) < len(missing):
-                    hits = filterfalse(self._masks.__contains__, t.points())
-                else:
-                    self._unlisted.append(i)
-                    hits = filter(t.contains_vector, missing)
-                for pt in hits:
-                    found[pt].append(i)
-        for pt in missing:  # found[pt] holds all its hits now
-            mask = bytearray((len(self.dims) + 7) // 8)
-            for i in found.pop(pt, ()):
+    @cached_property
+    def masks(self) -> dict:
+        """Each subspace lists its points once, and each point's mask is
+        built once from the indices found, by one int.from_bytes over a
+        bytearray; the whole space, last in the list, seeds every point."""
+        *proper, whole = self.subspaces
+        top = 1 << len(proper)
+        masks, found = dict.fromkeys(whole.points(), top), defaultdict(list)
+        for i, t in enumerate(proper):
+            for pt in t.points():
+                found[pt].append(i)
+        for pt, hits in found.items():
+            mask = bytearray((len(proper) + 7) // 8)
+            for i in hits:
                 mask[i >> 3] |= 1 << (i & 7)
-            self._masks[pt] = int.from_bytes(mask, "little")
-        self._found = found or defaultdict(list)  # frees the slots of an emptied table
-        return self._masks
+            masks[pt] = top | int.from_bytes(mask, "little")
+        masks[None] = 2 * top - 1
+        return masks
 
 
 # (d, p) -> the _Shape of a vertex with no loops, shared by every problem
 _LOOP_FREE = {}
 
 
-def _arrow_masks(image: dict, sources: list, memo: dict, everything: int):
-    """For each subspace a in sources, in turn, the bit mask of the
-    targets that contain the image of a: the AND, within everything, of
-    the masks in memo of the images of its basis rows.  image maps a row
-    to its normalized image, None for 0."""
-    for a in sources:
+def _containers(rowsets, memo: dict, everything: int):
+    """For each set of rows, in turn, the bit mask of the subspaces within
+    everything that contain every row: the AND of the rows' masks in memo."""
+    for rows in rowsets:
         mask = everything
-        for row in a.basis:
-            mask &= memo[image[row]]
+        for row in rows:
+            mask &= memo[row]
         yield mask
 
 
@@ -265,7 +254,9 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
     only on (d, p), so one per process serves every problem; a looped one
     is built for this enumeration.  Each other arrow u -> w gives
     every subspace a at u the bit mask of the subspaces at w that
-    contain its image, transposed once if w comes first in quiver order.
+    contain its image, the AND of the point masks of its basis rows'
+    images (the first read of w's masks fills them all), transposed once
+    if w comes first in quiver order.
     A join over the vertices in quiver order then visits only consistent
     assignments: the choices at a vertex are the AND of its arrows' masks
     at the choices made at the vertices already placed.  It returns each
@@ -300,28 +291,21 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET):
             table[key] = _Shape(d, m.field, maps)
         shapes.append(table[key])
     lists = [shape.subspaces for shape in shapes]
-    # per shape of w: (u, w, normalized image of each distinct basis row
-    # at u) of each arrow u -> w, and the images of them all
-    into = {}
-    for u, w, mat in arrows:
-        image, (images, points) = _Images(mat), into.setdefault(shapes[w], ([], set()))
-        points.update(image[row] for s in lists[u] for row in s.basis)
-        images.append((u, w, dict(image)))  # _arrow_masks reads a plain dict faster
     # per vertex k: (masks, placed vertex) of each arrow between k and a
-    # vertex placed earlier, off the shape's point masks of the images of
-    # every arrow into that shape
+    # vertex placed earlier, off the target shape's point masks of the
+    # normalized images of each source's basis rows
     earlier = [[] for _ in order]
-    for shape, (images, points) in into.items():
-        memo = shape.masks(points)
-        for u, w, image in images:
-            masks = list(_arrow_masks(image, lists[u], memo, memo[None]))
-            if u > w:  # for each c at w, the sources at u whose image c contains
-                masks, sources = [0] * len(shape.subspaces), masks
-                for a, mask in enumerate(sources):
-                    for c in _bits(mask):
-                        masks[c] |= 1 << a
-                u, w = w, u
-            earlier[w].append((masks, u))
+    for u, w, mat in arrows:
+        image, memo = _Images(mat), shapes[w].masks
+        rowsets = (map(image.__getitem__, a.basis) for a in lists[u])
+        masks = list(_containers(rowsets, memo, memo[None]))
+        if u > w:  # for each c at w, the sources at u whose image c contains
+            masks, sources = [0] * len(lists[w]), masks
+            for a, mask in enumerate(sources):
+                for c in _bits(mask):
+                    masks[c] |= 1 << a
+            u, w = w, u
+        earlier[w].append((masks, u))
 
     chosen = [0] * len(order)  # chosen[j]: index into lists[j]
     dims = [shape.dims for shape in shapes]
@@ -409,9 +393,8 @@ class SubrepLattice:
         Built per vertex over the list positions of the subspaces the
         subreps use there, which enumeration hands over with the vertex
         shapes.  RREF basis rows are normalized points, so b lies inside
-        a iff a contains every basis row of b: the arrow masks of the
-        identity over the subspaces used, the shape filling the point
-        masks of the rows it lacks.
+        a iff a contains every basis row of b: the AND of the shape's
+        point masks of b's basis rows, within the subspaces used.
         """
         masks = [-1] * len(self.subs)
         for k, shape in enumerate(self.subs.shapes):
@@ -419,10 +402,8 @@ class SubrepLattice:
             members = {}  # position used at k -> mask of the subreps using it
             for i, b in enumerate(at):
                 members[b] = members.get(b, 0) | 1 << i
-            used = [shape.subspaces[b] for b in members]
-            rows = {row for s in used for row in s.basis}
-            memo, everything = shape.masks(rows), sum(1 << b for b in members)
-            above = _arrow_masks(dict(zip(rows, rows)), used, memo, everything)
+            bases = [shape.subspaces[b].basis for b in members]
+            above = _containers(bases, shape.masks, sum(1 << b for b in members))
             inside = [0] * len(shape.subspaces)
             for b, mask in zip(members, above):  # one mask held at a time
                 for a in _bits(mask):

@@ -6,10 +6,11 @@ transposition, image normalization, the PAV merge, the sigma tie-break
 and the containment table), the looped-vertex walk (the k = 1 rule, the
 row-0 filter, the pattern table's key, the order within one dimension),
 the Kempf search's pooling and its carried square, the quotient's
-per-class count, a subspace's points, the lattice's build of a subrep
-when it is read and its index, and of the CLI's usage-error guard, input
-echo, verify's reading of the two routes' verdicts, verify's payload of
-each route and verify's import path, that the Tier-1 tests must kill.
+per-class count, a subspace's points, a shape's point masks, the
+lattice's build of a subrep when it is read and its index, and of the
+CLI's usage-error guard, input echo, verify's reading of the two routes'
+verdicts, verify's payload of each route and verify's import path, that
+the Tier-1 tests must kill.
 
     python tests/mutants.py
 
@@ -156,8 +157,8 @@ MUTANTS = [
     # shared layers that both routes read, killed by the metamorphic relations
     (
         "quiver.py",
-        "            if u > w:",
-        "            if u > w + 1:",
+        "        if u > w:",
+        "        if u > w + 1:",
         [DUALITY + "[A3-222-F2]"],
     ),
     (
@@ -253,22 +254,23 @@ MUTANTS = [
          "tests/test_enumeration.py::test_join_equals_product[d4-inwards]",
          "tests/test_enumeration.py::test_join_equals_product[kron2-23-f7]"],
     ),
-    # a later fill of a shape's point masks dropping the subspaces that an
-    # earlier fill listed
+    # a shape's point masks without the whole space's bit at the points
+    # that a proper subspace holds
     (
         "quiver.py",
-        "        missing, found = points - self._masks.keys(), self._found\n",
-        "        missing, found = points - self._masks.keys(), self._found.clear() or self._found\n",
-        [SHAPE_FILLS + "[F7^3-kron2-23-f7]",
+        "            masks[pt] = top | int.from_bytes(mask, \"little\")\n",
+        "            masks[pt] = int.from_bytes(mask, \"little\")\n",
+        [SHAPE_FILLS + "[F2^3-enumeration]",
+         "tests/test_enumeration.py::test_join_equals_product[d4-inwards]",
          "tests/test_lattice.py::test_containment_equals_pairwise_oracle[kron2-23-f7]"],
     ),
-    # a point's mask built from the listed subspaces only, without the
-    # subspaces tested against it
+    # a shape's point masks without the points of its last proper subspace
     (
         "quiver.py",
-        "                hits = filter(t.contains_vector, missing)\n",
-        "                hits = ()\n",
-        [SHAPE_FILLS + "[F3^4-looped-seeded]",
+        "        for i, t in enumerate(proper):\n",
+        "        for i, t in enumerate(proper[:-1]):\n",
+        [SHAPE_FILLS + "[F3^4-looped-containment]",
+         "tests/test_enumeration.py::test_join_equals_product[d4-inwards]",
          "tests/test_lattice.py::test_containment_equals_pairwise_oracle[kron2-23-f7]"],
     ),
     # the lattice building the subrep it is asked for from its neighbour's key

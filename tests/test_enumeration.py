@@ -171,22 +171,21 @@ def test_kronecker_1_3_over_f97():
     assert keys(subs) == keys(subreps_by_product(m))
 
 
-def test_kronecker_1_3_over_f97_tests_each_target_once(monkeypatch, empty_shapes):
-    """One image point (|Q| = 1): no target has fewer points than that
-    but the zero one, so the shape lists no points and makes at most one
-    membership test per target; enumerating again, the shape has the
-    point's mask and lists and tests nothing."""
-    calls = {"tests": 0, "listed": 0}
+def test_kronecker_1_3_over_f97_lists_each_target_once(monkeypatch, empty_shapes):
+    """The first read of the F97^3 shape's point masks fills them all
+    with no membership test: each of its 19,016 subspaces lists its
+    points once.  Enumerating again, the shape has every mask and lists
+    and tests nothing."""
+    tests, listed = [0], Counter()
     contains_vector, points = Subspace.contains_vector, Subspace.points
 
     def counted_contains_vector(s, vec):
-        calls["tests"] += 1
+        tests[0] += 1
         return contains_vector(s, vec)
 
     def counted_points(s):
-        listed = points(s)
-        calls["listed"] += len(listed)
-        return listed
+        listed[s] += 1
+        return points(s)
 
     monkeypatch.setattr(Subspace, "contains_vector", counted_contains_vector)
     monkeypatch.setattr(Subspace, "points", counted_points)
@@ -195,11 +194,11 @@ def test_kronecker_1_3_over_f97_tests_each_target_once(monkeypatch, empty_shapes
         (Matrix.from_rows(F97, [[1], [2], [3]]),),
     )
     assert len(enumerate_subreps(m)) == 19116
-    assert 0 < calls["tests"] <= 19116
-    assert calls["listed"] == 0
-    calls.update(tests=0, listed=0)
+    assert tests == [0]
+    assert len(listed) == 19016 and set(listed.values()) == {1}
+    listed.clear()
     assert len(enumerate_subreps(m)) == 19116
-    assert calls == {"tests": 0, "listed": 0}
+    assert tests == [0] and not listed
 
 
 def test_one_list_per_vertex_shape(monkeypatch, empty_shapes):

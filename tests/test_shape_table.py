@@ -21,7 +21,6 @@ from quiverstab import (
     enumerate_subspaces,
 )
 from quiverstab.cli import parse_problem
-from quiverstab.linalg import _Images
 
 from test_enumeration import SHAPES, random_maps
 from test_kempf_search import assert_lattice_searches_agree, random_params
@@ -94,49 +93,54 @@ def test_sequence_search_agrees_on_a_warm_table(empty_shapes):
             assert_lattice_searches_agree(lat, random_params(prng, quiver_))
 
 
-@pytest.mark.parametrize("order", ["kron2-23-f7", "seeded"])
+@pytest.mark.parametrize("first", ["enumeration", "containment"])
 @pytest.mark.parametrize("name", MASK_SHAPES)
-def test_a_shape_lists_each_subspace_once(monkeypatch, empty_shapes, name, order):
-    """Point masks asked for in several overlapping fills: each subspace
-    lists its points at most once in the shape's life, and every mask
-    returned is the brute-force mask, each subspace of the list tested.
-    The first fill is the normalized images of the basis rows of every
-    subspace of F_p^(d-1) under two random maps, as enumeration asks for
-    a 2-Kronecker target.  The kron2-23-f7 order then asks for every
-    basis row, as the containment table does, and for seeded samples of
-    the points; the seeded order asks for the samples first."""
+def test_a_shape_lists_each_subspace_once(monkeypatch, empty_shapes, name, first):
+    """A shape's point masks read by two lattices: that of a 2-Kronecker
+    with seeded random maps from F_p^(d-1), whose enumeration reads the
+    masks of its target's shape, and that of the shape's vertex alone,
+    whose enumeration reads no mask and whose containment build does.
+    The first reader is the Kronecker's enumeration or the lone vertex's
+    containment build, and each lattice then builds its containment.
+    Each subspace lists its points exactly once in its shape's life (the
+    two lattices share a loop-free shape; a looped one is built per
+    lattice), and every normalized point of F_p^d, and None, has the
+    brute-force mask, each subspace of the list tested."""
     d, field, loops = MASK_SHAPES[name]
     listed = Counter()
     points = Subspace.points
 
     def counted(s):
-        listed[s] += 1
+        listed[id(s)] += 1
         return points(s)
 
     monkeypatch.setattr(Subspace, "points", counted)
-    m = Representation(Quiver(("v",), (("v", "v"),) * len(loops)), field, {"v": d}, loops)
-    shape = SubrepLattice(m).subs.shapes[0]
-    assert (empty_shapes.get((d, field.p)) is shape) == (not loops)
     p, rng = field.p, random.Random(29 + 2 * field.p + len(loops))
-    maps = [
+    maps = tuple(
         Matrix.from_rows(field, [[rng.randrange(p) for _c in range(d - 1)] for _r in range(d)])
         for _arrow in range(2)
-    ]
-    images = {
-        _Images(mat)[row] for mat in maps for s in enumerate_subspaces(d - 1, field)
-        for row in s.basis
-    }
-    rows = {row for t in shape.subspaces for row in t.basis}
+    )
+    looped = (("v", "v"),) * len(loops)
+    kron = Representation(
+        Quiver(("u", "v"), (("u", "v"),) * 2 + looped), field, {"u": d - 1, "v": d}, maps + loops)
+    alone = Representation(Quiver(("v",), looped), field, {"v": d}, loops)
+    reps = [kron, alone] if first == "enumeration" else [alone, kron]
+    lattices = []
+    for m in reps:
+        lat = SubrepLattice(m)
+        shared = bool(lattices) and not loops  # filled by the lattice before
+        assert ("masks" in vars(lat.subs.shapes[-1])) == (m is kron or shared)
+        lat._below
+        lattices.append(lat)
+    shapes = {id(shape): shape for lat in lattices for shape in lat.subs.shapes}.values()
+    assert len(shapes) == 3 - (not loops)  # F_p^(d-1), and F_p^d once or per lattice
+    assert set(listed.values()) == {1}
+    assert listed.keys() == {id(t) for shape in shapes for t in shape.subspaces}
     pool = [v for v in itertools.product(range(p), repeat=d) if next(filter(None, v), 0) == 1]
-    samples = [
-        set(rng.sample(pool, rng.randint(1, len(pool)))) for _draw in range(rng.randint(1, 3))
-    ]
-    fills = [images] + ([rows] + samples if order == "kron2-23-f7" else samples + [rows])
-    for asked in fills:
-        masks = shape.masks(asked)
-        for pt in asked:
-            assert masks[pt] == sum(
+    for shape in (lat.subs.shapes[-1] for lat in lattices):
+        assert shape.masks.keys() == set(pool) | {None}
+        for pt in pool + [None]:
+            assert shape.masks[pt] == sum(
                 1 << i for i, t in enumerate(shape.subspaces)
                 if pt is None or t.contains_vector(pt)
-            ), (pt, asked)
-    assert listed and max(listed.values()) == 1
+            ), pt
